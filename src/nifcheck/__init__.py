@@ -85,7 +85,6 @@ from .formats import (
 )
 from .model import (
     BisimResult,
-    BoundError,
     DenseTransitions,
     DynamicPolicyAutomaton,
     InputError,
@@ -109,7 +108,6 @@ from .trees import (
     TreeArena,
     check_f_security,
     partition_by,
-    partition_from_labels,
     select_violation,
     ta_may,
     ta_static,

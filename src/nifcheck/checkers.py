@@ -8,7 +8,6 @@ certification are quantifier-light and stay in plain python.
 
 from __future__ import annotations
 
-import dataclasses
 from typing import Callable, Dict, List, Mapping, Optional, Tuple
 
 import numpy as np
@@ -41,15 +40,16 @@ from .verdicts import (
 # observation consistency over bulk label arrays
 
 
-def _grouped_violation(
+def class_violations(
     idx: TraceIndex,
     key: np.ndarray,
     values: np.ndarray,
-) -> Optional[Tuple[Trace, Trace]]:
-    """Witness pair for the first labelling with inconsistent values.
+) -> List[Tuple[Trace, Trace]]:
+    """Witness pair of every group whose values are not constant.
 
-    ``key`` groups nodes, ``values`` must be constant per group.  Returns the
-    rule-minimal pair over all offending groups, or None.
+    ``key`` groups the nodes ``0..len(key)-1``; within a group ``values``
+    should be constant.  Pairs follow the shared selection rule and come out
+    in order of each offending group's least node.
     """
     sig = idx.signature
     uniq, ginv = np.unique(key, return_inverse=True)
@@ -59,24 +59,32 @@ def _grouped_violation(
     np.maximum.at(gmax, ginv, values)
     bad = np.nonzero(gmin != gmax)[0]
     if not len(bad):
-        return None
+        return []
     order = np.argsort(ginv, kind="stable")
     sorted_g = ginv[order]
     starts = np.searchsorted(sorted_g, bad, side="left")
     ends = np.searchsorted(sorted_g, bad, side="right")
-    best = None
-    for s_, e_ in zip(starts, ends):
-        member_ids = order[s_:e_]
-        traces = [idx.trace_of(int(i)) for i in member_ids]
-        vals = values[member_ids].tolist()
-        pair = select_violation_seq(sig, traces, vals)
-        if pair is None:
-            continue
-        x, y = pair
-        rank = (shortlex_key(sig, y), shortlex_key(sig, x))
-        if best is None or rank < best[0]:
-            best = (rank, pair)
-    return best[1] if best else None
+    pairs = []
+    for i in np.argsort(order[starts]):
+        member_ids = order[starts[i] : ends[i]]
+        traces = [idx.trace_of(int(n)) for n in member_ids]
+        pair = select_violation_seq(sig, traces, values[member_ids].tolist())
+        if pair is not None:
+            pairs.append(pair)
+    return pairs
+
+
+def _grouped_violation(
+    idx: TraceIndex,
+    key: np.ndarray,
+    values: np.ndarray,
+) -> Optional[Tuple[Trace, Trace]]:
+    """The rule-minimal pair over all groups of ``class_violations``, or None."""
+    sig = idx.signature
+    pairs = class_violations(idx, key, values)
+    if not pairs:
+        return None
+    return min(pairs, key=lambda p: (shortlex_key(sig, p[1]), shortlex_key(sig, p[0])))
 
 
 def _observation_consistency(
@@ -187,28 +195,17 @@ def check_unwinding_security(system: PolicyEnhancedSystem, depth: int) -> Verdic
 def check_ta_must_security(system: PolicyEnhancedSystem, depth: int) -> Verdict:
     """Prohibitive reading via the transmission trees themselves.
 
-    Builds the prohibitive tree for every trace and observer, with the edge
-    test replaced by joint knowledge of the edge, and compares observations
-    across equal trees.  Same property as ``check_unwinding_security`` by the
-    coincidence theorem, computed along the independent route; keeping both
-    is deliberate.  Materializes every trace, so bounded by engine size.
+    Labels every trace with its prohibitive tree, where an action reaches the
+    observer only if actor and observer jointly know the edge over the
+    closure classes, and compares observations across equal trees.  Same
+    property as ``check_unwinding_security`` by the coincidence theorem,
+    computed along the tree route; keeping both is deliberate.
     """
-    from .trees import TreeArena, check_f_security, partition_from_labels
-    from .unwinding import ta_must_labels, unwinding_partition
-
     system, notes = strip_inactive_edges(system)
-    result = unwinding_partition(system, depth)
-    labels = ta_must_labels(system, result, arena=TreeArena())
-    sig = system.signature
-    parts = {
-        u: partition_from_labels(sig, labels[u], depth, domain=u) for u in sig.domains
-    }
-    verdict = check_f_security(
-        parts, system, depth, mode="final-obs", property_name="ta-prohibitive"
-    )
-    if notes:
-        verdict = dataclasses.replace(verdict, notes=verdict.notes + notes)
-    return verdict
+    idx = TraceIndex(system, depth)
+    roots, _ = idx.unwinding_roots()
+    labels = idx.ta_labels(idx.jointly_known(roots)[: idx.interior_end])
+    return _observation_consistency(idx, labels, "ta-prohibitive", notes=notes)
 
 
 def check_static(system: PolicyEnhancedSystem) -> bool:
@@ -224,18 +221,9 @@ def check_ta_static_security(system: PolicyEnhancedSystem, depth: int) -> Verdic
     from the dynamic readings; a note marks that case.
     """
     system, notes = strip_inactive_edges(system)
-    e0 = system.edges[system.initial]
-    frozen = PolicyEnhancedSystem(
-        signature=system.signature,
-        states=system.states,
-        initial=system.initial,
-        transitions=system.transitions,
-        obs=system.obs,
-        edges={s: e0 for s in system.states},
-        truncated=system.truncated,
-    )
-    idx = TraceIndex(frozen, depth)
-    labels = idx.ta_labels()
+    idx = TraceIndex(system, depth)
+    e0 = idx.edge_bool[idx.states[0]]
+    labels = idx.ta_labels(np.broadcast_to(e0, (idx.interior_end,) + e0.shape))
     if not check_static(system):
         notes = notes + (
             "policy is state-dependent; the static reading fixes the initial state's edges",
@@ -409,21 +397,12 @@ def restrict_to_local(system: PolicyEnhancedSystem, depth: int) -> PolicyEnhance
     roots, _ = idx.unwinding_roots()
     sig = idx.signature
     tree = unfold(system, depth)
+    known = idx.jointly_known(roots)
+    diag = np.arange(idx.n_domains)
+    known[:, diag, diag] = False  # reflexive edges are implicit
     granted: Dict[int, set] = {i: set() for i in range(idx.n_nodes)}
-    for ui, u in enumerate(sig.domains):
-        for vi, v in enumerate(sig.domains):
-            if ui == vi:
-                continue
-            key = (roots[ui].astype(np.uint64) << np.uint64(32)) | roots[vi].astype(
-                np.uint64
-            )
-            uniq, ginv = np.unique(key, return_inverse=True)
-            atom = idx.edge_bool[idx.states, ui, vi].astype(np.int64)
-            gmin = np.ones(len(uniq), dtype=np.int64)
-            np.minimum.at(gmin, ginv, atom)
-            keep = gmin[ginv] == 1
-            for node in np.nonzero(keep)[0]:
-                granted[int(node)].add((u, v))
+    for node, ui, vi in zip(*np.nonzero(known)):
+        granted[int(node)].add((sig.domains[ui], sig.domains[vi]))
     edges = {idx.trace_of(i): frozenset(granted[i]) for i in range(idx.n_nodes)}
     return PolicyEnhancedSystem(
         signature=sig,
@@ -710,7 +689,13 @@ def state_unwinding_check(system: PolicyEnhancedSystem, mode: str = "box") -> Ve
                 if best is None or rank < best[0]:
                     best = (rank, (reach[xi], s, u))
     counts = {u: len({find(parent[u], i) for i in range(len(reach))}) for u in sig.domains}
+    truncated = sum(1 for s in reach if s in system.truncated)
     name = f"state-unwinding-{mode}"
+    details = {
+        "class_counts": counts,
+        "states_checked": len(reach),
+        "truncated_states": truncated,
+    }
     if best is not None:
         return Verdict(
             property=name,
@@ -721,13 +706,26 @@ def state_unwinding_check(system: PolicyEnhancedSystem, mode: str = "box") -> Ve
                 "state-level rules are sound but incomplete; "
                 "this failure is not a counterexample",
             ),
-            details={"class_counts": counts, "states_checked": len(reach)},
+            details=details,
+        )
+    if truncated:
+        # A truncated state's transitions are synthetic self-loops, so rules
+        # that hold there say nothing about the runs past the frontier.
+        return Verdict(
+            property=name,
+            outcome=INCONCLUSIVE,
+            notes=stripped
+            + (
+                f"{truncated} of {len(reach)} reachable states are truncated; "
+                "the rules hold, but not on a complete state graph",
+            ),
+            details=details,
         )
     return Verdict(
         property=name,
         outcome=CERTIFIED_SECURE,
         notes=stripped + ("holds on all reachable states; certifies every trace depth",),
-        details={"class_counts": counts, "states_checked": len(reach)},
+        details=details,
     )
 
 

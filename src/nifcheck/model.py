@@ -22,10 +22,6 @@ class InputError(ValueError):
     """Raised for malformed systems, unknown identifiers, or bad arguments."""
 
 
-class BoundError(ValueError):
-    """Raised when a trace or state falls outside a bounded table."""
-
-
 @dataclass(frozen=True)
 class Signature:
     """Action alphabet partitioned over security domains.

@@ -3,10 +3,12 @@
 Every trace up to the depth bound is a node; the node id of a trace is its
 shortlex rank, so children are contiguous and parent/action decompose
 arithmetically instead of being stored.  Labelling passes (run states,
-permissive transmission trees, unwinding closure) sweep level by level over
-numpy arrays, which keeps systems with tens of millions of traces inside a
-two-minute budget.  Brute-force oracles in the test suite pin the semantics
-at small scale.
+transmission trees, unwinding closure) sweep level by level over numpy
+arrays, which keeps systems with tens of millions of traces inside a
+two-minute budget.  One labelling kernel serves the static, permissive and
+prohibitive trees; they differ only in the per-node table that says which
+actions reach which observer.  Brute-force oracles in the test suite pin
+the semantics at small scale.
 """
 
 from __future__ import annotations
@@ -147,9 +149,6 @@ class TraceIndex:
             prev = self.states[self.offs[l - 1] : self.offs[l]]
             self.states[s:e] = self.trans[prev].ravel()
 
-        self._ta: Optional[np.ndarray] = None
-        self._unw: Optional[Tuple[np.ndarray, Dict[str, int]]] = None
-
     # ---- id arithmetic ------------------------------------------------
 
     def level_of(self, node: int) -> int:
@@ -189,16 +188,21 @@ class TraceIndex:
             cb[s:e] = self.offs[l + 1] + (np.arange(s, e, dtype=np.int64) - s) * self.n_actions
         return cb
 
-    # ---- permissive transmission-tree labels ---------------------------
+    # ---- transmission-tree labels --------------------------------------
 
-    def ta_labels(self) -> np.ndarray:
+    def ta_labels(self, allowed: Optional[np.ndarray] = None) -> np.ndarray:
         """Per-domain interned tree labels, shape [n_domains, n_nodes].
 
-        Label equality is structural equality of the permissive transmission
-        trees (the single-trace recursion in ``trees.ta_may`` is the
-        reference semantics)."""
-        if self._ta is not None:
-            return self._ta
+        ``allowed[n, d, u]`` says whether an action of domain d taken at
+        interior node n is passed to observer u; its shape is
+        [interior_end, n_domains, n_domains].  The default reads the policy
+        edge at the node's state, which gives the permissive trees; the
+        initial state's edges give the static trees and jointly known edges
+        (``jointly_known``) the prohibitive ones.  Label equality is
+        structural equality of the trees (the single-trace recursions in
+        ``trees`` and ``unwinding`` are the reference semantics)."""
+        if allowed is None:
+            allowed = self.edge_bool[self.states[: self.interior_end]]
         labels = np.zeros((self.n_domains, self.n_nodes), dtype=np.int64)
         arena = _PackedArena()
         for l in range(1, self.depth + 1):
@@ -209,23 +213,43 @@ class TraceIndex:
             local = np.arange(size, dtype=np.int32)
             pid = self.offs[l - 1] + local // self.n_actions
             aidx = local % self.n_actions
-            ps = self.states[pid]
             di = self.dom_of[aidx]
             for u in range(self.n_domains):
-                allowed = self.edge_bool[ps, di, u]
+                passed = allowed[pid, di, u]
                 left = labels[u][pid]
                 row = left.copy()
-                if allowed.any():
-                    right = labels[di[allowed], pid[allowed]]
+                if passed.any():
+                    right = labels[di[passed], pid[passed]]
                     packed = (
-                        (left[allowed].astype(np.uint64) << np.uint64(37))
+                        (left[passed].astype(np.uint64) << np.uint64(37))
                         | (right.astype(np.uint64) << np.uint64(10))
-                        | aidx[allowed].astype(np.uint64)
+                        | aidx[passed].astype(np.uint64)
                     )
-                    row[allowed] = arena.intern(packed)
+                    row[passed] = arena.intern(packed)
                 labels[u][s:e] = row
-        self._ta = labels
         return labels
+
+    def jointly_known(self, roots: np.ndarray) -> np.ndarray:
+        """Edges the actor and observer jointly know, shape
+        [n_nodes, n_domains, n_domains].
+
+        Entry [n, d, u] holds iff the edge d to u holds at the end of every
+        trace that d and u both find equivalent to node n under ``roots``
+        (per-domain class ids, as ``unwinding_roots`` returns them).  Each
+        domain knows its own reflexive edge."""
+        known = np.ones((self.n_nodes, self.n_domains, self.n_domains), dtype=bool)
+        for d in range(self.n_domains):
+            for u in range(self.n_domains):
+                if d == u:
+                    continue
+                key = (roots[d].astype(np.uint64) << np.uint64(32)) | roots[u].astype(
+                    np.uint64
+                )
+                uniq, ginv = np.unique(key, return_inverse=True)
+                denied = np.zeros(len(uniq), dtype=bool)
+                denied[ginv[~self.edge_bool[self.states, d, u]]] = True
+                known[:, d, u] = ~denied[ginv]
+        return known
 
     # ---- unwinding closure ---------------------------------------------
 
@@ -235,8 +259,6 @@ class TraceIndex:
         shortlex-least member of its class).
 
         Returns (roots[n_domains, n_nodes], rule application counts)."""
-        if self._unw is not None:
-            return self._unw
         n = self.n_nodes
         parents = np.tile(np.arange(n, dtype=np.int64), (self.n_domains, 1))
         counts = {"dlr": 0, "wsc": 0, "sweeps": 0}
@@ -258,8 +280,7 @@ class TraceIndex:
 
         interior = self.interior_end
         if interior == 0 or self.n_actions == 0:
-            self._unw = (parents, counts)
-            return self._unw
+            return parents, counts
         cb = self._child_base()
         actions_by_domain: Dict[int, List[int]] = {}
         for j in range(self.n_actions):
@@ -294,5 +315,4 @@ class TraceIndex:
                 break
         for u in range(self.n_domains):
             parents[u] = _compress(parents[u])
-        self._unw = (parents, counts)
-        return self._unw
+        return parents, counts

@@ -243,16 +243,6 @@ def partition_by(
     return TracePartition(signature=signature, depth=depth, domain=domain, _rep=rep, _classes=classes)
 
 
-def partition_from_labels(
-    signature: Signature,
-    labels: Mapping[Trace, object],
-    depth: int,
-    domain: Optional[str] = None,
-) -> TracePartition:
-    """Alias of partition_by for label maps produced by the engines."""
-    return partition_by(signature, labels, depth, domain)
-
-
 def select_violation_seq(
     signature: Signature,
     traces: List[Trace],

@@ -13,16 +13,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Mapping, Optional, Tuple
 
+import numpy as np
+
+from .checkers import class_violations
 from .model import InputError, PolicyEnhancedSystem, Trace, permits, run
 from .traceindex import MATERIALIZE_LIMIT, TraceIndex
-from .trees import (
-    LEAF,
-    SHARED_ARENA,
-    TracePartition,
-    TreeArena,
-    partition_by,
-    select_violation,
-)
+from .trees import LEAF, SHARED_ARENA, TracePartition, TreeArena, partition_by
 
 
 @dataclass(frozen=True)
@@ -199,23 +195,6 @@ class AgreementReport:
         return self.interior_agrees
 
 
-def _mismatches_upto(
-    sig,
-    part: TracePartition,
-    other_label,
-    cutoff: int,
-    domain: str,
-    kind: str,
-) -> List[Tuple[Trace, Trace, str, str]]:
-    found = []
-    for members in part.classes():
-        mem = [t for t in members if len(t) <= cutoff]
-        pair = select_violation(sig, mem, other_label)
-        if pair is not None:
-            found.append((pair[0], pair[1], domain, kind))
-    return found
-
-
 def check_theorem_mustunwind(
     system: PolicyEnhancedSystem,
     depth: int,
@@ -230,30 +209,31 @@ def check_theorem_mustunwind(
     distinct tree labels; ``trees-coarser`` means one tree label spans two
     closure classes.  Pairs entirely within depth - margin land in
     ``interior_mismatches``; everything else is attributed to the bound.
+    Both labellings run on the bulk engine; ``unwinding_partition`` and
+    ``ta_must_labels`` are the materializing reference.
     """
     if not 0 <= margin < depth:
         raise InputError("margin must satisfy 0 <= margin < depth")
-    result = unwinding_partition(system, depth)
-    must = ta_must_labels(system, result, arena=TreeArena())
-    sig = system.signature
+    idx = TraceIndex(system, depth)
+    roots, _ = idx.unwinding_roots()
+    must = idx.ta_labels(idx.jointly_known(roots)[: idx.interior_end])
     cut = depth - margin
+    inner = idx.offs[cut + 1]  # node ids are shortlex ranks: lengths <= cut
     interior: List[Tuple[Trace, Trace, str, str]] = []
     boundary: List[Tuple[Trace, Trace, str, str]] = []
     class_counts = {}
-    for u in sig.domains:
-        unw_part = result.partitions[u]
-        must_lab = must[u]
-        must_part = partition_by(sig, must_lab, depth, domain=u)
-        class_counts[u] = (len(unw_part), len(must_part))
+    for ui, u in enumerate(system.signature.domains):
+        class_counts[u] = (len(np.unique(roots[ui])), len(np.unique(must[ui])))
         sides = (
-            (unw_part, must_lab.__getitem__, "closure-coarser"),
-            (must_part, unw_part.find, "trees-coarser"),
+            (roots[ui], must[ui], "closure-coarser"),
+            (must[ui], roots[ui], "trees-coarser"),
         )
-        for part, other, kind in sides:
-            interior.extend(_mismatches_upto(sig, part, other, cut, u, kind))
-            for x, y, dom_name, k in _mismatches_upto(sig, part, other, depth, u, kind):
+        for key, other, kind in sides:
+            for x, y in class_violations(idx, key[:inner], other[:inner]):
+                interior.append((x, y, u, kind))
+            for x, y in class_violations(idx, key, other):
                 if len(x) > cut or len(y) > cut:
-                    boundary.append((x, y, dom_name, k))
+                    boundary.append((x, y, u, kind))
     return AgreementReport(
         depth=depth,
         margin=margin,

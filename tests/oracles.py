@@ -13,12 +13,21 @@ import random
 from typing import Dict, FrozenSet, List, Tuple
 
 from nifcheck import (
+    AgreementReport,
+    InputError,
     PolicyEnhancedSystem,
     Signature,
+    TreeArena,
+    check_f_security,
+    partition_by,
     permits,
     run,
+    select_violation,
     step,
+    strip_inactive_edges,
+    ta_must_labels,
     traces_upto,
+    unwinding_partition,
 )
 
 Trace = Tuple[str, ...]
@@ -127,6 +136,68 @@ def naive_ta_must(system, closure, depth: int, trace: Trace, domain: str):
 
 
 # ---------------------------------------------------------------------------
+# prohibitive reading over materialized partitions
+
+
+def python_ta_must_verdict(system, depth: int):
+    """``check_ta_must_security`` along the per-trace route: closure
+    partitions, prohibitive tree ids per trace, then a class-by-class
+    comparison of final observations."""
+    system, notes = strip_inactive_edges(system)
+    result = unwinding_partition(system, depth)
+    labels = ta_must_labels(system, result, arena=TreeArena())
+    sig = system.signature
+    parts = {u: partition_by(sig, labels[u], depth, domain=u) for u in sig.domains}
+    return check_f_security(
+        parts, system, depth, mode="final-obs", property_name="ta-prohibitive"
+    )
+
+
+def _mismatches_upto(sig, part, other_label, cutoff: int, domain: str, kind: str):
+    found = []
+    for members in part.classes():
+        mem = [t for t in members if len(t) <= cutoff]
+        pair = select_violation(sig, mem, other_label)
+        if pair is not None:
+            found.append((pair[0], pair[1], domain, kind))
+    return found
+
+
+def python_theorem_mustunwind(system, depth: int, margin: int = 1) -> AgreementReport:
+    """``check_theorem_mustunwind`` over materialized trace partitions."""
+    if not 0 <= margin < depth:
+        raise InputError("margin must satisfy 0 <= margin < depth")
+    result = unwinding_partition(system, depth)
+    must = ta_must_labels(system, result, arena=TreeArena())
+    sig = system.signature
+    cut = depth - margin
+    interior, boundary = [], []
+    class_counts = {}
+    for u in sig.domains:
+        unw_part = result.partitions[u]
+        must_lab = must[u]
+        must_part = partition_by(sig, must_lab, depth, domain=u)
+        class_counts[u] = (len(unw_part), len(must_part))
+        sides = (
+            (unw_part, must_lab.__getitem__, "closure-coarser"),
+            (must_part, unw_part.find, "trees-coarser"),
+        )
+        for part, other, kind in sides:
+            interior.extend(_mismatches_upto(sig, part, other, cut, u, kind))
+            for x, y, dom_name, k in _mismatches_upto(sig, part, other, depth, u, kind):
+                if len(x) > cut or len(y) > cut:
+                    boundary.append((x, y, dom_name, k))
+    return AgreementReport(
+        depth=depth,
+        margin=margin,
+        interior_agrees=not interior,
+        interior_mismatches=tuple(interior),
+        boundary_mismatches=tuple(boundary),
+        class_counts=class_counts,
+    )
+
+
+# ---------------------------------------------------------------------------
 # source sets and purges
 
 
@@ -223,3 +294,34 @@ def random_system(
 def random_systems(seed: int, count: int, **kw) -> List[PolicyEnhancedSystem]:
     rng = random.Random(seed)
     return [random_system(rng, **kw) for _ in range(count)]
+
+
+def shaped_system(
+    rng: random.Random,
+    n_states: int,
+    n_actions: int,
+    n_domains: int,
+    n_obs: int = 3,
+    edge_bias: float = 0.35,
+) -> PolicyEnhancedSystem:
+    """Random system of an exact shape; actions go to domains round-robin."""
+    domains = tuple(f"u{i}" for i in range(n_domains))
+    actions = tuple(f"a{i}" for i in range(n_actions))
+    dom = {a: domains[i % n_domains] for i, a in enumerate(actions)}
+    states = tuple(f"s{i}" for i in range(n_states))
+    transitions = {(s, a): rng.choice(states) for s in states for a in actions}
+    obs = {(u, s): rng.randrange(n_obs) for u in domains for s in states}
+    edges = {
+        s: frozenset(
+            (u, v) for u in domains for v in domains if u != v and rng.random() < edge_bias
+        )
+        for s in states
+    }
+    return PolicyEnhancedSystem(
+        signature=Signature(domains=domains, actions=actions, dom=dom),
+        states=states,
+        initial=states[0],
+        transitions=transitions,
+        obs=obs,
+        edges=edges,
+    )

@@ -3,6 +3,8 @@ policy-shape checks, and the state-level certifier."""
 
 import pytest
 
+import nifcheck.checkers
+import nifcheck.unwinding
 from nifcheck import (
     BOUNDED_SECURE,
     CERTIFIED_SECURE,
@@ -11,6 +13,7 @@ from nifcheck import (
     InputError,
     PolicyEnhancedSystem,
     Signature,
+    build_pes,
     check_globally_known,
     check_i_security,
     check_locality,
@@ -23,21 +26,23 @@ from nifcheck import (
     dipurge,
     dsrc,
     lpurge,
+    parse_cap_config,
     permits,
     policy_leq,
     restrict_to_local,
     run,
     state_unwinding_check,
     strip_inactive_edges,
+    ta_may,
     ta_may_partitions,
     traces_upto,
-    unwinding_partition,
 )
 
 from oracles import (
     naive_dipurge,
     naive_dsrc,
     naive_lpurge,
+    python_ta_must_verdict,
     random_systems,
 )
 
@@ -147,6 +152,21 @@ class TestProhibitiveRoutesAgree:
             assert unw.outcome == must.outcome
             assert unw.witness == must.witness
 
+    def test_bulk_trees_match_the_per_trace_route(self, figure1, figure2_doc, figure3):
+        corpus = [figure1, figure2_doc.base, figure2_doc.select("dotted"), figure3]
+        for depth in (3, 5):
+            for system in corpus + random_systems(1414, 20):
+                got = check_ta_must_security(system, depth)
+                want = python_ta_must_verdict(system, depth)
+                assert (got.outcome, got.witness) == (want.outcome, want.witness)
+
+    def test_no_materialization_limit(self, figure1, monkeypatch):
+        monkeypatch.setattr(nifcheck.checkers, "MATERIALIZE_LIMIT", 2)
+        monkeypatch.setattr(nifcheck.unwinding, "MATERIALIZE_LIMIT", 2)
+        v = check_ta_must_security(figure1, 6)
+        assert v.outcome == INSECURE
+        assert v.witness == (("p", "a"), ("a",), "B")
+
 
 class TestPurgeFunctions:
     def test_dsrc_of_empty_trace_is_the_observer(self, figure1):
@@ -226,6 +246,20 @@ class TestPolicyShape:
         assert check_static(frozen)
         assert not check_static(system)
 
+    def test_static_reading_is_the_permissive_one_on_the_frozen_policy(self):
+        for system in random_systems(1515, 20):
+            frozen = PolicyEnhancedSystem(
+                signature=system.signature,
+                states=system.states,
+                initial=system.initial,
+                transitions=system.transitions,
+                obs=system.obs,
+                edges={s: system.edges[system.initial] for s in system.states},
+            )
+            static = check_ta_static_security(system, 4)
+            may = check_ta_may_security(frozen, 4)
+            assert (static.outcome, static.witness) == (may.outcome, may.witness)
+
     def test_static_reading_notes_state_dependence(self, figure1):
         v = check_ta_static_security(figure1, 6)
         assert v.outcome == INSECURE
@@ -255,6 +289,43 @@ class TestPolicyShape:
     def test_policy_leq_requires_matching_signatures(self, figure1, figure3):
         with pytest.raises(InputError):
             policy_leq(figure1, figure3, 3)
+
+
+class TestLocalityKnownTo:
+    def test_property_names(self, figure3):
+        assert check_locality(figure3, 4).property == "locality"
+        assert check_locality(figure3, 4, known_to="sender").property == "locality-sender"
+        assert (
+            check_locality(figure3, 4, known_to="receiver").property
+            == "locality-receiver"
+        )
+
+    def test_unknown_endpoint_rejected(self, figure3):
+        with pytest.raises(InputError):
+            check_locality(figure3, 4, known_to="both")
+
+    def test_one_endpoint_knowing_implies_the_pair_knowing(self):
+        for system in random_systems(1616, 30):
+            pair = check_locality(system, 3)
+            for known_to in ("sender", "receiver"):
+                if check_locality(system, 3, known_to=known_to):
+                    assert pair.outcome == BOUNDED_SECURE
+
+    def test_witnesses_replay(self):
+        seen = set()
+        for system in random_systems(1717, 30):
+            for known_to in ("sender", "receiver"):
+                v = check_locality(system, 3, known_to=known_to)
+                if v.outcome != INSECURE:
+                    continue
+                seen.add(known_to)
+                x, y, u, w = v.witness
+                end = u if known_to == "sender" else w
+                assert ta_may(system, x, end) == ta_may(system, y, end)
+                assert permits(system, run(system, x), u, w) != permits(
+                    system, run(system, y), u, w
+                )
+        assert seen == {"sender", "receiver"}
 
 
 class TestRestrictToLocal:
@@ -310,6 +381,14 @@ class TestStateCertifier:
     def test_unknown_mode_rejected(self, figure1):
         with pytest.raises(InputError):
             state_unwinding_check(figure1, mode="circle")
+
+    def test_truncated_frontier_is_not_certified(self, corpus_dir):
+        config = parse_cap_config((corpus_dir / "twoproc.cap").read_text())
+        for depth, truncated in ((0, 1), (1, 16)):
+            v = state_unwinding_check(build_pes(config, depth), mode="box")
+            assert v.outcome == INCONCLUSIVE
+            assert v.details["truncated_states"] == truncated
+            assert any("truncated" in n for n in v.notes)
 
     def test_certification_is_sound_on_random_systems(self):
         for system in random_systems(7777, 15):

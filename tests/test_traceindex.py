@@ -1,0 +1,68 @@
+"""The bulk labelling kernel against the per-trace tree recursions.
+
+One kernel labels all three transmission trees; each reading only supplies
+the table of which actions reach which observer.  Labels are compared as
+the partitions they induce, since ids are arena-specific.
+"""
+
+import numpy as np
+
+from nifcheck import traces_upto
+from nifcheck.traceindex import TraceIndex
+
+from oracles import (
+    naive_closure,
+    naive_ta_may,
+    naive_ta_must,
+    naive_ta_static,
+    random_systems,
+)
+
+DEPTH = 3
+
+
+def shape(idx, row):
+    classes = {}
+    for node, label in enumerate(row.tolist()):
+        classes.setdefault(label, set()).add(idx.trace_of(node))
+    return {frozenset(c) for c in classes.values()}
+
+
+def oracle_shape(system, tree_of):
+    classes = {}
+    for t in traces_upto(system.signature, DEPTH):
+        classes.setdefault(tree_of(t), set()).add(t)
+    return {frozenset(c) for c in classes.values()}
+
+
+def test_static_labels():
+    for system in random_systems(3131, 12):
+        idx = TraceIndex(system, DEPTH)
+        e0 = idx.edge_bool[idx.states[0]]
+        labels = idx.ta_labels(np.broadcast_to(e0, (idx.interior_end,) + e0.shape))
+        static_edges = system.edges[system.initial]
+        for ui, u in enumerate(system.signature.domains):
+            want = oracle_shape(system, lambda t: naive_ta_static(system, static_edges, t, u))
+            assert shape(idx, labels[ui]) == want
+
+
+def test_permissive_labels():
+    for system in random_systems(3232, 12):
+        idx = TraceIndex(system, DEPTH)
+        labels = idx.ta_labels()
+        for ui, u in enumerate(system.signature.domains):
+            want = oracle_shape(system, lambda t: naive_ta_may(system, t, u))
+            assert shape(idx, labels[ui]) == want
+
+
+def test_prohibitive_labels():
+    for system in random_systems(3333, 12):
+        idx = TraceIndex(system, DEPTH)
+        roots, _ = idx.unwinding_roots()
+        labels = idx.ta_labels(idx.jointly_known(roots)[: idx.interior_end])
+        closure = naive_closure(system, DEPTH)
+        for ui, u in enumerate(system.signature.domains):
+            want = oracle_shape(
+                system, lambda t: naive_ta_must(system, closure, DEPTH, t, u)
+            )
+            assert shape(idx, labels[ui]) == want

@@ -1,5 +1,7 @@
 """Closure partitions, prohibitive trees, and their agreement check."""
 
+import random
+
 import pytest
 
 import nifcheck.unwinding
@@ -17,7 +19,13 @@ from nifcheck import (
     unwinding_partition,
 )
 
-from oracles import naive_closure, naive_ta_must, random_systems
+from oracles import (
+    naive_closure,
+    naive_ta_must,
+    python_theorem_mustunwind,
+    random_systems,
+    shaped_system,
+)
 
 
 def downgrader_system() -> PolicyEnhancedSystem:
@@ -185,6 +193,23 @@ class TestTheoremAgreement:
         for system in random_systems(808, 8):
             report = check_theorem_mustunwind(system, 4, margin=1)
             assert report.interior_agrees, report.interior_mismatches
+
+    def test_matches_the_partition_route(self):
+        for depth in (4, 5):
+            for system in random_systems(818, 14):
+                got = check_theorem_mustunwind(system, depth, margin=1)
+                assert got == python_theorem_mustunwind(system, depth, margin=1)
+
+    def test_matches_the_partition_route_with_mismatches(self):
+        rng = random.Random(1)
+        reports = []
+        for _ in range(4):
+            system = shaped_system(rng, n_states=8, n_actions=4, n_domains=3)
+            got = check_theorem_mustunwind(system, 6, margin=1)
+            assert got == python_theorem_mustunwind(system, 6, margin=1)
+            reports.append(got)
+        assert any(r.interior_mismatches for r in reports)
+        assert all(r.boundary_mismatches for r in reports)
 
     def test_class_counts_cover_every_domain(self):
         system = downgrader_system()
