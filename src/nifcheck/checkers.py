@@ -44,47 +44,69 @@ def class_violations(
     idx: TraceIndex,
     key: np.ndarray,
     values: np.ndarray,
-) -> List[Tuple[Trace, Trace]]:
-    """Witness pair of every group whose values are not constant.
+) -> np.ndarray:
+    """Witness node pair (x, y) of every group whose values are not constant.
 
     ``key`` groups the nodes ``0..len(key)-1``; within a group ``values``
-    should be constant.  Pairs follow the shared selection rule and come out
-    in order of each offending group's least node.
+    should be constant.  Returns an int64 array of shape [k, 2], one row per
+    offending group in order of the group's least node.  Each pair follows
+    the witness rule of ``trees.select_violation_seq``, computed with
+    segment minima over node ids (shortlex ranks) and ``idx.lex_ranks()``:
+
+    * ``l0``/``v0``: lex rank and value of the group's lex-least member;
+    * ``l1``: least lex rank among members whose value is not ``v0``;
+    * ``y``: least node whose lex rank exceeds that of the lex-least member
+      with another value (``l0`` if its value is not ``v0``, else ``l1``);
+    * ``x``: least node with a value other than ``y``'s and a lex rank
+      below ``y``'s.
     """
-    sig = idx.signature
+    big = np.iinfo(np.int64).max
     uniq, ginv = np.unique(key, return_inverse=True)
-    gmin = np.full(len(uniq), np.iinfo(np.int64).max, dtype=np.int64)
-    gmax = np.full(len(uniq), np.iinfo(np.int64).min, dtype=np.int64)
+    n_groups = len(uniq)
+    gmin = np.full(n_groups, big, dtype=np.int64)
+    gmax = np.full(n_groups, -big, dtype=np.int64)
     np.minimum.at(gmin, ginv, values)
     np.maximum.at(gmax, ginv, values)
-    bad = np.nonzero(gmin != gmax)[0]
+    is_bad = gmin != gmax
+    bad = np.nonzero(is_bad)[0]
     if not len(bad):
-        return []
-    order = np.argsort(ginv, kind="stable")
-    sorted_g = ginv[order]
-    starts = np.searchsorted(sorted_g, bad, side="left")
-    ends = np.searchsorted(sorted_g, bad, side="right")
-    pairs = []
-    for i in np.argsort(order[starts]):
-        member_ids = order[starts[i] : ends[i]]
-        traces = [idx.trace_of(int(n)) for n in member_ids]
-        pair = select_violation_seq(sig, traces, values[member_ids].tolist())
-        if pair is not None:
-            pairs.append(pair)
-    return pairs
+        return np.empty((0, 2), dtype=np.int64)
+
+    lex_all = idx.lex_ranks()
+    nodes = np.nonzero(is_bad[ginv])[0]  # members of offending groups
+    g, val, lex = ginv[nodes], values[nodes], lex_all[nodes]
+
+    def seg_min(mask: np.ndarray, of: np.ndarray) -> np.ndarray:
+        out = np.full(n_groups, big, dtype=np.int64)
+        np.minimum.at(out, g[mask], of[mask])
+        return out
+
+    every = np.ones(len(nodes), dtype=bool)
+    l0 = seg_min(every, lex)
+    at_l0 = lex == l0[g]
+    v0 = np.empty(n_groups, dtype=values.dtype)
+    v0[g[at_l0]] = val[at_l0]
+    differs = val != v0[g]
+    l1 = seg_min(differs, lex)
+    y = seg_min(np.where(differs, l0[g], l1[g]) < lex, nodes)
+    yg = y[g]
+    x = seg_min((val != values[yg]) & (lex < lex_all[yg]), nodes)
+    order = bad[np.argsort(seg_min(every, nodes)[bad])]
+    return np.stack([x[order], y[order]], axis=1)
 
 
 def _grouped_violation(
     idx: TraceIndex,
     key: np.ndarray,
     values: np.ndarray,
-) -> Optional[Tuple[Trace, Trace]]:
-    """The rule-minimal pair over all groups of ``class_violations``, or None."""
-    sig = idx.signature
+) -> Optional[Tuple[int, int]]:
+    """The rule-minimal node pair over all groups of ``class_violations``:
+    least y, then least x.  Groups are disjoint, so the y nodes are distinct."""
     pairs = class_violations(idx, key, values)
-    if not pairs:
+    if not len(pairs):
         return None
-    return min(pairs, key=lambda p: (shortlex_key(sig, p[1]), shortlex_key(sig, p[0])))
+    x, y = pairs[np.argmin(pairs[:, 1])]
+    return int(x), int(y)
 
 
 def _observation_consistency(
@@ -95,22 +117,21 @@ def _observation_consistency(
     details: Optional[Mapping] = None,
 ) -> Verdict:
     """Equal labels must yield equal observations, per domain."""
-    sig = idx.signature
     best = None
-    for ui, u in enumerate(sig.domains):
+    for ui in range(idx.n_domains):
         obs_arr = idx.obs_ids[ui][idx.states].astype(np.int64)
         pair = _grouped_violation(idx, labels[ui], obs_arr)
         if pair is None:
             continue
-        x, y = pair
-        rank = (shortlex_key(sig, y), shortlex_key(sig, x), ui)
-        if best is None or rank < best[0]:
-            best = (rank, (x, y, u))
+        rank = (pair[1], pair[0], ui)
+        if best is None or rank < best:
+            best = rank
     if best is not None:
+        y, x, ui = best
         return Verdict(
             property=property_name,
             outcome=INSECURE,
-            witness=best[1],
+            witness=(idx.trace_of(x), idx.trace_of(y), idx.signature.domains[ui]),
             depth=idx.depth,
             notes=notes,
             details=dict(details or {}),
@@ -270,14 +291,15 @@ def check_locality(
             pair = _grouped_violation(idx, key, atom)
             if pair is None:
                 continue
-            x, y = pair
-            rank = (shortlex_key(sig, y), shortlex_key(sig, x), pair_pos)
+            rank = (pair[1], pair[0], pair_pos)
             if best is None or rank < best[0]:
-                best = (rank, (x, y, u, v))
+                best = (rank, (u, v))
     name = "locality" if known_to is None else f"locality-{known_to}"
     if best is not None:
+        (y, x, _), (u, v) = best
+        witness = (idx.trace_of(x), idx.trace_of(y), u, v)
         return Verdict(
-            property=name, outcome=INSECURE, witness=best[1], depth=depth, notes=notes
+            property=name, outcome=INSECURE, witness=witness, depth=depth, notes=notes
         )
     return Verdict(property=name, outcome=BOUNDED_SECURE, depth=depth, notes=notes)
 
@@ -292,7 +314,8 @@ def check_globally_known(
     Two obligations: the administering domain may always flow to everyone,
     and the policy state is a function of the administering domain's own
     actions.  Holding both makes every locality variant immediate; the
-    verdict cross-checks plain locality and records the outcome.
+    verdict cross-checks plain locality, and a failed cross-check makes it
+    ``INCONCLUSIVE`` with the locality witness in the details.
     """
     sig = system.signature
     if policy_domain not in sig.domains:
@@ -337,16 +360,21 @@ def check_globally_known(
             ),
         )
     cross = check_locality(system, depth)
-    note = (
-        "locality cross-check passed"
-        if cross
-        else "locality cross-check FAILED unexpectedly"
-    )
+    if not cross:
+        # Both obligations imply locality, so this is a fault in one of the
+        # two checks; neither verdict can be trusted.
+        return Verdict(
+            property="globally-known",
+            outcome=INCONCLUSIVE,
+            depth=depth,
+            notes=("both obligations hold, but the locality cross-check failed",),
+            details={"locality_outcome": cross.outcome, "locality_witness": cross.witness},
+        )
     return Verdict(
         property="globally-known",
         outcome=BOUNDED_SECURE,
         depth=depth,
-        notes=(note,),
+        notes=("locality cross-check passed",),
     )
 
 

@@ -148,6 +148,7 @@ class TraceIndex:
                 break
             prev = self.states[self.offs[l - 1] : self.offs[l]]
             self.states[s:e] = self.trans[prev].ravel()
+        self._lex: Optional[np.ndarray] = None
 
     # ---- id arithmetic ------------------------------------------------
 
@@ -179,6 +180,26 @@ class TraceIndex:
     def interior_end(self) -> int:
         """Nodes below this id have length < depth; only they have children."""
         return self.offs[self.depth]
+
+    def lex_ranks(self) -> np.ndarray:
+        """Each node's rank in pure lexicographic order (a proper prefix
+        before its extensions), built on first use and cached.
+
+        That order is the preorder of the trace tree, so the j-th child of a
+        node at level l - 1 ranks 1 + j * offs[depth - l + 1] after its
+        parent: offs[k + 1] counts the nodes of a complete subtree of
+        height k."""
+        if self._lex is None:
+            lex = np.zeros(self.n_nodes, dtype=np.int64)
+            steps = np.arange(self.n_actions, dtype=np.int64)
+            for l in range(1, self.depth + 1):
+                s, e = self.offs[l], self.offs[l + 1]
+                if s == e:
+                    break
+                parents = lex[self.offs[l - 1] : s] + 1
+                lex[s:e] = (parents[:, None] + steps * self.offs[self.depth - l + 1]).ravel()
+            self._lex = lex
+        return self._lex
 
     def _child_base(self) -> np.ndarray:
         """child id of interior node n on action j is child_base[n] + j."""

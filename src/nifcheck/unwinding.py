@@ -229,11 +229,11 @@ def check_theorem_mustunwind(
             (must[ui], roots[ui], "trees-coarser"),
         )
         for key, other, kind in sides:
-            for x, y in class_violations(idx, key[:inner], other[:inner]):
-                interior.append((x, y, u, kind))
-            for x, y in class_violations(idx, key, other):
-                if len(x) > cut or len(y) > cut:
-                    boundary.append((x, y, u, kind))
+            for x, y in class_violations(idx, key[:inner], other[:inner]).tolist():
+                interior.append((idx.trace_of(x), idx.trace_of(y), u, kind))
+            pairs = class_violations(idx, key, other)
+            for x, y in pairs[(pairs >= inner).any(axis=1)].tolist():
+                boundary.append((idx.trace_of(x), idx.trace_of(y), u, kind))
     return AgreementReport(
         depth=depth,
         margin=margin,

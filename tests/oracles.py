@@ -8,7 +8,6 @@ with "e" for the empty tree, matching TreeArena.to_tuple output.
 
 from __future__ import annotations
 
-import itertools
 import random
 from typing import Dict, FrozenSet, List, Tuple
 
@@ -29,6 +28,7 @@ from nifcheck import (
     traces_upto,
     unwinding_partition,
 )
+from nifcheck.trees import select_violation_seq
 
 Trace = Tuple[str, ...]
 LEAF = "e"
@@ -151,6 +151,23 @@ def python_ta_must_verdict(system, depth: int):
     return check_f_security(
         parts, system, depth, mode="final-obs", property_name="ta-prohibitive"
     )
+
+
+def python_class_violations(idx, key, values) -> List[Tuple[Trace, Trace]]:
+    """``checkers.class_violations`` one group at a time: materialize each
+    offending group's traces in shortlex order and run the witness rule on
+    them.  Returns trace pairs, in order of each group's least node."""
+    sig = idx.signature
+    groups: Dict[object, List[int]] = {}
+    for node, k in enumerate(key.tolist()):
+        groups.setdefault(k, []).append(node)
+    pairs = []
+    for members in sorted(groups.values()):
+        traces = [idx.trace_of(n) for n in members]
+        pair = select_violation_seq(sig, traces, [values[n] for n in members])
+        if pair is not None:
+            pairs.append(pair)
+    return pairs
 
 
 def _mismatches_upto(sig, part, other_label, cutoff: int, domain: str, kind: str):

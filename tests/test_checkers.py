@@ -1,10 +1,15 @@
 """Whole-system checks: trace-quantified verdicts, purge comparisons,
 policy-shape checks, and the state-level certifier."""
 
+import random
+
+import numpy as np
 import pytest
 
 import nifcheck.checkers
 import nifcheck.unwinding
+from nifcheck.checkers import class_violations
+from nifcheck.traceindex import TraceIndex
 from nifcheck import (
     BOUNDED_SECURE,
     CERTIFIED_SECURE,
@@ -13,6 +18,7 @@ from nifcheck import (
     InputError,
     PolicyEnhancedSystem,
     Signature,
+    Verdict,
     build_pes,
     check_globally_known,
     check_i_security,
@@ -42,8 +48,10 @@ from oracles import (
     naive_dipurge,
     naive_dsrc,
     naive_lpurge,
+    python_class_violations,
     python_ta_must_verdict,
     random_systems,
+    shaped_system,
 )
 
 
@@ -271,6 +279,20 @@ class TestPolicyShape:
         assert v.outcome == BOUNDED_SECURE
         assert any("locality cross-check passed" in n for n in v.notes)
 
+    def test_globally_known_failed_cross_check_is_inconclusive(self, monkeypatch):
+        bad = Verdict(
+            property="locality",
+            outcome=INSECURE,
+            witness=(("h",), ("l",), "D", "L"),
+            depth=5,
+        )
+        monkeypatch.setattr(nifcheck.checkers, "check_locality", lambda system, depth: bad)
+        v = check_globally_known(admin_system(), "D", 5)
+        assert v.outcome == INCONCLUSIVE
+        assert not v
+        assert v.details["locality_witness"] == bad.witness
+        assert any("cross-check failed" in n for n in v.notes)
+
     def test_globally_known_rejects_non_admin_changes(self):
         v = check_globally_known(admin_system(admin_changes_policy=False), "D", 5)
         assert v.outcome == INSECURE
@@ -448,3 +470,57 @@ class TestBulkPartitions:
                 got = {frozenset(c) for c in bulk[u].classes()}
                 want = {frozenset(c) for c in single.classes()}
                 assert got == want
+
+
+class TestClassViolations:
+    """The array witness rule against the per-group python one."""
+
+    @staticmethod
+    def agree(idx, key, values):
+        pairs = class_violations(idx, key, values)
+        assert pairs.shape == (len(pairs), 2)
+        got = [(idx.trace_of(x), idx.trace_of(y)) for x, y in pairs.tolist()]
+        assert got == python_class_violations(idx, key, values)
+        return got
+
+    def test_labels_and_observations(self):
+        rng = random.Random(2727)
+        found = 0
+        for _ in range(15):
+            system = shaped_system(
+                rng, rng.randint(2, 6), rng.randint(1, 4), rng.randint(1, 3)
+            )
+            depth = rng.randint(1, 4)
+            idx = TraceIndex(system, depth)
+            labels = idx.ta_labels()
+            roots, _ = idx.unwinding_roots()
+            inner = idx.offs[depth]  # the traces shorter than the bound
+            for ui in range(idx.n_domains):
+                obs = idx.obs_ids[ui][idx.states].astype(np.int64)
+                for key in (labels[ui], roots[ui]):
+                    found += len(self.agree(idx, key, obs))
+                    self.agree(idx, key[:inner], obs[:inner])
+        assert found
+
+    def test_random_groups(self):
+        gen = np.random.default_rng(2828)
+        idx = TraceIndex(shaped_system(random.Random(2828), 5, 3, 2), 4)
+        n = idx.n_nodes
+        for groups in (1, 3, 10, 40):
+            key = gen.integers(0, groups, n)
+            values = gen.integers(0, 4, n)  # the larger groups hold 3-4 values
+            mixed = {k for k in key.tolist() if len(set(values[key == k].tolist())) > 1}
+            assert len(self.agree(idx, key, values)) == len(mixed) > 0
+            self.agree(idx, key[:40], values[:40])
+        # half the nodes in singleton groups
+        key = np.where(gen.random(n) < 0.5, np.arange(n) + 10, gen.integers(0, 10, n))
+        assert self.agree(idx, key, gen.integers(0, 3, n))
+
+    def test_constant_groups_have_no_pairs(self):
+        idx = TraceIndex(shaped_system(random.Random(2929), 4, 3, 2), 3)
+        n = idx.n_nodes
+        key = np.arange(n) % 7
+        assert self.agree(idx, np.arange(n), np.arange(n) % 2) == []
+        assert self.agree(idx, key, np.zeros(n, dtype=np.int64)) == []
+        assert self.agree(idx, key, key * 3) == []
+        assert idx._lex is None  # lexicographic ranks are only built for witnesses

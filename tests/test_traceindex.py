@@ -5,9 +5,11 @@ the table of which actions reach which observer.  Labels are compared as
 the partitions they induce, since ids are arena-specific.
 """
 
+import random
+
 import numpy as np
 
-from nifcheck import traces_upto
+from nifcheck import lex_key, traces_upto
 from nifcheck.traceindex import TraceIndex
 
 from oracles import (
@@ -16,6 +18,7 @@ from oracles import (
     naive_ta_must,
     naive_ta_static,
     random_systems,
+    shaped_system,
 )
 
 DEPTH = 3
@@ -66,3 +69,17 @@ def test_prohibitive_labels():
                 system, lambda t: naive_ta_must(system, closure, DEPTH, t, u)
             )
             assert shape(idx, labels[ui]) == want
+
+
+def test_lex_ranks_order_nodes_lexicographically():
+    for n_actions in (1, 4):
+        system = shaped_system(random.Random(n_actions), 3, n_actions, 2)
+        sig = system.signature
+        for depth in (0, 1, 3):
+            idx = TraceIndex(system, depth)
+            lex = idx.lex_ranks()
+            traces = [idx.trace_of(n) for n in range(idx.n_nodes)]
+            assert sorted(lex.tolist()) == list(range(idx.n_nodes))
+            by_rank = [traces[n] for n in np.argsort(lex)]
+            assert by_rank == sorted(traces, key=lambda t: lex_key(sig, t))
+            assert idx.lex_ranks() is lex
