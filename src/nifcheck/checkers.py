@@ -1,9 +1,10 @@
 """Security checkers producing verdicts with deterministic witnesses.
 
-Every trace-quantified check runs over the bulk engine in ``traceindex`` and
-extracts witnesses with the shared selection rule, so reported pairs are
-stable across runs and scales.  Purge-style comparisons and the state-level
-certification are quantifier-light and stay in plain python.
+Every trace-quantified check but the purge comparisons runs over the bulk
+engine in ``traceindex`` and extracts witnesses with the shared selection
+rule, so reported pairs are stable across runs and scales.  The state-level
+certification runs the engine's unwinding-closure kernel over the reachable
+states; the purge comparisons stay in plain python.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from .model import (
     traces_upto,
     unfold,
 )
-from .traceindex import MATERIALIZE_LIMIT, TraceIndex
+from .traceindex import MATERIALIZE_LIMIT, TraceIndex, unwinding_closure
 from .trees import TracePartition, partition_by, select_violation_seq
 from .verdicts import (
     BOUNDED_SECURE,
@@ -330,30 +331,19 @@ def check_globally_known(
                     depth=depth,
                     notes=("administering domain cannot flow to every domain",),
                 )
-    _guard_enumeration(sig, depth, "the public-policy check")
-    groups: Dict[Trace, List[Trace]] = {}
-    ends: Dict[Trace, State] = {}
-    for t in traces_upto(sig, depth):
-        ends[t] = system.initial if not t else step(system, ends[t[:-1]], t[-1])
-        proj = tuple(a for a in t if sig.domain_of(a) == policy_domain)
-        groups.setdefault(proj, []).append(t)
-    best = None
-    for members in groups.values():
-        pair = select_violation_seq(
-            sig, members, [system.edges[ends[t]] for t in members]
-        )
-        if pair is None:
-            continue
-        x, y = pair
-        rank = (shortlex_key(sig, y), shortlex_key(sig, x))
-        if best is None or rank < best[0]:
-            best = (rank, pair)
-    if best is not None:
-        x, y = best[1]
+    idx = TraceIndex(system, depth)
+    # Passing only a domain's own actions to itself labels each trace with
+    # its projection onto the administering domain's actions.
+    own = np.eye(idx.n_domains, dtype=bool)
+    proj = idx.ta_labels(np.broadcast_to(own, (idx.interior_end,) + own.shape))
+    flat = idx.edge_bool.reshape(len(idx.state_names), -1)
+    edge_set = np.unique(flat, axis=0, return_inverse=True)[1].ravel()
+    pair = _grouped_violation(idx, proj[sig.domain_index(policy_domain)], edge_set[idx.states])
+    if pair is not None:
         return Verdict(
             property="globally-known",
             outcome=INSECURE,
-            witness=(x, y),
+            witness=(idx.trace_of(pair[0]), idx.trace_of(pair[1])),
             depth=depth,
             notes=(
                 "policy state is not a function of the administering domain's actions",
@@ -654,69 +644,32 @@ def state_unwinding_check(system: PolicyEnhancedSystem, mode: str = "box") -> Ve
     system, stripped = strip_inactive_edges(system)
     sig = system.signature
     reach = list(reachable_states(system))
-    index = {s: i for i, s in enumerate(reach)}
-    parent: Dict[str, List[int]] = {u: list(range(len(reach))) for u in sig.domains}
+    tables = TraceIndex(system, 0)  # depth 0: only the per-state tables
+    order = np.array([tables.state_ids[s] for s in reach], dtype=np.int64)
+    position = np.empty(len(tables.state_names), dtype=np.int64)
+    position[order] = np.arange(len(reach))
+    succ = position[tables.trans[order]]
+    roots, _ = unwinding_closure(
+        len(reach),
+        lambda j: succ[:, j],
+        tables.edge_bool[order],
+        tables.dom_of,
+        diamond=mode == "diamond",
+    )
 
-    def find(p: List[int], i: int) -> int:
-        root = i
-        while p[root] != root:
-            root = p[root]
-        while p[i] != root:
-            p[i], i = root, p[i]
-        return root
-
-    def union(p: List[int], i: int, j: int) -> bool:
-        ri, rj = find(p, i), find(p, j)
-        if ri == rj:
-            return False
-        if rj < ri:
-            ri, rj = rj, ri
-        p[rj] = ri
-        return True
-
-    for s in reach:
-        si = index[s]
-        for a in sig.actions:
-            d = sig.domain_of(a)
-            ti = index[system.transitions[(s, a)]]
-            for u in sig.domains:
-                if not permits(system, s, d, u):
-                    union(parent[u], si, ti)
-
-    changed = True
-    while changed:
-        changed = False
-        for u in sig.domains:
-            pu = parent[u]
-            for a in sig.actions:
-                d = sig.domain_of(a)
-                pd = parent[d]
-                first: Dict[Tuple[int, int], int] = {}
-                for s in reach:
-                    si = index[s]
-                    if mode == "diamond" and not permits(system, s, d, u):
-                        continue
-                    key = (find(pu, si), find(pd, si))
-                    ti = index[system.transitions[(s, a)]]
-                    prev = first.get(key)
-                    if prev is None:
-                        first[key] = ti
-                    elif union(pu, prev, ti):
-                        changed = True
-
-    best = None
-    for ui, u in enumerate(sig.domains):
-        pu = parent[u]
-        exemplar: Dict[int, int] = {}
-        for s in reach:
-            si = index[s]
-            root = find(pu, si)
-            xi = exemplar.setdefault(root, si)
-            if system.obs[(u, reach[xi])] != system.obs[(u, s)]:
-                rank = (si, xi, ui)
-                if best is None or rank < best[0]:
-                    best = (rank, (reach[xi], s, u))
-    counts = {u: len({find(parent[u], i) for i in range(len(reach))}) for u in sig.domains}
+    # Each class's root is its first state in discovery order; the witness
+    # is the (state, root, domain)-least state that looks different from it.
+    obs = tables.obs_ids[:, order]
+    differs = np.take_along_axis(obs, roots, axis=1) != obs
+    best = min(
+        (
+            (si, int(roots[ui, si]), ui)
+            for ui in range(tables.n_domains)
+            for si in np.nonzero(differs[ui])[0][:1].tolist()
+        ),
+        default=None,
+    )
+    counts = dict(zip(sig.domains, (roots == np.arange(len(reach))).sum(axis=1).tolist()))
     truncated = sum(1 for s in reach if s in system.truncated)
     name = f"state-unwinding-{mode}"
     details = {
@@ -725,10 +678,11 @@ def state_unwinding_check(system: PolicyEnhancedSystem, mode: str = "box") -> Ve
         "truncated_states": truncated,
     }
     if best is not None:
+        si, xi, ui = best
         return Verdict(
             property=name,
             outcome=INCONCLUSIVE,
-            witness=best[1],
+            witness=(reach[xi], reach[si], sig.domains[ui]),
             notes=stripped
             + (
                 "state-level rules are sound but incomplete; "

@@ -164,11 +164,11 @@ def _theorem_verdict(system: PolicyEnhancedSystem, depth: int, margin: int) -> V
     )
 
 
-def _drm_verdict(source, depth: int) -> Verdict:
+def _drm_verdict(source, system: PolicyEnhancedSystem, depth: int) -> Verdict:
     if isinstance(source, CapabilityConfig):
-        structured = capability_drm_interpretation(source, depth)
+        structured = capability_drm_interpretation(source, depth, pes=system)
     else:
-        structured = ac_complete_construct(source, depth)
+        structured = ac_complete_construct(system, depth)
     report = check_drm(structured, depth, strong_five=True)
     verdict = derive_security_from_drm(report, structured)
     return verdict
@@ -241,7 +241,7 @@ def run_checks(
         elif p == "isec":
             v = check_i_security(system, depth)
         elif p == "drm":
-            v = _drm_verdict(source, depth)
+            v = _drm_verdict(source, system, depth)
         else:
             v = _theorem_verdict(system, depth, margin)
         timing[p] = time.perf_counter() - t0

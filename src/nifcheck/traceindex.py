@@ -14,7 +14,7 @@ the semantics at small scale.
 from __future__ import annotations
 
 from bisect import bisect_right
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -148,6 +148,13 @@ class TraceIndex:
                 break
             prev = self.states[self.offs[l - 1] : self.offs[l]]
             self.states[s:e] = self.trans[prev].ravel()
+        # A truncated state's transitions are synthetic self-loops; a trace
+        # that steps out of one walks past what the system explored.
+        cut = [self.state_ids[s] for s in system.truncated]
+        if cut and np.isin(self.states[: self.interior_end], cut).any():
+            raise InputError(
+                f"depth {depth} steps past the truncated frontier of the system"
+            )
         self._lex: Optional[np.ndarray] = None
 
     # ---- id arithmetic ------------------------------------------------
@@ -200,14 +207,6 @@ class TraceIndex:
                 lex[s:e] = (parents[:, None] + steps * self.offs[self.depth - l + 1]).ravel()
             self._lex = lex
         return self._lex
-
-    def _child_base(self) -> np.ndarray:
-        """child id of interior node n on action j is child_base[n] + j."""
-        cb = np.empty(self.interior_end, dtype=np.int64)
-        for l in range(self.depth):
-            s, e = self.offs[l], self.offs[l + 1]
-            cb[s:e] = self.offs[l + 1] + (np.arange(s, e, dtype=np.int64) - s) * self.n_actions
-        return cb
 
     # ---- transmission-tree labels --------------------------------------
 
@@ -280,60 +279,100 @@ class TraceIndex:
         shortlex-least member of its class).
 
         Returns (roots[n_domains, n_nodes], rule application counts)."""
-        n = self.n_nodes
-        parents = np.tile(np.arange(n, dtype=np.int64), (self.n_domains, 1))
-        counts = {"dlr": 0, "wsc": 0, "sweeps": 0}
+        # Shortlex ids number the tree like a heap: the child of node n on
+        # action j is n * n_actions + 1 + j.
+        first_child = np.arange(self.interior_end, dtype=np.int64) * self.n_actions + 1
+        return unwinding_closure(
+            self.n_nodes,
+            lambda j: first_child + j,
+            self.edge_bool[self.states[: self.interior_end]],
+            self.dom_of,
+        )
 
-        for l in range(1, self.depth + 1):
-            s, e = self.offs[l], self.offs[l + 1]
-            if s == e:
-                break
-            local = np.arange(e - s, dtype=np.int32)
-            pid = (self.offs[l - 1] + local // self.n_actions).astype(np.int64)
-            aidx = local % self.n_actions
-            ps = self.states[pid]
-            di = self.dom_of[aidx]
-            ids = np.arange(s, e, dtype=np.int64)
-            for u in range(self.n_domains):
-                allowed = self.edge_bool[ps, di, u]
-                parents[u][s:e] = np.where(allowed, ids, pid)
-                counts["dlr"] += int((~allowed).sum())
 
-        interior = self.interior_end
-        if interior == 0 or self.n_actions == 0:
-            return parents, counts
-        cb = self._child_base()
-        actions_by_domain: Dict[int, List[int]] = {}
-        for j in range(self.n_actions):
-            actions_by_domain.setdefault(int(self.dom_of[j]), []).append(j)
+def unwinding_closure(
+    n_nodes: int,
+    child: Callable[[int], np.ndarray],
+    allowed: np.ndarray,
+    dom_of: np.ndarray,
+    diamond: bool = False,
+) -> Tuple[np.ndarray, Dict[str, int]]:
+    """Least per-domain equivalences on the nodes ``0..n_nodes-1`` closed
+    under the two unwinding rules.
 
-        while True:
-            counts["sweeps"] += 1
-            for u in range(self.n_domains):
-                parents[u] = _compress(parents[u])
-            changed = 0
-            for u in range(self.n_domains):
-                for d, action_list in actions_by_domain.items():
-                    ru = parents[u][:interior].astype(np.uint64)
-                    rd = parents[d][:interior].astype(np.uint64)
-                    key = (ru << np.uint64(32)) | rd
-                    uniq, ginv = np.unique(key, return_inverse=True)
-                    if len(uniq) == interior:
-                        continue  # all joint classes are singletons
-                    for j in action_list:
-                        child = cb + j
-                        croots = parents[u][child]
-                        gmin = np.full(len(uniq), n, dtype=np.int64)
-                        np.minimum.at(gmin, ginv, croots)
-                        tgt = gmin[ginv]
-                        mask = croots != tgt
-                        hits = int(mask.sum())
-                        if hits:
-                            np.minimum.at(parents[u], croots[mask], tgt[mask])
-                            changed += hits
-                            counts["wsc"] += hits
-            if changed == 0:
-                break
-        for u in range(self.n_domains):
-            parents[u] = _compress(parents[u])
+    The stepping nodes are ``0..m-1`` with ``m = len(allowed)``:
+    ``child(j)`` is each one's successor on action j (int64, length m), and
+    ``allowed[node, d, u]`` says whether an action of domain d taken there
+    may reach u.  For every action j of domain d:
+
+    * deletion: ``node ~u child(j)[node]`` wherever ``allowed[node, d, u]``
+      fails;
+    * joint stepping: ``x ~u y`` and ``x ~d y`` give
+      ``child(j)[x] ~u child(j)[y]``; with ``diamond`` only nodes where
+      ``allowed[node, d, u]`` holds take part.
+
+    Links go from the larger id to the smaller, so every class's root is
+    its least node.  The trace tree (``TraceIndex.unwinding_roots``) and the
+    reachable states (``checkers.state_unwinding_check``) share this sweep.
+
+    Returns (roots[n_domains, n_nodes], counts): "dlr" deletion pairs,
+    "wsc" stepping links made and "sweeps" stepping sweeps."""
+    n_domains = allowed.shape[1]
+    m = len(allowed)
+    parents = np.tile(np.arange(n_nodes, dtype=np.int64), (n_domains, 1))
+    counts = {"dlr": 0, "wsc": 0, "sweeps": 0}
+    if m == 0 or len(dom_of) == 0:
         return parents, counts
+    counts["dlr"] = m * len(dom_of) * n_domains - int(allowed.sum(axis=0)[dom_of].sum())
+
+    # Deletion is a plain union of (node, successor) pairs, repeated until
+    # they agree, since a target hooked twice keeps only its least link.
+    # On the trace tree every successor is hooked once, so the second round
+    # only confirms the first.
+    hooked = True
+    while hooked:
+        hooked = False
+        for j, d in enumerate(dom_of):
+            succ = child(j)
+            for u in range(n_domains):
+                at = np.nonzero(~allowed[:, d, u])[0]
+                ra, rb = parents[u][at], parents[u][succ[at]]
+                differ = ra != rb
+                if differ.any():
+                    hooked = True
+                    lo, hi = np.minimum(ra, rb)[differ], np.maximum(ra, rb)[differ]
+                    np.minimum.at(parents[u], hi, lo)
+        for u in range(n_domains):
+            parents[u] = _compress(parents[u])
+
+    actions_by_domain: Dict[int, List[int]] = {}
+    for j, d in enumerate(dom_of.tolist()):
+        actions_by_domain.setdefault(d, []).append(j)
+    while True:
+        counts["sweeps"] += 1
+        for u in range(n_domains):
+            parents[u] = _compress(parents[u])
+        changed = 0
+        for u in range(n_domains):
+            for d, action_list in actions_by_domain.items():
+                at = np.nonzero(allowed[:, d, u])[0] if diamond else slice(0, m)
+                ru = parents[u][at].astype(np.uint64)
+                rd = parents[d][at].astype(np.uint64)
+                key = (ru << np.uint64(32)) | rd
+                uniq, ginv = np.unique(key, return_inverse=True)
+                if len(uniq) == len(key):
+                    continue  # all joint classes are singletons
+                for j in action_list:
+                    croots = parents[u][child(j)[at]]
+                    gmin = np.full(len(uniq), n_nodes, dtype=np.int64)
+                    np.minimum.at(gmin, ginv, croots)
+                    tgt = gmin[ginv]
+                    mask = croots != tgt
+                    hits = int(mask.sum())
+                    if hits:
+                        np.minimum.at(parents[u], croots[mask], tgt[mask])
+                        changed += hits
+                        counts["wsc"] += hits
+        if changed == 0:
+            # nothing moved since the sweep's compression: these are roots
+            return parents, counts

@@ -12,6 +12,10 @@ import random
 from typing import Dict, FrozenSet, List, Tuple
 
 from nifcheck import (
+    BOUNDED_SECURE,
+    CERTIFIED_SECURE,
+    INCONCLUSIVE,
+    INSECURE,
     AgreementReport,
     InputError,
     PolicyEnhancedSystem,
@@ -20,14 +24,18 @@ from nifcheck import (
     check_f_security,
     partition_by,
     permits,
+    reachable_states,
     run,
     select_violation,
+    shortlex_key,
     step,
     strip_inactive_edges,
     ta_must_labels,
     traces_upto,
     unwinding_partition,
+    Verdict,
 )
+from nifcheck import checkers
 from nifcheck.trees import select_violation_seq
 
 Trace = Tuple[str, ...]
@@ -211,6 +219,179 @@ def python_theorem_mustunwind(system, depth: int, margin: int = 1) -> AgreementR
         interior_mismatches=tuple(interior),
         boundary_mismatches=tuple(boundary),
         class_counts=class_counts,
+    )
+
+
+# ---------------------------------------------------------------------------
+# state-level certification and the public-policy check
+
+
+def python_state_unwinding(system, mode: str = "box") -> Verdict:
+    """``state_unwinding_check`` with a dictionary union-find and an
+    explicit fixpoint over the reachable states."""
+    if mode not in ("box", "diamond"):
+        raise InputError(f"unknown mode {mode!r}")
+    system, stripped = strip_inactive_edges(system)
+    sig = system.signature
+    reach = list(reachable_states(system))
+    index = {s: i for i, s in enumerate(reach)}
+    parent: Dict[str, List[int]] = {u: list(range(len(reach))) for u in sig.domains}
+
+    def find(p: List[int], i: int) -> int:
+        root = i
+        while p[root] != root:
+            root = p[root]
+        while p[i] != root:
+            p[i], i = root, p[i]
+        return root
+
+    def union(p: List[int], i: int, j: int) -> bool:
+        ri, rj = find(p, i), find(p, j)
+        if ri == rj:
+            return False
+        if rj < ri:
+            ri, rj = rj, ri
+        p[rj] = ri
+        return True
+
+    for s in reach:
+        si = index[s]
+        for a in sig.actions:
+            d = sig.domain_of(a)
+            ti = index[system.transitions[(s, a)]]
+            for u in sig.domains:
+                if not permits(system, s, d, u):
+                    union(parent[u], si, ti)
+
+    changed = True
+    while changed:
+        changed = False
+        for u in sig.domains:
+            pu = parent[u]
+            for a in sig.actions:
+                d = sig.domain_of(a)
+                pd = parent[d]
+                first: Dict[Tuple[int, int], int] = {}
+                for s in reach:
+                    si = index[s]
+                    if mode == "diamond" and not permits(system, s, d, u):
+                        continue
+                    key = (find(pu, si), find(pd, si))
+                    ti = index[system.transitions[(s, a)]]
+                    prev = first.get(key)
+                    if prev is None:
+                        first[key] = ti
+                    elif union(pu, prev, ti):
+                        changed = True
+
+    best = None
+    for ui, u in enumerate(sig.domains):
+        pu = parent[u]
+        exemplar: Dict[int, int] = {}
+        for s in reach:
+            si = index[s]
+            root = find(pu, si)
+            xi = exemplar.setdefault(root, si)
+            if system.obs[(u, reach[xi])] != system.obs[(u, s)]:
+                rank = (si, xi, ui)
+                if best is None or rank < best[0]:
+                    best = (rank, (reach[xi], s, u))
+    counts = {u: len({find(parent[u], i) for i in range(len(reach))}) for u in sig.domains}
+    truncated = sum(1 for s in reach if s in system.truncated)
+    name = f"state-unwinding-{mode}"
+    details = {
+        "class_counts": counts,
+        "states_checked": len(reach),
+        "truncated_states": truncated,
+    }
+    if best is not None:
+        return Verdict(
+            property=name,
+            outcome=INCONCLUSIVE,
+            witness=best[1],
+            notes=stripped
+            + (
+                "state-level rules are sound but incomplete; "
+                "this failure is not a counterexample",
+            ),
+            details=details,
+        )
+    if truncated:
+        return Verdict(
+            property=name,
+            outcome=INCONCLUSIVE,
+            notes=stripped
+            + (
+                f"{truncated} of {len(reach)} reachable states are truncated; "
+                "the rules hold, but not on a complete state graph",
+            ),
+            details=details,
+        )
+    return Verdict(
+        property=name,
+        outcome=CERTIFIED_SECURE,
+        notes=stripped + ("holds on all reachable states; certifies every trace depth",),
+        details=details,
+    )
+
+
+def python_globally_known(system, policy_domain: str, depth: int) -> Verdict:
+    """``check_globally_known`` grouping materialized traces by their
+    projection onto the administering domain's actions."""
+    sig = system.signature
+    if policy_domain not in sig.domains:
+        raise InputError(f"unknown domain {policy_domain!r}")
+    for s in reachable_states(system, depth):
+        for u in sig.domains:
+            if not permits(system, s, policy_domain, u):
+                return Verdict(
+                    property="globally-known",
+                    outcome=INSECURE,
+                    witness=(s, u),
+                    depth=depth,
+                    notes=("administering domain cannot flow to every domain",),
+                )
+    groups: Dict[Trace, List[Trace]] = {}
+    ends = {}
+    for t in traces_upto(sig, depth):
+        ends[t] = system.initial if not t else step(system, ends[t[:-1]], t[-1])
+        proj = tuple(a for a in t if sig.domain_of(a) == policy_domain)
+        groups.setdefault(proj, []).append(t)
+    best = None
+    for members in groups.values():
+        pair = select_violation_seq(
+            sig, members, [system.edges[ends[t]] for t in members]
+        )
+        if pair is None:
+            continue
+        x, y = pair
+        rank = (shortlex_key(sig, y), shortlex_key(sig, x))
+        if best is None or rank < best[0]:
+            best = (rank, pair)
+    if best is not None:
+        return Verdict(
+            property="globally-known",
+            outcome=INSECURE,
+            witness=best[1],
+            depth=depth,
+            notes=(
+                "policy state is not a function of the administering domain's actions",
+            ),
+        )
+    cross = checkers.check_locality(system, depth)
+    if not cross:
+        return Verdict(
+            property="globally-known",
+            outcome=INCONCLUSIVE,
+            depth=depth,
+            notes=("both obligations hold, but the locality cross-check failed",),
+            details={"locality_outcome": cross.outcome, "locality_witness": cross.witness},
+        )
+    return Verdict(
+        property="globally-known",
+        outcome=BOUNDED_SECURE,
+        depth=depth,
+        notes=("locality cross-check passed",),
     )
 
 

@@ -1,6 +1,7 @@
 """Whole-system checks: trace-quantified verdicts, purge comparisons,
 policy-shape checks, and the state-level certifier."""
 
+import dataclasses
 import random
 
 import numpy as np
@@ -49,10 +50,21 @@ from oracles import (
     naive_dsrc,
     naive_lpurge,
     python_class_violations,
+    python_globally_known,
+    python_state_unwinding,
     python_ta_must_verdict,
     random_systems,
     shaped_system,
 )
+
+
+def assert_same_verdict(got, want):
+    assert (got.outcome, got.witness, got.details, got.notes) == (
+        want.outcome,
+        want.witness,
+        want.details,
+        want.notes,
+    )
 
 
 def admin_system(admin_changes_policy: bool = True) -> PolicyEnhancedSystem:
@@ -293,6 +305,24 @@ class TestPolicyShape:
         assert v.details["locality_witness"] == bad.witness
         assert any("cross-check failed" in n for n in v.notes)
 
+    def test_globally_known_matches_the_python_grouping(self):
+        rng = random.Random(4545)
+        outcomes = set()
+        for _ in range(320):
+            base = shaped_system(
+                rng, rng.randint(1, 6), rng.randint(1, 4), rng.randint(1, 3)
+            )
+            admin = base.signature.domains[0]
+            public = {(admin, v) for v in base.signature.domains if v != admin}
+            system = dataclasses.replace(
+                base, edges={s: base.edges[s] | public for s in base.states}
+            )
+            for depth in range(5):
+                got = check_globally_known(system, admin, depth)
+                assert_same_verdict(got, python_globally_known(system, admin, depth))
+                outcomes.add(got.outcome)
+        assert outcomes == {BOUNDED_SECURE, INSECURE}
+
     def test_globally_known_rejects_non_admin_changes(self):
         v = check_globally_known(admin_system(admin_changes_policy=False), "D", 5)
         assert v.outcome == INSECURE
@@ -411,6 +441,33 @@ class TestStateCertifier:
             assert v.outcome == INCONCLUSIVE
             assert v.details["truncated_states"] == truncated
             assert any("truncated" in n for n in v.notes)
+
+    def test_matches_the_python_fixpoint(self):
+        rng = random.Random(6464)
+        outcomes = set()
+        for _ in range(200):
+            system = shaped_system(
+                rng,
+                rng.randint(1, 8),
+                rng.randint(1, 4),
+                rng.randint(1, 3),
+                edge_bias=rng.choice((0.2, 0.5, 0.8)),
+            )
+            for mode in ("box", "diamond"):
+                got = state_unwinding_check(system, mode=mode)
+                assert_same_verdict(got, python_state_unwinding(system, mode=mode))
+                outcomes.add(got.outcome)
+        assert outcomes == {CERTIFIED_SECURE, INCONCLUSIVE}
+
+    def test_matches_the_python_fixpoint_on_truncated_capability_systems(
+        self, corpus_dir
+    ):
+        config = parse_cap_config((corpus_dir / "twoproc.cap").read_text())
+        for depth in (1, 2, 3):
+            system = build_pes(config, depth)
+            for mode in ("box", "diamond"):
+                got = state_unwinding_check(system, mode=mode)
+                assert_same_verdict(got, python_state_unwinding(system, mode=mode))
 
     def test_certification_is_sound_on_random_systems(self):
         for system in random_systems(7777, 15):

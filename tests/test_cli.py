@@ -5,6 +5,8 @@ import json
 
 import pytest
 
+import nifcheck.capability
+import nifcheck.cli
 from nifcheck import InputError, run_checks
 from nifcheck.cli import _show_witness, main
 
@@ -49,6 +51,20 @@ class TestRunChecks:
         report = run_checks(fig1, properties=("mayta", "static"), depth=3)
         assert set(report.timing) == {"mayta", "static", "total"}
         assert all(t >= 0 for t in report.timing.values())
+
+    def test_capability_system_is_built_once(self, cap, monkeypatch):
+        calls = []
+        build = nifcheck.capability.build_pes
+
+        def counting(config, depth):
+            calls.append(depth)
+            return build(config, depth)
+
+        monkeypatch.setattr(nifcheck.cli, "build_pes", counting)
+        monkeypatch.setattr(nifcheck.capability, "build_pes", counting)
+        report = run_checks(cap, properties=("drm",), depth=1)
+        assert report.verdicts[0].property == "access-control"
+        assert calls == [1]
 
     def test_default_properties_for_capability_files(self, cap):
         report = run_checks(cap, depth=2)

@@ -8,8 +8,10 @@ the partitions they induce, since ids are arena-specific.
 import random
 
 import numpy as np
+import pytest
 
-from nifcheck import lex_key, traces_upto
+from conftest import read_corpus
+from nifcheck import InputError, build_pes, lex_key, parse_cap_config, traces_upto
 from nifcheck.traceindex import TraceIndex
 
 from oracles import (
@@ -83,3 +85,30 @@ def test_lex_ranks_order_nodes_lexicographically():
             by_rank = [traces[n] for n in np.argsort(lex)]
             assert by_rank == sorted(traces, key=lambda t: lex_key(sig, t))
             assert idx.lex_ranks() is lex
+
+
+def test_closure_roots_at_a_larger_shape():
+    depth = 5
+    system = shaped_system(random.Random(3434), 8, 4, 3)
+    idx = TraceIndex(system, depth)
+    roots, counts = idx.unwinding_roots()
+    assert counts["wsc"] and counts["sweeps"] > 2  # joint stepping is exercised
+    closure = naive_closure(system, depth)
+    for ui, u in enumerate(system.signature.domains):
+        got = shape(idx, roots[ui])
+        want = {}
+        for t, canon in closure[u].items():
+            want.setdefault(canon, set()).add(t)
+        assert got == {frozenset(c) for c in want.values()}
+        least = {}
+        for node, root in enumerate(roots[ui].tolist()):
+            least.setdefault(root, node)
+        assert all(root == node for root, node in least.items())
+
+
+def test_depth_past_the_truncated_frontier_is_rejected():
+    config = parse_cap_config(read_corpus("twoproc.cap"))
+    system = build_pes(config, 1)
+    assert TraceIndex(system, 1).n_nodes == 1 + len(system.signature.actions)
+    with pytest.raises(InputError, match="truncated frontier"):
+        TraceIndex(system, 2)
