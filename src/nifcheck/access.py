@@ -473,23 +473,23 @@ def ac_complete_construct(system: PolicyEnhancedSystem, depth: int) -> Structure
     permissive transmission tree at that trace, and it may write exactly
     the domains the policy currently lets it flow to.
     """
-    from .checkers import check_ta_may_security
+    from .checkers import _observation_consistency
 
-    verdict = check_ta_may_security(system, depth)
-    if not verdict:
-        warnings.warn(
-            "constructing access tables for a system that failed the permissive "
-            "check; the monitor conditions will not all hold",
-            stacklevel=2,
-        )
     idx = TraceIndex(system, depth)
     if idx.n_nodes > MATERIALIZE_LIMIT:
         raise InputError(
             f"{idx.n_nodes} trace states is too many to materialize access tables for"
         )
+    # The permissive check's labels: it strips idle domains' edges, never read here.
+    labels = idx.ta_labels()
+    if not _observation_consistency(idx, labels, "ta-permissive"):
+        warnings.warn(
+            "constructing access tables for a system that failed the permissive "
+            "check; the monitor conditions will not all hold",
+            stacklevel=2,
+        )
     tree = unfold(system, depth)
     sig = system.signature
-    labels = idx.ta_labels()
     osets = {u: ("oset", u) for u in sig.domains}
     objects = tuple(sig.domains) + tuple(osets[u] for u in sig.domains)
     watch = {u: frozenset({u, osets[u]}) for u in sig.domains}

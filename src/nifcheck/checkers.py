@@ -1,15 +1,14 @@
 """Security checkers producing verdicts with deterministic witnesses.
 
-Every trace-quantified check but the purge comparisons runs over the bulk
-engine in ``traceindex`` and extracts witnesses with the shared selection
-rule, so reported pairs are stable across runs and scales.  The state-level
-certification runs the engine's unwinding-closure kernel over the reachable
-states; the purge comparisons stay in plain python.
+Every trace-quantified check runs over the bulk engine in ``traceindex`` and
+extracts witnesses with the shared selection rule, so reported pairs are
+stable across runs and scales.  The state-level certification runs the
+engine's unwinding-closure kernel over the reachable states.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Mapping, Optional, Tuple
+from typing import Dict, List, Mapping, Optional, Tuple
 
 import numpy as np
 
@@ -20,14 +19,11 @@ from .model import (
     Trace,
     permits,
     reachable_states,
-    run,
-    shortlex_key,
     step,
-    traces_upto,
     unfold,
 )
 from .traceindex import MATERIALIZE_LIMIT, TraceIndex, unwinding_closure
-from .trees import TracePartition, partition_by, select_violation_seq
+from .trees import TracePartition, partition_by
 from .verdicts import (
     BOUNDED_SECURE,
     CERTIFIED_SECURE,
@@ -110,6 +106,21 @@ def _grouped_violation(
     return int(x), int(y)
 
 
+def _least_violation(
+    idx: TraceIndex,
+    labels: np.ndarray,
+    states: np.ndarray,
+) -> Optional[Tuple[int, int, int]]:
+    """The least (y, x, domain index) over all domains whose labels agree on
+    nodes x and y but whose observations differ at their end ``states``."""
+    best = None
+    for ui in range(idx.n_domains):
+        pair = _grouped_violation(idx, labels[ui], idx.obs_ids[ui][states].astype(np.int64))
+        if pair is not None and (best is None or (pair[1], pair[0], ui) < best):
+            best = (pair[1], pair[0], ui)
+    return best
+
+
 def _observation_consistency(
     idx: TraceIndex,
     labels: np.ndarray,
@@ -118,15 +129,7 @@ def _observation_consistency(
     details: Optional[Mapping] = None,
 ) -> Verdict:
     """Equal labels must yield equal observations, per domain."""
-    best = None
-    for ui in range(idx.n_domains):
-        obs_arr = idx.obs_ids[ui][idx.states].astype(np.int64)
-        pair = _grouped_violation(idx, labels[ui], obs_arr)
-        if pair is None:
-            continue
-        rank = (pair[1], pair[0], ui)
-        if best is None or rank < best:
-            best = rank
+    best = _least_violation(idx, labels, idx.states)
     if best is not None:
         y, x, ui = best
         return Verdict(
@@ -421,7 +424,8 @@ def restrict_to_local(system: PolicyEnhancedSystem, depth: int) -> PolicyEnhance
     granted: Dict[int, set] = {i: set() for i in range(idx.n_nodes)}
     for node, ui, vi in zip(*np.nonzero(known)):
         granted[int(node)].add((sig.domains[ui], sig.domains[vi]))
-    edges = {idx.trace_of(i): frozenset(granted[i]) for i in range(idx.n_nodes)}
+    # unfold lists its states in shortlex order, which is node order
+    edges = {t: frozenset(granted[i]) for i, t in enumerate(tree.states)}
     return PolicyEnhancedSystem(
         signature=sig,
         states=tree.states,
@@ -437,116 +441,83 @@ def restrict_to_local(system: PolicyEnhancedSystem, depth: int) -> PolicyEnhance
 # purge-style comparison semantics
 
 
-def _source_table(system: PolicyEnhancedSystem, domain: str) -> Callable:
-    """Memoized source-set recursion for one observer.
-
-    Sources of the empty trace are the observer alone; a leading action joins
-    the sources iff its domain may flow, at the current state, to someone who
-    is already a source of the rest.
-    """
+def _sources(
+    system: PolicyEnhancedSystem, trace: Trace, domain: str, state: Optional[State]
+) -> List[frozenset]:
+    """Sources of every suffix ``trace[i:]`` of the trace run from ``state``
+    (the initial state by default).  Sources of the empty trace are the
+    observer alone; an action joins the sources of the rest iff its domain
+    may flow, at the state where it is taken, to one of them."""
     sig = system.signature
-    memo: Dict[tuple, frozenset] = {}
-
-    def go(suffix: Trace, state: State) -> frozenset:
-        key = (suffix, state)
-        got = memo.get(key)
-        if got is not None:
-            return got
-        if not suffix:
-            out = frozenset((domain,))
-        else:
-            a = suffix[0]
-            inner = go(suffix[1:], step(system, state, a))
-            d = sig.domain_of(a)
-            if any(permits(system, state, d, v) for v in inner):
-                out = inner | {d}
-            else:
-                out = inner
-        memo[key] = out
-        return out
-
-    return go
+    if domain not in sig.domains:
+        raise InputError(f"unknown domain {domain!r}")
+    states = [system.initial if state is None else state]
+    for a in trace:
+        states.append(step(system, states[-1], a))
+    out = [frozenset((domain,))]
+    for a, s in zip(reversed(trace), reversed(states[:-1])):
+        d = sig.domain_of(a)
+        rest = out[-1]
+        out.append(rest | {d} if any(permits(system, s, d, v) for v in rest) else rest)
+    out.reverse()
+    return out
 
 
 def dsrc(
-    system: PolicyEnhancedSystem,
-    trace: Trace,
-    domain: str,
-    state: Optional[State] = None,
+    system: PolicyEnhancedSystem, trace: Trace, domain: str, state: Optional[State] = None
 ) -> frozenset:
     """Domains whose actions may have influenced the observer over the trace."""
-    if domain not in system.signature.domains:
-        raise InputError(f"unknown domain {domain!r}")
-    start = system.initial if state is None else state
-    return _source_table(system, domain)(tuple(trace), start)
-
-
-def _lpurge(system, trace: Trace, domain: str, state: State, src: Callable) -> Trace:
-    sig = system.signature
-    out: List[str] = []
-    suffix = tuple(trace)
-    s = state
-    while suffix:
-        a = suffix[0]
-        d = sig.domain_of(a)
-        if any(permits(system, s, d, v) for v in src(suffix, s)):
-            out.append(a)
-        s = step(system, s, a)
-        suffix = suffix[1:]
-    return tuple(out)
+    return _sources(system, tuple(trace), domain, state)[0]
 
 
 def lpurge(
-    system: PolicyEnhancedSystem,
-    trace: Trace,
-    domain: str,
-    state: Optional[State] = None,
+    system: PolicyEnhancedSystem, trace: Trace, domain: str, state: Optional[State] = None
 ) -> Trace:
     """Keep an action iff it may flow to some current source; the purge walks
     every state of the original trace, deleted actions included."""
-    if domain not in system.signature.domains:
-        raise InputError(f"unknown domain {domain!r}")
-    start = system.initial if state is None else state
-    return _lpurge(system, trace, domain, start, _source_table(system, domain))
-
-
-def _dipurge(system, trace: Trace, domain: str, state: State, src: Callable) -> Trace:
-    sig = system.signature
-    out: List[str] = []
-    suffix = tuple(trace)
-    s = state
-    while suffix:
-        a = suffix[0]
-        if sig.domain_of(a) in src(suffix, s):
-            out.append(a)
-            s = step(system, s, a)
-        suffix = suffix[1:]
-    return tuple(out)
+    trace = tuple(trace)
+    srcs = _sources(system, trace, domain, state)
+    return tuple(a for a, src in zip(trace, srcs) if system.signature.domain_of(a) in src)
 
 
 def dipurge(
-    system: PolicyEnhancedSystem,
-    trace: Trace,
-    domain: str,
-    state: Optional[State] = None,
+    system: PolicyEnhancedSystem, trace: Trace, domain: str, state: Optional[State] = None
 ) -> Trace:
     """Keep an action iff its domain is a source; unlike ``lpurge`` the state
     does not advance past deleted actions, so the purged trace is a run of the
     system in its own right."""
     if domain not in system.signature.domains:
         raise InputError(f"unknown domain {domain!r}")
-    start = system.initial if state is None else state
-    return _dipurge(system, trace, domain, start, _source_table(system, domain))
+    trace = tuple(trace)
+    s = system.initial if state is None else state
+    out: List[str] = []
+    for i, a in enumerate(trace):
+        if system.signature.domain_of(a) in dsrc(system, trace[i:], domain, s):
+            out.append(a)
+            s = step(system, s, a)
+    return tuple(out)
 
 
-def _guard_enumeration(sig, depth: int, what: str) -> None:
-    total = 1
-    size = 1
-    for _ in range(depth):
-        size *= len(sig.actions)
-        total += size
-        if total > MATERIALIZE_LIMIT:
-            raise InputError(f"too many traces for {what} at depth {depth}")
+def _kept(idx: TraceIndex, acts: np.ndarray, at: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Which actions each row's purge keeps, shape like ``acts``.
+
+    Row r runs the actions ``acts[r]`` from state id ``at[r]`` and is purged
+    for observer ``u[r]``.  Sweeping back from the end with one bool column
+    per domain for the sources of the rest (at first the observer), an
+    action stays iff its domain may flow, at its state, to a source, and
+    then its domain is one."""
+    before = np.empty(acts.shape, dtype=np.int32)
+    for k in range(acts.shape[1]):
+        before[:, k] = at if k == 0 else idx.trans[before[:, k - 1], acts[:, k - 1]]
+    rows = np.arange(len(acts))
+    src = np.zeros((len(acts), idx.n_domains), dtype=bool)
+    src[rows, u] = True
+    keep = np.empty(acts.shape, dtype=bool)
+    for k in range(acts.shape[1] - 1, -1, -1):
+        d = idx.dom_of[acts[:, k]]
+        keep[:, k] = (idx.edge_bool[before[:, k], d] & src).any(axis=1)
+        src[rows, d] |= keep[:, k]
+    return keep
 
 
 def check_lpurge_security(system: PolicyEnhancedSystem, depth: int) -> Verdict:
@@ -554,27 +525,52 @@ def check_lpurge_security(system: PolicyEnhancedSystem, depth: int) -> Verdict:
 
     The witness is the shortlex-first trace (with the first domain in
     declaration order) whose observation differs from its purge's; the purged
-    trace rides along in the details.
-    """
+    trace rides along in the details.  A level is purged for all observers at
+    once, a block of rows each, into node ids: keeping action a extends node
+    p to its child ``p * n_actions + 1 + a``."""
     system, notes = strip_inactive_edges(system)
-    sig = system.signature
-    _guard_enumeration(sig, depth, "the purge comparison")
-    srcs = {u: _source_table(system, u) for u in sig.domains}
-    ends: Dict[Trace, State] = {}
-    for t in traces_upto(sig, depth):
-        ends[t] = system.initial if not t else step(system, ends[t[:-1]], t[-1])
-        for u in sig.domains:
-            purged = _lpurge(system, t, u, system.initial, srcs[u])
-            if system.obs[(u, run(system, purged))] != system.obs[(u, ends[t])]:
-                return Verdict(
-                    property="purge",
-                    outcome=INSECURE,
-                    witness=(t, u),
-                    depth=depth,
-                    notes=notes,
-                    details={"purged": purged},
-                )
+    idx = TraceIndex(system, depth)
+    for l in range(1, depth + 1):
+        s, e = idx.offs[l], idx.offs[l + 1]
+        acts = np.tile(idx.level_actions(l), (idx.n_domains, 1))
+        observer = np.repeat(np.arange(idx.n_domains), e - s)
+        keep = _kept(idx, acts, np.full(len(acts), idx.states[0]), observer)
+        purged = np.zeros(len(acts), dtype=np.int64)
+        for k in range(l):
+            purged = np.where(keep[:, k], purged * idx.n_actions + 1 + acts[:, k], purged)
+        seen = idx.obs_ids[observer, idx.states[purged]].reshape(idx.n_domains, e - s)
+        bad = seen != idx.obs_ids[:, idx.states[s:e]]
+        if bad.any():
+            i = int(np.argmax(bad.any(axis=0)))  # least node, then least domain
+            ui = int(np.argmax(bad[:, i]))
+            return Verdict(
+                property="purge",
+                outcome=INSECURE,
+                witness=(idx.trace_of(s + i), idx.signature.domains[ui]),
+                depth=depth,
+                notes=notes,
+                details={"purged": idx.trace_of(int(purged[ui * (e - s) + i]))},
+            )
     return Verdict(property="purge", outcome=BOUNDED_SECURE, depth=depth, notes=notes)
+
+
+def _dipurge_nodes(idx: TraceIndex, start: int) -> np.ndarray:
+    """Node id of every trace's ``dipurge`` from state id ``start``, per
+    observer: shape [n_domains, n_nodes].  At each position the rest of the
+    trace runs from the purge's own state, where its sources are taken."""
+    purged = np.zeros((idx.n_domains, idx.n_nodes), dtype=np.int64)
+    for l in range(1, idx.depth + 1):
+        s, e = idx.offs[l], idx.offs[l + 1]
+        acts = np.tile(idx.level_actions(l), (idx.n_domains, 1))
+        observer = np.repeat(np.arange(idx.n_domains), e - s)
+        p = np.zeros(len(acts), dtype=np.int64)
+        at = np.full(len(acts), start, dtype=np.int64)
+        for i in range(l):
+            keep = _kept(idx, acts[:, i:], at, observer)[:, 0]
+            p = np.where(keep, p * idx.n_actions + 1 + acts[:, i], p)
+            at = np.where(keep, idx.trans[at, acts[:, i]], at)
+        purged[:, s:e] = p.reshape(idx.n_domains, e - s)
+    return purged
 
 
 def check_i_security(system: PolicyEnhancedSystem, depth: int) -> Verdict:
@@ -583,46 +579,42 @@ def check_i_security(system: PolicyEnhancedSystem, depth: int) -> Verdict:
     Traces with the same source-filtered purge must look identical to the
     observer.  States are tried in discovery order and the first state with a
     violating pair wins; within a state the pair follows the witness rule.
-    """
+    Starts from which ``TraceIndex`` would refuse the depth, since a shorter
+    trace ends on a truncated state, are skipped and counted in
+    ``details["truncated_starts"]``."""
     system, stripped = strip_inactive_edges(system)
-    sig = system.signature
-    _guard_enumeration(sig, depth, "the purge comparison")
-    srcs = {u: _source_table(system, u) for u in sig.domains}
-    for start in reachable_states(system):
-        ends: Dict[Trace, State] = {}
-        groups: Dict[Tuple[str, Trace], List[Trace]] = {}
-        for t in traces_upto(sig, depth):
-            ends[t] = start if not t else step(system, ends[t[:-1]], t[-1])
-            for u in sig.domains:
-                purged = _dipurge(system, t, u, start, srcs[u])
-                groups.setdefault((u, purged), []).append(t)
-        best = None
-        for ui, u in enumerate(sig.domains):
-            for (gu, purged), members in groups.items():
-                if gu != u:
-                    continue
-                vals = [system.obs[(u, ends[t])] for t in members]
-                pair = select_violation_seq(sig, members, vals)
-                if pair is None:
-                    continue
-                x, y = pair
-                rank = (shortlex_key(sig, y), shortlex_key(sig, x), ui)
-                if best is None or rank < best[0]:
-                    best = (rank, (start, x, y, u), purged)
+    idx = TraceIndex(system, depth)
+    notes = stripped + ("quantified over every reachable start state",)
+    starts = [idx.state_ids[s] for s in reachable_states(system)]
+    skipped = int(idx.near_frontier[starts].sum())
+    details = {"truncated_starts": skipped}
+    for start in starts:
+        if idx.near_frontier[start]:
+            continue
+        purged = _dipurge_nodes(idx, start)
+        best = _least_violation(idx, purged, idx.run_states(start))
         if best is not None:
+            y, x, ui = best
+            witness = (idx.state_names[start], idx.trace_of(x), idx.trace_of(y))
             return Verdict(
                 property="intransitive-purge",
                 outcome=INSECURE,
-                witness=best[1],
+                witness=witness + (idx.signature.domains[ui],),
                 depth=depth,
-                details={"common_purge": best[2]},
-                notes=stripped + ("quantified over every reachable start state",),
+                details={"common_purge": idx.trace_of(int(purged[ui, y])), **details},
+                notes=notes,
             )
+    if skipped:
+        notes += (
+            f"{skipped} of {len(starts)} reachable start states reach the "
+            "truncated frontier within the depth and were not checked",
+        )
     return Verdict(
         property="intransitive-purge",
-        outcome=BOUNDED_SECURE,
+        outcome=INCONCLUSIVE if skipped else BOUNDED_SECURE,
         depth=depth,
-        notes=stripped + ("quantified over every reachable start state",),
+        details=details,
+        notes=notes,
     )
 
 

@@ -140,21 +140,18 @@ class TraceIndex:
             [dom_index[sig.domain_of(a)] for a in sig.actions], dtype=np.int32
         )
 
-        self.states = np.empty(self.n_nodes, dtype=np.int32)
-        self.states[0] = self.state_ids[system.initial]
-        for l in range(1, depth + 1):
-            s, e = self.offs[l], self.offs[l + 1]
-            if s == e:
-                break
-            prev = self.states[self.offs[l - 1] : self.offs[l]]
-            self.states[s:e] = self.trans[prev].ravel()
-        # A truncated state's transitions are synthetic self-loops; a trace
-        # that steps out of one walks past what the system explored.
-        cut = [self.state_ids[s] for s in system.truncated]
-        if cut and np.isin(self.states[: self.interior_end], cut).any():
+        # near_frontier[s]: a trace shorter than the depth, run from s, ends on
+        # a truncated state, whose transitions are synthetic self-loops.
+        self.near_frontier = np.zeros(n_states, dtype=bool)
+        if depth and system.truncated:
+            self.near_frontier[[self.state_ids[s] for s in system.truncated]] = True
+            for _ in range(depth - 1):
+                self.near_frontier |= self.near_frontier[self.trans].any(axis=1)
+        if self.near_frontier[self.state_ids[system.initial]]:
             raise InputError(
                 f"depth {depth} steps past the truncated frontier of the system"
             )
+        self.states = self.run_states(self.state_ids[system.initial])
         self._lex: Optional[np.ndarray] = None
 
     # ---- id arithmetic ------------------------------------------------
@@ -174,14 +171,21 @@ class TraceIndex:
         out.reverse()
         return tuple(out)
 
-    def node_of(self, trace: Trace) -> int:
-        if len(trace) > self.depth:
-            raise InputError(f"trace longer than depth bound {self.depth}")
-        node = 0
-        for l, a in enumerate(trace):
-            j = self.signature.action_index(a)
-            node = self.offs[l + 1] + (node - self.offs[l]) * self.n_actions + j
-        return node
+    def level_actions(self, l: int) -> np.ndarray:
+        """Action digits of the nodes at level l, shape [size, l]: column k
+        holds the index of each trace's k-th action."""
+        n, size = max(self.n_actions, 1), self.offs[l + 1] - self.offs[l]
+        digits = np.arange(size, dtype=np.int64)[:, None] // n ** np.arange(l - 1, -1, -1) % n
+        return digits.astype(np.int16)  # fits, as there are fewer than _MAX_ACTIONS
+
+    def run_states(self, start: int) -> np.ndarray:
+        """End state id of every node's trace, run from state id ``start``."""
+        states = np.empty(self.n_nodes, dtype=np.int32)
+        states[0] = start
+        for l in range(1, self.depth + 1):
+            s, e = self.offs[l], self.offs[l + 1]
+            states[s:e] = self.trans[states[self.offs[l - 1] : s]].ravel()
+        return states
 
     @property
     def interior_end(self) -> int:

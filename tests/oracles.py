@@ -411,9 +411,9 @@ def naive_dsrc(system, trace: Trace, domain: str, state=None) -> FrozenSet[str]:
     return inner
 
 
-def naive_lpurge(system, trace: Trace, domain: str) -> Trace:
+def naive_lpurge(system, trace: Trace, domain: str, state=None) -> Trace:
     out = []
-    s = system.initial
+    s = system.initial if state is None else state
     for i, a in enumerate(trace):
         if system.signature.domain_of(a) in naive_dsrc(system, trace[i:], domain, s):
             out.append(a)
@@ -421,9 +421,9 @@ def naive_lpurge(system, trace: Trace, domain: str) -> Trace:
     return tuple(out)
 
 
-def naive_dipurge(system, trace: Trace, domain: str) -> Trace:
+def naive_dipurge(system, trace: Trace, domain: str, state=None) -> Trace:
     out = []
-    s = system.initial
+    s = system.initial if state is None else state
     rest = tuple(trace)
     while rest:
         a, rest = rest[0], rest[1:]
@@ -431,6 +431,152 @@ def naive_dipurge(system, trace: Trace, domain: str) -> Trace:
             out.append(a)
             s = step(system, s, a)
     return tuple(out)
+
+
+def _source_table(system, domain: str):
+    """Memoized source-set recursion for one observer."""
+    sig = system.signature
+    memo = {}
+
+    def go(suffix: Trace, state) -> frozenset:
+        key = (suffix, state)
+        got = memo.get(key)
+        if got is not None:
+            return got
+        if not suffix:
+            out = frozenset((domain,))
+        else:
+            a = suffix[0]
+            inner = go(suffix[1:], step(system, state, a))
+            d = sig.domain_of(a)
+            if any(permits(system, state, d, v) for v in inner):
+                out = inner | {d}
+            else:
+                out = inner
+        memo[key] = out
+        return out
+
+    return go
+
+
+def _lpurge(system, trace: Trace, domain: str, state, src) -> Trace:
+    sig = system.signature
+    out: List[str] = []
+    suffix = tuple(trace)
+    s = state
+    while suffix:
+        a = suffix[0]
+        d = sig.domain_of(a)
+        if any(permits(system, s, d, v) for v in src(suffix, s)):
+            out.append(a)
+        s = step(system, s, a)
+        suffix = suffix[1:]
+    return tuple(out)
+
+
+def _dipurge(system, trace: Trace, domain: str, state, src) -> Trace:
+    sig = system.signature
+    out: List[str] = []
+    suffix = tuple(trace)
+    s = state
+    while suffix:
+        a = suffix[0]
+        if sig.domain_of(a) in src(suffix, s):
+            out.append(a)
+            s = step(system, s, a)
+        suffix = suffix[1:]
+    return tuple(out)
+
+
+def python_lpurge_security(system, depth: int) -> Verdict:
+    """``check_lpurge_security`` purging every enumerated trace one by one."""
+    system, notes = strip_inactive_edges(system)
+    sig = system.signature
+    srcs = {u: _source_table(system, u) for u in sig.domains}
+    ends = {}
+    for t in traces_upto(sig, depth):
+        ends[t] = system.initial if not t else step(system, ends[t[:-1]], t[-1])
+        for u in sig.domains:
+            purged = _lpurge(system, t, u, system.initial, srcs[u])
+            if system.obs[(u, run(system, purged))] != system.obs[(u, ends[t])]:
+                return Verdict(
+                    property="purge",
+                    outcome=INSECURE,
+                    witness=(t, u),
+                    depth=depth,
+                    notes=notes,
+                    details={"purged": purged},
+                )
+    return Verdict(property="purge", outcome=BOUNDED_SECURE, depth=depth, notes=notes)
+
+
+def python_i_security(system, depth: int) -> Verdict:
+    """``check_i_security`` grouping every enumerated trace by its purge,
+    start state by start state.  A start from which a trace shorter than
+    the depth ends on a truncated state is skipped and counted."""
+    system, stripped = strip_inactive_edges(system)
+    sig = system.signature
+    srcs = {u: _source_table(system, u) for u in sig.domains}
+    starts = list(reachable_states(system))
+    skipped = {
+        start
+        for start in starts
+        if depth
+        and any(run(system, t, start=start) in system.truncated for t in traces_upto(sig, depth - 1))
+    }
+    truncated = len(skipped)
+    for start in starts:
+        if start in skipped:
+            continue
+        ends: Dict[Trace, object] = {}
+        groups: Dict[Tuple[str, Trace], List[Trace]] = {}
+        for t in traces_upto(sig, depth):
+            ends[t] = start if not t else step(system, ends[t[:-1]], t[-1])
+            for u in sig.domains:
+                purged = _dipurge(system, t, u, start, srcs[u])
+                groups.setdefault((u, purged), []).append(t)
+        best = None
+        for ui, u in enumerate(sig.domains):
+            for (gu, purged), members in groups.items():
+                if gu != u:
+                    continue
+                vals = [system.obs[(u, ends[t])] for t in members]
+                pair = select_violation_seq(sig, members, vals)
+                if pair is None:
+                    continue
+                x, y = pair
+                rank = (shortlex_key(sig, y), shortlex_key(sig, x), ui)
+                if best is None or rank < best[0]:
+                    best = (rank, (start, x, y, u), purged)
+        if best is not None:
+            return Verdict(
+                property="intransitive-purge",
+                outcome=INSECURE,
+                witness=best[1],
+                depth=depth,
+                details={"common_purge": best[2], "truncated_starts": truncated},
+                notes=stripped + ("quantified over every reachable start state",),
+            )
+    notes = stripped + ("quantified over every reachable start state",)
+    if truncated:
+        return Verdict(
+            property="intransitive-purge",
+            outcome=INCONCLUSIVE,
+            depth=depth,
+            details={"truncated_starts": truncated},
+            notes=notes
+            + (
+                f"{truncated} of {len(starts)} reachable start states "
+                "reach the truncated frontier within the depth and were not checked",
+            ),
+        )
+    return Verdict(
+        property="intransitive-purge",
+        outcome=BOUNDED_SECURE,
+        depth=depth,
+        details={"truncated_starts": 0},
+        notes=notes,
+    )
 
 
 def naive_view(system, trace: Trace, domain: str) -> tuple:

@@ -1,5 +1,8 @@
 """Structured states, the monitor conditions, and the completeness construction."""
 
+import random
+import warnings
+
 import pytest
 
 from nifcheck import (
@@ -18,8 +21,12 @@ from nifcheck import (
     derive_security_from_drm,
     dynacrel,
     run,
+    strip_inactive_edges,
     traces_upto,
 )
+from nifcheck.traceindex import TraceIndex
+
+from oracles import random_system
 
 OSET_U = ("oset", "U")
 OSET_V = ("oset", "V")
@@ -348,6 +355,38 @@ class TestCompletenessConstruction:
         with pytest.warns(UserWarning, match="failed the permissive"):
             structured = ac_complete_construct(primed, 4)
         assert not check_drm(structured, 4).holds
+
+    def test_labels_once_and_warns_as_the_permissive_check(self, monkeypatch):
+        calls = []
+        build, label = TraceIndex.__init__, TraceIndex.ta_labels
+
+        def counting_build(self, *args):
+            calls.append("build")
+            build(self, *args)
+
+        def counting_labels(self, *args):
+            calls.append("labels")
+            return label(self, *args)
+
+        monkeypatch.setattr(TraceIndex, "__init__", counting_build)
+        monkeypatch.setattr(TraceIndex, "ta_labels", counting_labels)
+        rng = random.Random(4242)
+        warned = set()
+        stripped = 0
+        for _ in range(40):
+            # random domains may own no action but still carry policy edges
+            system = random_system(rng, max_domains=4, edge_bias=0.6)
+            calls.clear()
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                ac_complete_construct(system, 3)
+            assert calls == ["build", "labels"]
+            stripped += bool(strip_inactive_edges(system)[1])
+            secure = bool(check_ta_may_security(system, 3))
+            assert bool(caught) != secure
+            warned.add(secure)
+        assert warned == {True, False}
+        assert stripped
 
     def test_certificate_round_trip(self, figure3):
         # bounded check passes, construction certifies, derivation agrees

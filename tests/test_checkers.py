@@ -51,8 +51,11 @@ from oracles import (
     naive_lpurge,
     python_class_violations,
     python_globally_known,
+    python_i_security,
+    python_lpurge_security,
     python_state_unwinding,
     python_ta_must_verdict,
+    random_system,
     random_systems,
     shaped_system,
 )
@@ -192,28 +195,26 @@ class TestPurgeFunctions:
     def test_dsrc_of_empty_trace_is_the_observer(self, figure1):
         assert dsrc(figure1, (), "B") == frozenset({"B"})
 
-    def test_dsrc_matches_oracle(self):
-        for system in random_systems(1111, 10):
+    @staticmethod
+    def assert_matches_from_every_state(purge, oracle, seed):
+        for system in random_systems(seed, 10):
             sig = system.signature
             for trace in traces_upto(sig, 4):
                 for u in sig.domains:
-                    assert dsrc(system, trace, u) == naive_dsrc(system, trace, u)
+                    assert purge(system, trace, u) == oracle(system, trace, u)
+                    for s in system.states:
+                        assert purge(system, trace, u, state=s) == oracle(
+                            system, trace, u, state=s
+                        )
+
+    def test_dsrc_matches_oracle(self):
+        self.assert_matches_from_every_state(dsrc, naive_dsrc, 1111)
 
     def test_lpurge_matches_oracle(self):
-        for system in random_systems(2222, 10):
-            sig = system.signature
-            for trace in traces_upto(sig, 4):
-                for u in sig.domains:
-                    assert lpurge(system, trace, u) == naive_lpurge(system, trace, u)
+        self.assert_matches_from_every_state(lpurge, naive_lpurge, 2222)
 
     def test_dipurge_matches_oracle(self):
-        for system in random_systems(3333, 10):
-            sig = system.signature
-            for trace in traces_upto(sig, 4):
-                for u in sig.domains:
-                    assert dipurge(system, trace, u) == naive_dipurge(
-                        system, trace, u
-                    )
+        self.assert_matches_from_every_state(dipurge, naive_dipurge, 3333)
 
     def test_dipurge_result_is_a_run_of_the_system(self):
         for system in random_systems(4444, 6):
@@ -246,6 +247,66 @@ class TestPurgeFunctions:
         # from s1, H may reach D, so an h prefix survives for D
         assert lpurge(figure3, ("h",), "D", state="s0") == ("h",)
         assert lpurge(figure3, ("h",), "L", state="s0") == ()
+
+
+class TestPurgeChecks:
+    """The array purge checks against the per-trace ones they replaced."""
+
+    def test_match_the_per_trace_checks_on_random_systems(self):
+        rng = random.Random(9090)
+        outcomes = set()
+        wide = 0
+        for i in range(320):
+            if i % 2:
+                system = shaped_system(
+                    rng, rng.randint(2, 6), rng.randint(2, 5), rng.randint(3, 4)
+                )
+            else:
+                system = random_system(rng, max_domains=4)
+            wide += len(system.signature.domains) >= 3
+            for depth in range(5):
+                got = check_lpurge_security(system, depth)
+                assert_same_verdict(got, python_lpurge_security(system, depth))
+                outcomes.add(("lpurge", got.outcome))
+                got = check_i_security(system, depth)
+                assert_same_verdict(got, python_i_security(system, depth))
+                outcomes.add(("isec", got.outcome))
+        assert wide >= 160
+        assert outcomes == {
+            (p, o) for p in ("lpurge", "isec") for o in (BOUNDED_SECURE, INSECURE)
+        }
+
+    def test_one_action_at_depth_70(self):
+        outcomes = set()
+        for seed in (1, 5):
+            system = shaped_system(random.Random(seed), 3, 1, 2, edge_bias=0.5)
+            for check, oracle in (
+                (check_lpurge_security, python_lpurge_security),
+                (check_i_security, python_i_security),
+            ):
+                got = check(system, 70)
+                assert_same_verdict(got, oracle(system, 70))
+                outcomes.add(got.outcome)
+        assert outcomes == {BOUNDED_SECURE, INSECURE}
+
+    def test_no_materialization_limit(self, figure1, figure3, monkeypatch):
+        monkeypatch.setattr(nifcheck.checkers, "MATERIALIZE_LIMIT", 2)
+        assert check_lpurge_security(figure1, 6).witness == (("p", "a"), "B")
+        assert check_i_security(figure3, 6).witness == ("s0", ("h", "d"), ("d",), "L")
+
+    def test_isec_skips_start_states_at_the_truncated_frontier(self, corpus_dir):
+        config = parse_cap_config((corpus_dir / "twoproc.cap").read_text())
+        one, two = build_pes(config, 1), build_pes(config, 2)
+        for system, depth, skipped in ((one, 1, 16), (two, 1, 132), (two, 2, 148)):
+            v = check_i_security(system, depth)
+            assert v.outcome == INCONCLUSIVE
+            assert v.details == {"truncated_starts": skipped}
+            assert any("truncated frontier" in n for n in v.notes)
+        assert_same_verdict(check_i_security(one, 1), python_i_security(one, 1))
+        assert_same_verdict(check_i_security(two, 1), python_i_security(two, 1))
+        # from the initial state itself depth 2 walks synthetic self-loops
+        with pytest.raises(InputError):
+            check_i_security(one, 2)
 
 
 class TestPolicyShape:
