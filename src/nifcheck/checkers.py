@@ -22,8 +22,8 @@ from .model import (
     step,
     unfold,
 )
-from .traceindex import MATERIALIZE_LIMIT, TraceIndex, unwinding_closure
-from .trees import TracePartition, partition_by
+from .traceindex import MATERIALIZE_LIMIT, TraceIndex, _sorted_unique, unwinding_closure
+from .trees import TracePartition
 from .verdicts import (
     BOUNDED_SECURE,
     CERTIFIED_SECURE,
@@ -58,7 +58,7 @@ def class_violations(
       below ``y``'s.
     """
     big = np.iinfo(np.int64).max
-    uniq, ginv = np.unique(key, return_inverse=True)
+    uniq, ginv = _sorted_unique(key, return_inverse=True)
     n_groups = len(uniq)
     gmin = np.full(n_groups, big, dtype=np.int64)
     gmax = np.full(n_groups, -big, dtype=np.int64)
@@ -339,8 +339,11 @@ def check_globally_known(
     # its projection onto the administering domain's actions.
     own = np.eye(idx.n_domains, dtype=bool)
     proj = idx.ta_labels(np.broadcast_to(own, (idx.interior_end,) + own.shape))
-    flat = idx.edge_bool.reshape(len(idx.state_names), -1)
-    edge_set = np.unique(flat, axis=0, return_inverse=True)[1].ravel()
+    # values only need to compare equal: one id per distinct edge set
+    ids: Dict[frozenset, int] = {}
+    edge_set = np.array(
+        [ids.setdefault(system.edges[s], len(ids)) for s in idx.state_names], dtype=np.int64
+    )
     pair = _grouped_violation(idx, proj[sig.domain_index(policy_domain)], edge_set[idx.states])
     if pair is not None:
         return Verdict(
@@ -707,6 +710,28 @@ def state_unwinding_check(system: PolicyEnhancedSystem, mode: str = "box") -> Ve
 # convenience: materialized partitions for the permissive labels
 
 
+def label_partitions(idx: TraceIndex, labels: np.ndarray) -> Dict[str, TracePartition]:
+    """Per-domain partitions of the index's traces into classes of equal
+    labels, ``labels[domain index, node]``, as ``partition_by`` gives them.
+
+    Node ids are shortlex ranks, so a stable argsort lists each class's
+    members shortlex, and ordering the classes by least node orders them by
+    representative."""
+    traces = [idx.trace_of(i) for i in range(idx.n_nodes)]
+    out = {}
+    for ui, u in enumerate(idx.signature.domains):
+        _, cls = _sorted_unique(labels[ui], return_inverse=True)
+        order = np.argsort(cls, kind="stable")
+        groups = np.split(order, np.flatnonzero(np.diff(cls[order])) + 1)
+        classes: Dict[Trace, Tuple[Trace, ...]] = {}
+        for nodes in sorted(groups, key=lambda g: g[0]):
+            members = tuple(traces[i] for i in nodes.tolist())
+            classes[members[0]] = members
+        rep = {t: head for head, group in classes.items() for t in group}
+        out[u] = TracePartition(idx.signature, idx.depth, u, rep, classes)
+    return out
+
+
 def ta_may_partitions(
     system: PolicyEnhancedSystem, depth: int
 ) -> Dict[str, TracePartition]:
@@ -715,16 +740,4 @@ def ta_may_partitions(
     idx = TraceIndex(system, depth)
     if idx.n_nodes > MATERIALIZE_LIMIT:
         raise InputError("too many traces to materialize partitions")
-    labels = idx.ta_labels()
-    sig = idx.signature
-    traces = [idx.trace_of(i) for i in range(idx.n_nodes)]
-    out = {}
-    for ui, u in enumerate(sig.domains):
-        row = labels[ui]
-        out[u] = partition_by(
-            sig,
-            {traces[i]: int(row[i]) for i in range(idx.n_nodes)},
-            depth,
-            domain=u,
-        )
-    return out
+    return label_partitions(idx, idx.ta_labels())

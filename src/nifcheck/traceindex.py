@@ -24,8 +24,10 @@ _MAX_NODES = 1 << 27
 _MAX_ACTIONS = 1 << 10  # label packing reserves 10 bits for the action
 _MAX_LABELS = 1 << 27  # and 27 bits for each child id
 
-# Checks that build python tuples for every trace stop here; the array
-# paths keep working well past this.
+# Outputs with one python object per trace stop here: the localized system
+# of ``restrict_to_local``, the unfolded system of ``ac_complete_construct``
+# and the trace partitions of ``ta_may_partitions`` and
+# ``unwinding_partition``.  Verdicts run on arrays well past this.
 MATERIALIZE_LIMIT = 2_000_000
 
 
@@ -39,40 +41,61 @@ def _compress(parent: np.ndarray) -> np.ndarray:
         parent = hop
 
 
+def _sorted_unique(keys: np.ndarray, return_inverse: bool = False):
+    """The distinct keys of a 1-d array in ascending order, and with
+    ``return_inverse`` each key's index into them.
+
+    Every group-by in the package goes through here: one sort and an
+    adjacent diff, with the inverse taken from a stable argsort.  So how the
+    package deduplicates never depends on which algorithm the installed
+    numpy picks for its own unique."""
+    if return_inverse:
+        order = np.argsort(keys, kind="stable")
+        ordered = keys[order]
+    else:
+        ordered = np.sort(keys)
+    head = np.ones(len(ordered), dtype=bool)
+    head[1:] = ordered[1:] != ordered[:-1]
+    if not return_inverse:
+        return ordered[head]
+    inverse = np.empty(len(keys), dtype=np.intp)
+    inverse[order] = np.cumsum(head) - 1
+    return ordered[head], inverse
+
+
 class _PackedArena:
     """Interning table keyed by packed (left, right, action) words.
 
     Ids are dense, start at 1 (0 is the leaf), and are stable across levels:
     the same packed word always maps to the same id, so label equality is
-    structural tree equality.
+    structural tree equality.  Fresh words of one call get ids in ascending
+    word order.
     """
 
     def __init__(self) -> None:
-        self.keys = np.empty(0, dtype=np.uint64)
+        self.keys = np.empty(0, dtype=np.uint64)  # sorted
         self.ids = np.empty(0, dtype=np.int64)
         self.count = 1
 
     def intern(self, packed: np.ndarray) -> np.ndarray:
-        uniq = np.unique(packed)
-        if len(self.keys):
-            pos = np.searchsorted(self.keys, uniq)
-            pos_c = np.minimum(pos, len(self.keys) - 1)
-            known = self.keys[pos_c] == uniq
-            fresh = uniq[~known]
-        else:
-            fresh = uniq
-        if len(fresh):
-            new_ids = np.arange(self.count, self.count + len(fresh), dtype=np.int64)
-            self.count += len(fresh)
+        uniq, inverse = _sorted_unique(packed, return_inverse=True)
+        pos = np.searchsorted(self.keys, uniq)
+        known = pos < len(self.keys)
+        known[known] = self.keys[pos[known]] == uniq[known]
+        ids = np.empty(len(uniq), dtype=np.int64)
+        ids[known] = self.ids[pos[known]]
+        fresh = ~known
+        n_fresh = int(fresh.sum())
+        if n_fresh:
+            ids[fresh] = np.arange(self.count, self.count + n_fresh, dtype=np.int64)
+            self.count += n_fresh
             if self.count >= _MAX_LABELS:
                 raise InputError("tree label space exhausted; reduce the depth bound")
-            merged_keys = np.concatenate([self.keys, fresh])
-            merged_ids = np.concatenate([self.ids, new_ids])
-            order = np.argsort(merged_keys)
-            self.keys = merged_keys[order]
-            self.ids = merged_ids[order]
-        pos = np.searchsorted(self.keys, packed)
-        return self.ids[pos]
+            # uniq is sorted, so inserting at the searchsorted positions keeps
+            # the table sorted without re-sorting it
+            self.keys = np.insert(self.keys, pos[fresh], uniq[fresh])
+            self.ids = np.insert(self.ids, pos[fresh], ids[fresh])
+        return ids[inverse]
 
 
 class TraceIndex:
@@ -269,7 +292,7 @@ class TraceIndex:
                 key = (roots[d].astype(np.uint64) << np.uint64(32)) | roots[u].astype(
                     np.uint64
                 )
-                uniq, ginv = np.unique(key, return_inverse=True)
+                uniq, ginv = _sorted_unique(key, return_inverse=True)
                 denied = np.zeros(len(uniq), dtype=bool)
                 denied[ginv[~self.edge_bool[self.states, d, u]]] = True
                 known[:, d, u] = ~denied[ginv]
@@ -363,7 +386,7 @@ def unwinding_closure(
                 ru = parents[u][at].astype(np.uint64)
                 rd = parents[d][at].astype(np.uint64)
                 key = (ru << np.uint64(32)) | rd
-                uniq, ginv = np.unique(key, return_inverse=True)
+                uniq, ginv = _sorted_unique(key, return_inverse=True)
                 if len(uniq) == len(key):
                     continue  # all joint classes are singletons
                 for j in action_list:

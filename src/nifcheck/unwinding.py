@@ -15,10 +15,10 @@ from typing import Dict, Iterable, List, Mapping, Optional, Tuple
 
 import numpy as np
 
-from .checkers import class_violations
+from .checkers import class_violations, label_partitions
 from .model import InputError, PolicyEnhancedSystem, Trace, permits, run
-from .traceindex import MATERIALIZE_LIMIT, TraceIndex
-from .trees import LEAF, SHARED_ARENA, TracePartition, TreeArena, partition_by
+from .traceindex import MATERIALIZE_LIMIT, TraceIndex, _sorted_unique
+from .trees import LEAF, SHARED_ARENA, TracePartition, TreeArena
 
 
 @dataclass(frozen=True)
@@ -54,15 +54,8 @@ def unwinding_partition(system: PolicyEnhancedSystem, depth: int) -> UnwindingRe
             "use check_unwinding_security for verdicts at this scale"
         )
     roots, counts = idx.unwinding_roots()
-    sig = system.signature
-    traces = [idx.trace_of(i) for i in range(idx.n_nodes)]
-    partitions = {}
-    for ui, u in enumerate(sig.domains):
-        row = roots[ui]
-        labels = {traces[i]: int(row[i]) for i in range(idx.n_nodes)}
-        partitions[u] = partition_by(sig, labels, depth, domain=u)
     return UnwindingResult(
-        partitions=partitions, rule_counts=dict(counts), depth=depth, saturated=True
+        partitions=label_partitions(idx, roots), rule_counts=dict(counts), depth=depth
     )
 
 
@@ -223,7 +216,9 @@ def check_theorem_mustunwind(
     boundary: List[Tuple[Trace, Trace, str, str]] = []
     class_counts = {}
     for ui, u in enumerate(system.signature.domains):
-        class_counts[u] = (len(np.unique(roots[ui])), len(np.unique(must[ui])))
+        # each closure class's root is its least node, so roots count classes
+        n_roots = int((roots[ui] == np.arange(idx.n_nodes)).sum())
+        class_counts[u] = (n_roots, len(_sorted_unique(must[ui])))
         sides = (
             (roots[ui], must[ui], "closure-coarser"),
             (must[ui], roots[ui], "trees-coarser"),

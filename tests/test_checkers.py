@@ -9,7 +9,7 @@ import pytest
 
 import nifcheck.checkers
 import nifcheck.unwinding
-from nifcheck.checkers import class_violations
+from nifcheck.checkers import class_violations, label_partitions
 from nifcheck.traceindex import TraceIndex
 from nifcheck import (
     BOUNDED_SECURE,
@@ -588,6 +588,30 @@ class TestBulkPartitions:
                 got = {frozenset(c) for c in bulk[u].classes()}
                 want = {frozenset(c) for c in single.classes()}
                 assert got == want
+
+    def test_label_partitions_match_partition_by(self):
+        from nifcheck import partition_by
+
+        rng = np.random.default_rng(8989)
+        for system in random_systems(8989, 12):
+            sig = system.signature
+            for depth in (0, 1, 3):
+                idx = TraceIndex(system, depth)
+                traces = [idx.trace_of(i) for i in range(idx.n_nodes)]
+                # permissive labels, random keys and one constant row
+                rows = np.stack([
+                    idx.ta_labels()[0],
+                    rng.integers(0, 3, idx.n_nodes),
+                    np.zeros(idx.n_nodes, dtype=np.int64),
+                ])
+                labels = rows[np.arange(len(sig.domains)) % len(rows)]
+                got = label_partitions(idx, labels)
+                for ui, u in enumerate(sig.domains):
+                    values = dict(zip(traces, labels[ui].tolist()))
+                    want = partition_by(sig, values, depth, domain=u)
+                    assert got[u].classes() == want.classes()
+                    assert list(got[u].traces()) == list(want.traces())
+                    assert (got[u].domain, got[u].depth) == (u, depth)
 
 
 class TestClassViolations:

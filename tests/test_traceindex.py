@@ -12,7 +12,8 @@ import pytest
 
 from conftest import read_corpus
 from nifcheck import InputError, build_pes, lex_key, parse_cap_config, traces_upto
-from nifcheck.traceindex import TraceIndex
+import nifcheck.traceindex
+from nifcheck.traceindex import TraceIndex, _PackedArena, _sorted_unique
 
 from oracles import (
     naive_closure,
@@ -112,3 +113,61 @@ def test_depth_past_the_truncated_frontier_is_rejected():
     assert TraceIndex(system, 1).n_nodes == 1 + len(system.signature.actions)
     with pytest.raises(InputError, match="truncated frontier"):
         TraceIndex(system, 2)
+
+
+def unique_cases():
+    rng = np.random.default_rng(3535)
+    high = np.uint64(1 << 63)
+    yield np.empty(0, dtype=np.uint64)
+    yield np.array([7], dtype=np.uint64)
+    yield np.full(9, 5, dtype=np.uint64)
+    yield np.full(4, high, dtype=np.uint64)
+    for n, span in ((50, 8), (1000, 300), (5000, 1 << 64)):
+        keys = rng.integers(0, span, size=n, dtype=np.uint64)
+        yield keys
+        yield keys | high  # every key at or above 2**63
+        yield np.where(rng.random(n) < 0.5, keys, keys | high)
+    yield np.empty(0, dtype=np.int64)
+    yield np.array([-3], dtype=np.int64)
+    yield np.zeros(6, dtype=np.int64)
+    for n in (40, 2000):
+        yield rng.integers(-5, 20, size=n, dtype=np.int64)  # a label row
+        yield rng.integers(-(1 << 62), 1 << 62, size=n, dtype=np.int64)
+
+
+def test_sorted_unique_matches_numpy():
+    for keys in unique_cases():
+        want, want_inv = np.unique(keys, return_inverse=True)
+        got = _sorted_unique(keys)
+        assert got.dtype == keys.dtype
+        assert np.array_equal(got, want)
+        got, got_inv = _sorted_unique(keys, return_inverse=True)
+        assert np.array_equal(got, want)
+        assert np.array_equal(got_inv, want_inv.ravel())
+        assert np.array_equal(got[got_inv], keys)
+
+
+def test_arena_matches_a_dict_oracle():
+    rng = np.random.default_rng(3636)
+    for span in (40, 1 << 64):
+        arena, oracle = _PackedArena(), {}
+        for n in (0, 30, 1, 200, 30, 500):
+            keys = rng.integers(0, span, size=n, dtype=np.uint64)
+            if n and oracle:  # repeat keys of earlier calls
+                old = np.fromiter(oracle, dtype=np.uint64)
+                keys[: n // 3] = rng.choice(old, size=n // 3)
+            fresh = sorted(set(keys.tolist()) - set(oracle))
+            for k in fresh:  # fresh ids rise in key order
+                oracle[k] = len(oracle) + 1
+            ids = arena.intern(keys)
+            assert ids.tolist() == [oracle[k] for k in keys.tolist()]
+            assert arena.count == len(oracle) + 1
+
+
+def test_arena_raises_when_the_label_space_runs_out(monkeypatch):
+    monkeypatch.setattr(nifcheck.traceindex, "_MAX_LABELS", 10)
+    arena = _PackedArena()
+    arena.intern(np.arange(5, dtype=np.uint64))
+    arena.intern(np.arange(8, dtype=np.uint64))  # ids 1..8, below the limit
+    with pytest.raises(InputError, match="label space exhausted"):
+        arena.intern(np.arange(10, dtype=np.uint64))
