@@ -16,14 +16,10 @@ import warnings
 from dataclasses import dataclass
 from typing import Dict, Hashable, List, Mapping, Optional, Tuple
 
-from .model import (
-    InputError,
-    PolicyEnhancedSystem,
-    permits,
-    reachable_states,
-    unfold,
-)
-from .traceindex import MATERIALIZE_LIMIT, TraceIndex
+import numpy as np
+
+from .model import InputError, PolicyEnhancedSystem, unfold
+from .traceindex import MATERIALIZE_LIMIT, TraceIndex, _sorted_unique
 from .verdicts import CERTIFIED_SECURE, INCONCLUSIVE, Verdict
 
 BASE_CONDITIONS = ("DRM-1", "DRM-2", "DRM-3", "DRM-4", "DRM-5", "DRM-6")
@@ -59,29 +55,6 @@ class StructuredSystem:
                 raise InputError(f"domain {u!r} has no oset object")
             if self.osets[u] not in declared:
                 raise InputError(f"oset object for {u!r} is not declared")
-
-
-def _validate_structured(system: StructuredSystem, states) -> None:
-    """Totality plus the two oset laws, on the states actually examined."""
-    declared = set(system.objects)
-    for s in states:
-        for u in system.base.signature.domains:
-            for table, what in ((system.observe, "observe"), (system.alter, "alter")):
-                got = table.get((u, s))
-                if got is None:
-                    raise InputError(f"{what} set missing for ({u!r}, {s!r})")
-                if not got <= declared:
-                    raise InputError(f"{what}({u!r}, {s!r}) mentions undeclared objects")
-            oset = system.osets[u]
-            if oset not in system.observe[(u, s)]:
-                raise InputError(f"oset of {u!r} is not observable at {s!r}")
-            if system.contents.get((oset, s)) != system.observe[(u, s)]:
-                raise InputError(
-                    f"contents of oset({u!r}) at {s!r} do not equal the observe set"
-                )
-        for o in system.objects:
-            if (o, s) not in system.contents:
-                raise InputError(f"contents missing for ({o!r}, {s!r})")
 
 
 def dynacrel(system: StructuredSystem, domain: str, state_a, state_b) -> bool:
@@ -153,38 +126,103 @@ class DrmReport:
         }
 
 
-class _Keys:
-    """Interned per-domain state keys: two states get the same key for a
-    domain exactly when the domain cannot tell them apart."""
-
-    def __init__(self, system: StructuredSystem, order) -> None:
-        self.by_domain: Dict[str, Dict[Hashable, int]] = {}
-        for u in system.base.signature.domains:
-            table: Dict[frozenset, int] = {}
-            row: Dict[Hashable, int] = {}
-            for s in order:
-                key = frozenset(
-                    (o, system.contents[(o, s)]) for o in system.observe[(u, s)]
-                )
-                row[s] = table.setdefault(key, len(table))
-            self.by_domain[u] = row
+def _first_of_group(keys: np.ndarray) -> np.ndarray:
+    """For each position, the position of the first equal key."""
+    _, group = _sorted_unique(keys, return_inverse=True)
+    first = np.full(len(keys), len(keys), dtype=np.intp)
+    np.minimum.at(first, group, np.arange(len(keys)))
+    return first[group]
 
 
-def _first_bucket_clash(order, bucket_of, value_of):
-    """Exemplar-first scan: the first state disagreeing with its bucket's
-    first member is the minimal offender, so one pass suffices."""
-    seen: Dict[object, tuple] = {}
+def _first_clash(buckets: np.ndarray, values: np.ndarray) -> Optional[Tuple[int, int]]:
+    """Exemplar-first scan over members in scan order: the least member whose
+    value differs from its bucket's first member is the minimal offender.
+    Returns (exemplar, offender) positions, or None.  Rows of a 2-d
+    ``values`` compare whole."""
+    exemplar = _first_of_group(buckets)
+    differs = values != values[exemplar]
+    if differs.ndim > 1:
+        differs = differs.any(axis=1)
+    bad = np.flatnonzero(differs)
+    return None if not len(bad) else (int(exemplar[bad[0]]), int(bad[0]))
+
+
+def _discovery(trans: np.ndarray, start: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Reachable state ids in breadth-first discovery order (each frontier
+    state's successors in action order), and their distances from start."""
+    seen = np.zeros(len(trans), dtype=bool)
+    seen[start] = True
+    levels = [np.array([start], dtype=np.intp)]
+    while len(levels[-1]):
+        reached = trans[levels[-1]].ravel()
+        reached = reached[~seen[reached]]
+        fresh = reached[_first_of_group(reached) == np.arange(len(reached))]
+        seen[fresh] = True
+        levels.append(fresh)
+    dist = np.repeat(np.arange(len(levels)), [len(level) for level in levels])
+    return np.concatenate(levels), dist
+
+
+def _structured_arrays(system: StructuredSystem, order: list):
+    """Check the tables on the given states (totality and the two oset laws)
+    and turn them into arrays: per-object contents ids ``[n_objects, n]``, and
+    observe and alter as bool ``[n_domains, n, n_objects]``."""
+    domains = system.base.signature.domains
+    objects = system.objects
+    declared = {o: i for i, o in enumerate(objects)}
+    rows: Dict[frozenset, int] = {}
+    set_ids = np.empty((2, len(domains), len(order)), dtype=np.intp)
+    values: List[Dict[Hashable, int]] = [{} for _ in objects]
+    cont = np.empty((len(objects), len(order)), dtype=np.int64)
+    tables = ((system.observe, "observe"), (system.alter, "alter"))
     for i, s in enumerate(order):
-        b = bucket_of(s)
-        if b is None:
-            continue
-        v = value_of(s)
-        prior = seen.get(b)
-        if prior is None:
-            seen[b] = (i, s, v)
-        elif prior[2] != v:
-            return prior[0], prior[1], i, s
-    return None
+        for ui, u in enumerate(domains):
+            for ti, (table, what) in enumerate(tables):
+                got = table.get((u, s))
+                if got is None:
+                    raise InputError(f"{what} set missing for ({u!r}, {s!r})")
+                row = rows.get(got)
+                if row is None:
+                    if not got <= declared.keys():
+                        raise InputError(f"{what}({u!r}, {s!r}) mentions undeclared objects")
+                    row = rows[got] = len(rows)
+                set_ids[ti, ui, i] = row
+            watched = system.observe[(u, s)]
+            oset = system.osets[u]
+            if oset not in watched:
+                raise InputError(f"oset of {u!r} is not observable at {s!r}")
+            if system.contents.get((oset, s)) != watched:
+                raise InputError(
+                    f"contents of oset({u!r}) at {s!r} do not equal the observe set"
+                )
+        for oi, o in enumerate(objects):
+            try:
+                v = system.contents[(o, s)]
+            except KeyError:
+                raise InputError(f"contents missing for ({o!r}, {s!r})") from None
+            cont[oi, i] = values[oi].setdefault(v, len(values[oi]))
+    members = np.zeros((len(rows), len(objects)), dtype=bool)
+    for got, row in rows.items():
+        members[row, [declared[o] for o in got]] = True
+    return cont, members[set_ids[0]], members[set_ids[1]]
+
+
+def _view_ids(cont: np.ndarray, seen: np.ndarray) -> np.ndarray:
+    """One id per state for what a domain sees there: two states share an id
+    exactly when the domain observes the same objects, with the same contents."""
+    ids = np.zeros(len(seen), dtype=np.int64)
+    for oi in np.flatnonzero(seen.any(axis=0)):
+        col = np.where(seen[:, oi], cont[oi] + 1, 0)
+        ids = _sorted_unique(ids * (len(seen) + 1) + col, return_inverse=True)[1]
+    return ids
+
+
+def _result(name: str, candidates: list, scope: str) -> ConditionResult:
+    """A condition fails with the witness of its least-ranked candidate."""
+    best = min(candidates, key=lambda c: c[0], default=None)
+    return ConditionResult(
+        name=name, holds=best is None, witness=None if best is None else best[1], scope=scope
+    )
 
 
 def check_drm(
@@ -199,230 +237,123 @@ def check_drm(
     transitions are synthetic; conditions stated over trace pairs reduce to
     their end states and range over states reachable within ``depth``.
     Each result line records the scope it was checked under.
+
+    The conditions run on state-id tables over the reachable states in
+    breadth-first discovery order, and each failure reports its least
+    candidate in that order (the README states the witness rule).
     """
     if depth < 0:
         raise InputError("depth must be nonnegative")
     base = system.base
     sig = base.signature
-    dist = reachable_states(base)
-    order = list(dist)
-    index = {s: i for i, s in enumerate(order)}
-    _validate_structured(system, order)
-
-    keys = _Keys(system, order)
-    objects = system.objects
-    obj_index = {o: i for i, o in enumerate(objects)}
-    cont_row = {
-        s: tuple(system.contents[(o, s)] for o in objects) for s in order
-    }
-    stepping = [s for s in order if s not in base.truncated]
-    within = [s for s in order if dist[s] <= depth]
-    results: List[ConditionResult] = []
+    domains, objects = sig.domains, system.objects
+    idx = TraceIndex(base, 0)
+    sid, dist = _discovery(idx.trans, idx.state_ids[base.initial])
+    order = [idx.state_names[i] for i in sid.tolist()]
+    cont, observe, alter = _structured_arrays(system, order)
+    n = len(order)
+    pos = np.full(len(idx.state_names), -1, dtype=np.intp)
+    pos[sid] = np.arange(n)
+    succ = pos[idx.trans[sid]]
+    edge = idx.edge_bool[sid]  # edge[s, u, v]: u may flow to v at s
+    truncated = np.zeros(len(idx.state_names), dtype=bool)
+    truncated[[idx.state_ids[s] for s in base.truncated]] = True
+    stepping = np.flatnonzero(~truncated[sid])
+    within = np.flatnonzero(dist <= depth)
+    keys = [_view_ids(cont, observe[ui]) for ui in range(len(domains))]
 
     # DRM-1: indistinguishable states must produce the same observation.
-    best = None
-    for ui, u in enumerate(sig.domains):
-        row = keys.by_domain[u]
-        clash = _first_bucket_clash(
-            order, lambda s, _r=row: _r[s], lambda s, _u=u: base.obs[(_u, s)]
-        )
+    drm1 = []
+    for ui, u in enumerate(domains):
+        clash = _first_clash(keys[ui], idx.obs_ids[ui, sid])
         if clash is not None:
-            si, s, ti, t = clash
-            cand = ((ti, si, ui), (s, t, u))
-            if best is None or cand[0] < best[0]:
-                best = cand
-    results.append(
-        ConditionResult(
-            name="DRM-1",
-            holds=best is None,
-            witness=None if best is None else best[1],
-            scope="all reachable states, every domain",
-        )
-    )
+            si, ti = clash
+            drm1.append(((ti, si, ui), (order[si], order[ti], u)))
 
-    # Shared change scan: which (state, action) steps rewrite which objects.
-    # Most steps change nothing, so rows are compared wholesale first.
-    changed: List[Tuple[Hashable, str, Hashable]] = []
-    drm3_best = None
-    for s in stepping:
-        row_s = cont_row[s]
-        for ai, a in enumerate(sig.actions):
-            t = base.transitions[(s, a)]
-            row_t = cont_row[t]
-            if row_t == row_s:
-                continue
-            d = sig.domain_of(a)
-            altered = system.alter[(d, s)]
-            for oi, o in enumerate(objects):
-                if row_t[oi] != row_s[oi]:
-                    changed.append((s, a, o))
-                    if o not in altered:
-                        cand = ((index[s], ai, oi), (s, a, o))
-                        if drm3_best is None or cand[0] < drm3_best[0]:
-                            drm3_best = cand
-
+    # Change scan, one action at a time: which steps rewrite which objects.
+    # DRM-3: every change needs the acting domain's alter right.
     # DRM-2: a domain that may write an object, and cannot distinguish two
     # states where the object agrees, must write the same value in both.
-    # Only buckets containing an actual change can disagree, so the full
-    # per-action pass runs just for the (action, object) pairs seen above.
-    drm2_best = None
-    affected: Dict[Tuple[str, Hashable], set] = {}
-    for s, a, o in changed:
-        d = sig.domain_of(a)
-        if o in system.alter[(d, s)]:
-            bid = (keys.by_domain[d][s], cont_row[s][obj_index[o]])
-            affected.setdefault((a, o), set()).add(bid)
-    for (a, o), hot in sorted(
-        affected.items(), key=lambda kv: (sig.action_index(kv[0][0]), obj_index[kv[0][1]])
-    ):
-        d = sig.domain_of(a)
-        krow = keys.by_domain[d]
-        oi = obj_index[o]
-
-        def bucket_of(s, _k=krow, _o=o, _oi=oi, _d=d, _hot=hot):
-            if _o not in system.alter[(_d, s)]:
-                return None
-            bid = (_k[s], cont_row[s][_oi])
-            return bid if bid in _hot else None
-
-        clash = _first_bucket_clash(
-            stepping,
-            bucket_of,
-            lambda s, _oi=oi, _a=a: cont_row[base.transitions[(s, _a)]][_oi],
-        )
-        if clash is not None:
-            si, s, ti, t = clash
-            cand = ((ti, si, sig.action_index(a), oi), (s, t, a, o))
-            if drm2_best is None or cand[0] < drm2_best[0]:
-                drm2_best = cand
-    results.append(
-        ConditionResult(
-            name="DRM-2",
-            holds=drm2_best is None,
-            witness=None if drm2_best is None else drm2_best[1],
-            scope="reachable states with genuine successors, every action and alterable object",
-        )
-    )
-
-    results.append(
-        ConditionResult(
-            name="DRM-3",
-            holds=drm3_best is None,
-            witness=None if drm3_best is None else drm3_best[1],
-            scope="reachable states with genuine successors, every action and object",
-        )
-    )
-
+    # Only buckets holding an actual change can disagree, so DRM-2 scans just
+    # the objects some step of the action changes under that right.
     # DRM-4: objects becoming newly observable must already be observable
     # by the acting domain, otherwise the grant itself leaks.
-    drm4_best = None
-    for s in stepping:
-        for ai, a in enumerate(sig.actions):
-            t = base.transitions[(s, a)]
-            d = sig.domain_of(a)
-            for ui, u in enumerate(sig.domains):
-                ws = system.observe[(u, s)]
-                wt = system.observe[(u, t)]
-                if wt is ws:
-                    continue
-                fresh = wt - ws
-                if not fresh:
-                    continue
-                leak = fresh - system.observe[(d, s)]
-                if leak:
-                    o = min(leak, key=obj_index.__getitem__)
-                    cand = ((index[s], ai, ui, obj_index[o]), (s, a, u, o))
-                    if drm4_best is None or cand[0] < drm4_best[0]:
-                        drm4_best = cand
-    results.append(
-        ConditionResult(
-            name="DRM-4",
-            holds=drm4_best is None,
-            witness=None if drm4_best is None else drm4_best[1],
-            scope="reachable states with genuine successors, every action, domain, and object",
-        )
-    )
-
-    # DRM-5: while a flow from v to u is permitted, the channel width
-    # (what u can see of what v can write) must look the same to any
-    # jointly indistinguishable pair of states carrying that flow.
-    drm5_best = None
-    for ui, u in enumerate(sig.domains):
-        for vi, v in enumerate(sig.domains):
-            ku = keys.by_domain[u]
-            kv = keys.by_domain[v]
-
-            def bucket_of(s, _ku=ku, _kv=kv, _v=v, _u=u):
-                if not permits(base, s, _v, _u):
-                    return None
-                return (_ku[s], _kv[s])
-
-            clash = _first_bucket_clash(
-                within,
-                bucket_of,
-                lambda s, _u=u, _v=v: system.observe[(_u, s)] & system.alter[(_v, s)],
+    drm2, drm3, drm4 = [], [], []
+    m = len(stepping)
+    for ai, a in enumerate(sig.actions):
+        di = int(idx.dom_of[ai])
+        nxt = succ[stepping, ai]
+        changed = cont[:, nxt] != cont[:, stepping]
+        may = alter[di][stepping].T
+        hit = np.flatnonzero((changed & ~may).T)
+        if len(hit):
+            j, oi = divmod(int(hit[0]), len(objects))
+            s = int(stepping[j])
+            drm3.append(((s, ai, oi), (order[s], a, objects[oi])))
+        for oi in np.flatnonzero((changed & may).any(axis=1)).tolist():
+            writers = stepping[alter[di][stepping, oi]]
+            clash = _first_clash(
+                keys[di][writers] * n + cont[oi, writers], cont[oi, succ[writers, ai]]
             )
             if clash is not None:
-                si, s, ti, t = clash
-                cand = ((ti, si, ui, vi), (s, t, u, v))
-                if drm5_best is None or cand[0] < drm5_best[0]:
-                    drm5_best = cand
-    results.append(
-        ConditionResult(
-            name="DRM-5",
-            holds=drm5_best is None,
-            witness=None if drm5_best is None else drm5_best[1],
-            scope=f"states reachable within depth {depth} carrying the flow edge, every ordered domain pair",
-        )
-    )
+                si, ti = (int(writers[k]) for k in clash)
+                drm2.append(((ti, si, ai, oi), (order[si], order[ti], a, objects[oi])))
+        leak = observe[:, nxt] & ~observe[:, stepping] & ~observe[di][stepping]
+        hit = np.flatnonzero(leak.transpose(1, 0, 2))
+        if len(hit):
+            j, ui, oi = np.unravel_index(int(hit[0]), (m, len(domains), len(objects)))
+            s = int(stepping[j])
+            drm4.append(((s, ai, int(ui), int(oi)), (order[s], a, domains[ui], objects[oi])))
 
-    # DRM-6: if u can write something v can see, the policy must say so.
-    drm6_best = None
-    for s in within:
-        for ui, u in enumerate(sig.domains):
-            for vi, v in enumerate(sig.domains):
-                if system.alter[(u, s)] & system.observe[(v, s)]:
-                    if not permits(base, s, u, v):
-                        cand = ((index[s], ui, vi), (s, u, v))
-                        if drm6_best is None or cand[0] < drm6_best[0]:
-                            drm6_best = cand
-    results.append(
-        ConditionResult(
-            name="DRM-6",
-            holds=drm6_best is None,
-            witness=None if drm6_best is None else drm6_best[1],
-            scope=f"states reachable within depth {depth}, every ordered domain pair",
-        )
-    )
-
-    # DRM-5': like DRM-5 but unconditionally, over every reachable pair.
-    strong_best = None
-    for ui, u in enumerate(sig.domains):
-        for vi, v in enumerate(sig.domains):
-            ku = keys.by_domain[u]
-            kv = keys.by_domain[v]
-            clash = _first_bucket_clash(
-                order,
-                lambda s, _ku=ku, _kv=kv: (_ku[s], _kv[s]),
-                lambda s, _u=u, _v=v: system.observe[(_u, s)] & system.alter[(_v, s)],
-            )
+    # DRM-5: while a flow from v to u is permitted, the channel width (what
+    # u can see of what v can write) must look the same to any jointly
+    # indistinguishable pair of states carrying that flow.  DRM-5' asks the
+    # same unconditionally, over every reachable pair.  DRM-6 reads the same
+    # overlap with the roles swapped: if v can write something u can see,
+    # the policy must let v flow to u.
+    drm5, strong, drm6 = [], [], []
+    for ui, u in enumerate(domains):
+        for vi, v in enumerate(domains):
+            width = observe[ui] & alter[vi]
+            joint = keys[ui] * n + keys[vi]
+            carrying = within[edge[within, vi, ui]]
+            clash = _first_clash(joint[carrying], width[carrying])
             if clash is not None:
-                si, s, ti, t = clash
-                cand = ((ti, si, ui, vi), (s, t, u, v))
-                if strong_best is None or cand[0] < strong_best[0]:
-                    strong_best = cand
-    results.append(
-        ConditionResult(
-            name=STRONG_FIVE,
-            holds=strong_best is None,
-            witness=None if strong_best is None else strong_best[1],
-            scope="all reachable states, every ordered domain pair",
-        )
-    )
+                si, ti = (int(carrying[k]) for k in clash)
+                drm5.append(((ti, si, ui, vi), (order[si], order[ti], u, v)))
+            clash = _first_clash(joint, width)
+            if clash is not None:
+                si, ti = clash
+                strong.append(((ti, si, ui, vi), (order[si], order[ti], u, v)))
+            hit = within[width[within].any(axis=1) & ~edge[within, vi, ui]]
+            if len(hit):
+                s = int(hit[0])
+                drm6.append(((s, vi, ui), (order[s], v, u)))
 
-    named = {c.name: c for c in results}
-    ordered = tuple(named[n] for n in ("DRM-1", "DRM-2", "DRM-3", "DRM-4", "DRM-5", STRONG_FIVE, "DRM-6"))
-    return DrmReport(conditions=ordered, depth=depth, strong_five=strong_five)
+    results = (
+        _result("DRM-1", drm1, "all reachable states, every domain"),
+        _result(
+            "DRM-2",
+            drm2,
+            "reachable states with genuine successors, every action and alterable object",
+        ),
+        _result(
+            "DRM-3", drm3, "reachable states with genuine successors, every action and object"
+        ),
+        _result(
+            "DRM-4",
+            drm4,
+            "reachable states with genuine successors, every action, domain, and object",
+        ),
+        _result(
+            "DRM-5",
+            drm5,
+            f"states reachable within depth {depth} carrying the flow edge, every ordered domain pair",
+        ),
+        _result(STRONG_FIVE, strong, "all reachable states, every ordered domain pair"),
+        _result("DRM-6", drm6, f"states reachable within depth {depth}, every ordered domain pair"),
+    )
+    return DrmReport(conditions=results, depth=depth, strong_five=strong_five)
 
 
 def derive_security_from_drm(report: DrmReport, system: StructuredSystem) -> Verdict:

@@ -129,7 +129,12 @@ class ProcessState:
 
 @dataclass(frozen=True)
 class CapabilityState:
-    """Global state: every process's slice, in process declaration order."""
+    """Global state: every process's slice, in process declaration order.
+
+    States key every table of the bounded system, so the hash is computed
+    once, when the state is made.  Copies and unpickled states are made
+    through the constructor too, so no hash outlives its process's hash seed.
+    """
 
     procs: Tuple[Tuple[str, ProcessState], ...]
 
@@ -144,6 +149,13 @@ class CapabilityState:
             if not isinstance(ps, ProcessState):
                 raise InputError(f"state for {name!r} is not a ProcessState")
         object.__setattr__(self, "procs", procs)
+        object.__setattr__(self, "_hash", hash(procs))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        return (CapabilityState, (self.procs,))
 
     def of(self, process: str) -> ProcessState:
         for name, ps in self.procs:

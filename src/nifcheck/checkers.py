@@ -273,7 +273,13 @@ def check_locality(
     if known_to not in _KNOWN_TO:
         raise InputError(f"known_to must be one of {_KNOWN_TO}")
     system, notes = strip_inactive_edges(system)
-    idx = TraceIndex(system, depth)
+    return _locality_verdict(TraceIndex(system, depth), known_to, notes)
+
+
+def _locality_verdict(
+    idx: TraceIndex, known_to: Optional[str] = None, notes: Tuple[str, ...] = ()
+) -> Verdict:
+    """``check_locality`` on an index built over the edge-stripped system."""
     labels = idx.ta_labels()
     sig = idx.signature
     best = None
@@ -303,9 +309,9 @@ def check_locality(
         (y, x, _), (u, v) = best
         witness = (idx.trace_of(x), idx.trace_of(y), u, v)
         return Verdict(
-            property=name, outcome=INSECURE, witness=witness, depth=depth, notes=notes
+            property=name, outcome=INSECURE, witness=witness, depth=idx.depth, notes=notes
         )
-    return Verdict(property=name, outcome=BOUNDED_SECURE, depth=depth, notes=notes)
+    return Verdict(property=name, outcome=BOUNDED_SECURE, depth=idx.depth, notes=notes)
 
 
 def check_globally_known(
@@ -334,7 +340,9 @@ def check_globally_known(
                     depth=depth,
                     notes=("administering domain cannot flow to every domain",),
                 )
-    idx = TraceIndex(system, depth)
+    # The edges are read from ``system`` below; the index over the stripped
+    # system also serves the locality cross-check.
+    idx = TraceIndex(strip_inactive_edges(system)[0], depth)
     # Passing only a domain's own actions to itself labels each trace with
     # its projection onto the administering domain's actions.
     own = np.eye(idx.n_domains, dtype=bool)
@@ -355,7 +363,7 @@ def check_globally_known(
                 "policy state is not a function of the administering domain's actions",
             ),
         )
-    cross = check_locality(system, depth)
+    cross = _locality_verdict(idx)
     if not cross:
         # Both obligations imply locality, so this is a fault in one of the
         # two checks; neither verdict can be trusted.

@@ -2,6 +2,7 @@
 
 import random
 import warnings
+from collections import Counter
 
 import pytest
 
@@ -16,17 +17,20 @@ from nifcheck import (
     Signature,
     StructuredSystem,
     ac_complete_construct,
+    capability_drm_interpretation,
     check_drm,
     check_ta_may_security,
     derive_security_from_drm,
     dynacrel,
+    parse_cap_config,
     run,
+    standard_config,
     strip_inactive_edges,
     traces_upto,
 )
 from nifcheck.traceindex import TraceIndex
 
-from oracles import random_system
+from oracles import python_check_drm, random_system
 
 OSET_U = ("oset", "U")
 OSET_V = ("oset", "V")
@@ -41,11 +45,13 @@ def build_case(
     alters: dict = None,
     values: dict = None,
     plain: tuple = ("x",),
+    truncated: tuple = (),
 ) -> StructuredSystem:
     """Two-domain scaffold with the oset bookkeeping filled in.
 
     ``watch``/``alters`` give per (domain, state) extra objects; contents of
-    plain objects default to 0 and transitions to self-loops.
+    plain objects default to 0 and transitions to self-loops.  ``truncated``
+    flags states whose transitions are synthetic.
     """
     trans = trans or {}
     obs = obs or {}
@@ -64,6 +70,7 @@ def build_case(
         },
         obs={(d, s): obs.get((d, s), 0) for d in sig.domains for s in states},
         edges={s: frozenset(edges.get(s, ())) for s in states},
+        truncated=frozenset(truncated),
     )
     osets = {"U": OSET_U, "V": OSET_V}
     objects = tuple(plain) + (OSET_U, OSET_V)
@@ -394,3 +401,98 @@ class TestCompletenessConstruction:
         structured = ac_complete_construct(figure3, 4)
         verdict = derive_security_from_drm(check_drm(structured, 4), structured)
         assert verdict.outcome == CERTIFIED_SECURE
+
+
+def drm_json(check, system: StructuredSystem, depth: int):
+    """The report as JSON, or the message of the InputError it raised."""
+    try:
+        return check(system, depth).to_json()
+    except InputError as err:
+        return str(err)
+
+
+def assert_matches_oracle(system: StructuredSystem, depth: int):
+    got = drm_json(check_drm, system, depth)
+    assert got == drm_json(python_check_drm, system, depth)
+    return got
+
+
+def random_case(rng: random.Random) -> StructuredSystem:
+    """``build_case`` over random tables, some truncated states with genuine
+    transitions, and now and then one broken table entry."""
+    states = [f"s{k}" for k in range(rng.randint(1, 5))]
+    plain = ("x", "y")
+    objects = plain + (OSET_U, OSET_V)
+
+    def some(pool, p):
+        return tuple(x for x in pool if rng.random() < p)
+
+    case = build_case(
+        n_states=len(states),
+        trans={(s, a): rng.choice(states) for s in states for a in "uv" if rng.random() < 0.7},
+        obs={(d, s): rng.randint(0, 1) for d in "UV" for s in states if rng.random() < 0.2},
+        edges={s: some((("U", "V"), ("V", "U")), 0.6) for s in states},
+        watch={(d, s): some(plain, 0.4) for d in "UV" for s in states},
+        alters={(d, s): some(objects, 0.3) for d in "UV" for s in states},
+        values={(o, s): rng.randint(0, 1) for o in plain for s in states if rng.random() < 0.4},
+        plain=plain,
+        truncated=some(states, 0.2),
+    )
+    if rng.random() < 0.1:
+        tables = {name: dict(getattr(case, name)) for name in ("observe", "alter", "contents")}
+        table = tables[rng.choice(sorted(tables))]
+        key = rng.choice(list(table))
+        if rng.random() < 0.5:
+            del table[key]
+        else:
+            table[key] = frozenset({"undeclared"})
+        case = StructuredSystem(base=case.base, objects=case.objects, osets=case.osets, **tables)
+    return case
+
+
+class TestArrayScanMatchesOracle:
+    """The array scan against the dict-keyed python scan: same report, same
+    witnesses, same errors."""
+
+    def test_completeness_construction(self):
+        rng = random.Random(5151)
+        secure = set()
+        for _ in range(120):
+            system = random_system(rng, max_domains=3, edge_bias=rng.choice((0.3, 0.7)))
+            depth = rng.randint(0, 3)
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                structured = ac_complete_construct(system, depth)
+            secure.add(not caught)
+            for check_depth in range(depth + 2):
+                assert isinstance(assert_matches_oracle(structured, check_depth), dict)
+        assert secure == {True, False}
+
+    @pytest.mark.parametrize("depth", [1, 2, 3])
+    def test_capability_interpretation(self, corpus_dir, depth):
+        twoproc = parse_cap_config((corpus_dir / "twoproc.cap").read_text())
+        three = standard_config(
+            ("p", "q", "r"),
+            ("n",),
+            (0, 1),
+            caps={"p": (("n", "+"), ("n", "-")), "r": (("n", "+"),)},
+            kinds=("data", "add_cap", "add_tag", "remove_tag", "send_message_to"),
+        )
+        for config in (twoproc, three):
+            structured = capability_drm_interpretation(config, depth)
+            assert structured.base.truncated
+            for check_depth in range(depth + 1):
+                assert isinstance(assert_matches_oracle(structured, check_depth), dict)
+
+    def test_random_tables(self):
+        rng = random.Random(6161)
+        failed = Counter()
+        errors = Counter()
+        for _ in range(1500):
+            got = assert_matches_oracle(random_case(rng), rng.randint(0, 3))
+            if isinstance(got, str):
+                errors[got.split(" ")[0]] += 1
+            else:
+                failed.update(c["name"] for c in got["conditions"] if not c["holds"])
+        assert min(failed[name] for name in ALL_CONDITIONS) >= 10, failed
+        assert sum(errors.values()) >= 10, errors

@@ -1,12 +1,20 @@
 """The built-in capability system: guarded steps, the induced policy, the
 bounded system builder, and the object-structured interpretation."""
 
+import copy
+import dataclasses
+import os
+import pickle
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import nifcheck
 from nifcheck import (
     ACTION_KINDS,
     CapAction,
@@ -392,6 +400,55 @@ class TestBuildPes:
         assert len(pes.states) == 1
         assert pes.edges[config.initial] == frozenset()
         assert pes.truncated == frozenset()
+
+
+class TestStateHash:
+    """States hash once, when made; every copy is made the same way."""
+
+    def test_hash_is_the_hash_of_a_rebuilt_state(self, twoproc):
+        for s in build_pes(twoproc, 2).states:
+            twin = CapabilityState(s.procs)
+            assert twin == s
+            assert hash(twin) == hash(s)
+
+    def test_copies_are_equal_and_hash_alike(self, twoproc):
+        for s in build_pes(twoproc, 2).states:
+            copies = (
+                dataclasses.replace(s),
+                copy.copy(s),
+                copy.deepcopy(s),
+                pickle.loads(pickle.dumps(s)),
+            )
+            for twin in copies:
+                assert twin == s
+                assert hash(twin) == hash(s)
+            swapped = dataclasses.replace(s, procs=s.procs[::-1])
+            assert hash(swapped) == hash(CapabilityState(s.procs[::-1]))
+
+    def test_pickled_state_is_found_under_another_hash_seed(self, corpus_dir, tmp_path):
+        code = (
+            "import pickle, sys\n"
+            "from nifcheck import build_pes, parse_cap_config\n"
+            "states = build_pes(parse_cap_config(open(sys.argv[1]).read()), 2).states\n"
+            "if sys.argv[3] == 'dump':\n"
+            "    pickle.dump(states[-1], open(sys.argv[2], 'wb'))\n"
+            "else:\n"
+            "    index = {s: i for i, s in enumerate(states)}\n"
+            "    print(index[pickle.load(open(sys.argv[2], 'rb'))], len(states))\n"
+        )
+        src = str(Path(nifcheck.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+        outputs = []
+        for hash_seed, mode in (("1", "dump"), ("2", "load")):
+            env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=path)
+            done = subprocess.run(
+                [sys.executable, "-c", code, str(corpus_dir / "twoproc.cap"),
+                 str(tmp_path / "state.pickle"), mode],
+                env=env, capture_output=True, text=True, check=True,
+            )
+            outputs.append(done.stdout.split())
+        found, count = map(int, outputs[1])
+        assert found == count - 1
 
 
 class TestSecurityOfTheInducedSystem:

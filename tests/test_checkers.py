@@ -359,7 +359,7 @@ class TestPolicyShape:
             witness=(("h",), ("l",), "D", "L"),
             depth=5,
         )
-        monkeypatch.setattr(nifcheck.checkers, "check_locality", lambda system, depth: bad)
+        monkeypatch.setattr(nifcheck.checkers, "_locality_verdict", lambda idx: bad)
         v = check_globally_known(admin_system(), "D", 5)
         assert v.outcome == INCONCLUSIVE
         assert not v
@@ -383,6 +383,19 @@ class TestPolicyShape:
                 assert_same_verdict(got, python_globally_known(system, admin, depth))
                 outcomes.add(got.outcome)
         assert outcomes == {BOUNDED_SECURE, INSECURE}
+
+    def test_globally_known_builds_one_index(self, monkeypatch):
+        builds = []
+        build = TraceIndex.__init__
+
+        def counting_build(self, *args):
+            builds.append(args[1])
+            build(self, *args)
+
+        monkeypatch.setattr(TraceIndex, "__init__", counting_build)
+        v = check_globally_known(admin_system(), "D", 5)
+        assert v.outcome == BOUNDED_SECURE
+        assert builds == [5]
 
     def test_globally_known_rejects_non_admin_changes(self):
         v = check_globally_known(admin_system(admin_changes_policy=False), "D", 5)
