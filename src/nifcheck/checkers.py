@@ -44,11 +44,14 @@ def class_violations(
 ) -> np.ndarray:
     """Witness node pair (x, y) of every group whose values are not constant.
 
-    ``key`` groups the nodes ``0..len(key)-1``; within a group ``values``
-    should be constant.  Returns an int64 array of shape [k, 2], one row per
-    offending group in order of the group's least node.  Each pair follows
-    the witness rule of ``trees.select_violation_seq``, computed with
-    segment minima over node ids (shortlex ranks) and ``idx.lex_ranks()``:
+    ``key`` groups the nodes ``0..len(key)-1`` by non-negative integer ids,
+    such as tree labels, closure roots or node ids; ids need not be
+    contiguous, and the per-id tables take memory proportional to the
+    largest one.  Within a group ``values`` should be constant.  Returns an
+    int64 array of shape [k, 2], one row per offending group in order of the
+    group's least node.  Each pair follows the witness rule of
+    ``trees.select_violation_seq``, computed with segment minima over node
+    ids (shortlex ranks) and ``idx.lex_ranks()``:
 
     * ``l0``/``v0``: lex rank and value of the group's lex-least member;
     * ``l1``: least lex rank among members whose value is not ``v0``;
@@ -58,20 +61,21 @@ def class_violations(
       below ``y``'s.
     """
     big = np.iinfo(np.int64).max
-    uniq, ginv = _sorted_unique(key, return_inverse=True)
-    n_groups = len(uniq)
-    gmin = np.full(n_groups, big, dtype=np.int64)
-    gmax = np.full(n_groups, -big, dtype=np.int64)
-    np.minimum.at(gmin, ginv, values)
-    np.maximum.at(gmax, ginv, values)
-    is_bad = gmin != gmax
-    bad = np.nonzero(is_bad)[0]
-    if not len(bad):
+    n_ids = int(key.max(initial=-1)) + 1
+    gmin = np.full(n_ids, big, dtype=np.int64)
+    gmax = np.full(n_ids, -big, dtype=np.int64)
+    np.minimum.at(gmin, key, values)
+    np.maximum.at(gmax, key, values)
+    is_bad = gmin < gmax  # an unused id keeps gmin > gmax
+    if not is_bad.any():
         return np.empty((0, 2), dtype=np.int64)
 
+    # from here on, groups are the offending ids renumbered 0..n_groups-1
+    gid = np.cumsum(is_bad) - 1
+    n_groups = int(gid[-1]) + 1
     lex_all = idx.lex_ranks()
-    nodes = np.nonzero(is_bad[ginv])[0]  # members of offending groups
-    g, val, lex = ginv[nodes], values[nodes], lex_all[nodes]
+    nodes = np.nonzero(is_bad[key])[0]  # members of offending groups
+    g, val, lex = gid[key[nodes]], values[nodes], lex_all[nodes]
 
     def seg_min(mask: np.ndarray, of: np.ndarray) -> np.ndarray:
         out = np.full(n_groups, big, dtype=np.int64)
@@ -88,7 +92,7 @@ def class_violations(
     y = seg_min(np.where(differs, l0[g], l1[g]) < lex, nodes)
     yg = y[g]
     x = seg_min((val != values[yg]) & (lex < lex_all[yg]), nodes)
-    order = bad[np.argsort(seg_min(every, nodes)[bad])]
+    order = np.argsort(seg_min(every, nodes))
     return np.stack([x[order], y[order]], axis=1)
 
 
@@ -282,28 +286,26 @@ def _locality_verdict(
     """``check_locality`` on an index built over the edge-stripped system."""
     labels = idx.ta_labels()
     sig = idx.signature
+    n = idx.n_domains
     best = None
-    pair_pos = -1
-    for ui, u in enumerate(sig.domains):
-        for vi, v in enumerate(sig.domains):
-            if ui == vi:
-                continue
-            pair_pos += 1
-            if known_to == "sender":
-                key = labels[ui]
-            elif known_to == "receiver":
-                key = labels[vi]
-            else:
-                key = (labels[ui].astype(np.uint64) << np.uint64(32)) | labels[
+    for ui in range(n):
+        for vi in range(ui + 1, n):
+            if known_to is None:
+                # one grouping of the joint labels serves both directed edges
+                joint = (labels[ui].astype(np.uint64) << np.uint64(32)) | labels[
                     vi
                 ].astype(np.uint64)
-            atom = idx.edge_bool[idx.states, ui, vi].astype(np.int64)
-            pair = _grouped_violation(idx, key, atom)
-            if pair is None:
-                continue
-            rank = (pair[1], pair[0], pair_pos)
-            if best is None or rank < best[0]:
-                best = (rank, (u, v))
+                ids = _sorted_unique(joint, return_inverse=True)[1]
+            for a, b in ((ui, vi), (vi, ui)):
+                key = ids if known_to is None else labels[a if known_to == "sender" else b]
+                atom = idx.edge_bool[idx.states, a, b].astype(np.int64)
+                pair = _grouped_violation(idx, key, atom)
+                if pair is None:
+                    continue
+                # position of (a, b) among the ordered pairs, row by row
+                rank = (pair[1], pair[0], a * (n - 1) + b - (b > a))
+                if best is None or rank < best[0]:
+                    best = (rank, (sig.domains[a], sig.domains[b]))
     name = "locality" if known_to is None else f"locality-{known_to}"
     if best is not None:
         (y, x, _), (u, v) = best
@@ -728,9 +730,8 @@ def label_partitions(idx: TraceIndex, labels: np.ndarray) -> Dict[str, TracePart
     traces = [idx.trace_of(i) for i in range(idx.n_nodes)]
     out = {}
     for ui, u in enumerate(idx.signature.domains):
-        _, cls = _sorted_unique(labels[ui], return_inverse=True)
-        order = np.argsort(cls, kind="stable")
-        groups = np.split(order, np.flatnonzero(np.diff(cls[order])) + 1)
+        order = np.argsort(labels[ui], kind="stable")
+        groups = np.split(order, np.flatnonzero(np.diff(labels[ui][order])) + 1)
         classes: Dict[Trace, Tuple[Trace, ...]] = {}
         for nodes in sorted(groups, key=lambda g: g[0]):
             members = tuple(traces[i] for i in nodes.tolist())

@@ -45,10 +45,12 @@ def _sorted_unique(keys: np.ndarray, return_inverse: bool = False):
     """The distinct keys of a 1-d array in ascending order, and with
     ``return_inverse`` each key's index into them.
 
-    Every group-by in the package goes through here: one sort and an
-    adjacent diff, with the inverse taken from a stable argsort.  So how the
-    package deduplicates never depends on which algorithm the installed
-    numpy picks for its own unique."""
+    Every group-by on a composite key goes through here (packed arena
+    words, pairs of class ids): one sort and an adjacent diff, with the
+    inverse taken from a stable argsort.  So how the package deduplicates
+    never depends on which algorithm the installed numpy picks for its own
+    unique.  Keys that already are non-negative ids, such as tree labels or
+    closure roots, group without a sort (``checkers.class_violations``)."""
     if return_inverse:
         order = np.argsort(keys, kind="stable")
         ordered = keys[order]

@@ -17,7 +17,7 @@ import numpy as np
 
 from .checkers import class_violations, label_partitions
 from .model import InputError, PolicyEnhancedSystem, Trace, permits, run
-from .traceindex import MATERIALIZE_LIMIT, TraceIndex, _sorted_unique
+from .traceindex import MATERIALIZE_LIMIT, TraceIndex
 from .trees import LEAF, SHARED_ARENA, TracePartition, TreeArena
 
 
@@ -218,7 +218,7 @@ def check_theorem_mustunwind(
     for ui, u in enumerate(system.signature.domains):
         # each closure class's root is its least node, so roots count classes
         n_roots = int((roots[ui] == np.arange(idx.n_nodes)).sum())
-        class_counts[u] = (n_roots, len(_sorted_unique(must[ui])))
+        class_counts[u] = (n_roots, int(np.count_nonzero(np.bincount(must[ui]))))
         sides = (
             (roots[ui], must[ui], "closure-coarser"),
             (must[ui], roots[ui], "trees-coarser"),

@@ -179,6 +179,40 @@ def python_class_violations(idx, key, values) -> List[Tuple[Trace, Trace]]:
     return pairs
 
 
+def python_locality(system, depth: int, known_to=None) -> Verdict:
+    """``checkers.check_locality`` on materialized traces: label every trace
+    with its permissive trees (``naive_ta_may``), group each ordered pair's
+    traces by both endpoints' labels, or by the one ``known_to`` names, and
+    pick each group's pair by the witness rule on the edge atom.  The least
+    (y, x, ordered-pair position) is reported."""
+    system, notes = strip_inactive_edges(system)
+    sig = system.signature
+    traces = list(traces_upto(sig, depth))
+    label = {(t, u): naive_ta_may(system, t, u) for t in traces for u in sig.domains}
+    pairs = [(u, v) for u in sig.domains for v in sig.domains if u != v]
+    best = None
+    for pos, (u, v) in enumerate(pairs):
+        ends = {None: (u, v), "sender": (u,), "receiver": (v,)}[known_to]
+        groups: Dict[Hashable, List[Trace]] = {}
+        for t in traces:
+            groups.setdefault(tuple(label[t, w] for w in ends), []).append(t)
+        for members in groups.values():
+            atom = [permits(system, run(system, t), u, v) for t in members]
+            pair = select_violation_seq(sig, members, atom)
+            if pair is None:
+                continue
+            x, y = pair
+            rank = (shortlex_key(sig, y), shortlex_key(sig, x), pos)
+            if best is None or rank < best[0]:
+                best = (rank, (x, y, u, v))
+    name = "locality" if known_to is None else f"locality-{known_to}"
+    if best is not None:
+        return Verdict(
+            property=name, outcome=INSECURE, witness=best[1], depth=depth, notes=notes
+        )
+    return Verdict(property=name, outcome=BOUNDED_SECURE, depth=depth, notes=notes)
+
+
 def _mismatches_upto(sig, part, other_label, cutoff: int, domain: str, kind: str):
     found = []
     for members in part.classes():

@@ -52,6 +52,7 @@ from oracles import (
     python_class_violations,
     python_globally_known,
     python_i_security,
+    python_locality,
     python_lpurge_security,
     python_state_unwinding,
     python_ta_must_verdict,
@@ -454,6 +455,23 @@ class TestLocalityKnownTo:
         assert seen == {"sender", "receiver"}
 
 
+    def test_matches_the_oracle(self):
+        # three or more domains, so that distinct unordered pairs exist
+        rng = random.Random(1818)
+        systems = [
+            s for s in random_systems(1818, 40, max_domains=4) if len(s.signature.domains) >= 3
+        ] + [shaped_system(rng, rng.randint(2, 5), rng.randint(3, 5), d) for d in (3, 4) * 6]
+        insecure = dict.fromkeys((None, "sender", "receiver"), 0)
+        for system in systems:
+            for depth in range(4):
+                for known_to in insecure:
+                    got = check_locality(system, depth, known_to=known_to)
+                    want = python_locality(system, depth, known_to)
+                    assert got.property == want.property
+                    assert_same_verdict(got, want)
+                    insecure[known_to] += got.outcome == INSECURE
+        assert min(insecure.values()) >= 2, insecure
+
 class TestRestrictToLocal:
     def test_never_grants_more_than_the_original(self):
         for system in random_systems(6666, 10):
@@ -665,8 +683,17 @@ class TestClassViolations:
             key = gen.integers(0, groups, n)
             values = gen.integers(0, 4, n)  # the larger groups hold 3-4 values
             mixed = {k for k in key.tolist() if len(set(values[key == k].tolist())) > 1}
-            assert len(self.agree(idx, key, values)) == len(mixed) > 0
+            dense = self.agree(idx, key, values)
+            assert len(dense) == len(mixed) > 0
             self.agree(idx, key[:40], values[:40])
+            # the same groups under sparse ids, whole and cut before the
+            # largest id first occurs (empty with one group)
+            sparse = key * 1009 + 3
+            assert self.agree(idx, sparse, values) == dense
+            cut = int(np.argmax(sparse == sparse.max()))
+            assert self.agree(idx, sparse[:cut], values[:cut]) == self.agree(
+                idx, key[:cut], values[:cut]
+            )
         # half the nodes in singleton groups
         key = np.where(gen.random(n) < 0.5, np.arange(n) + 10, gen.integers(0, 10, n))
         assert self.agree(idx, key, gen.integers(0, 3, n))
