@@ -37,6 +37,59 @@ from .verdicts import (
 # observation consistency over bulk label arrays
 
 
+def _offending(key: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """Bool table over the ids of ``key``: which groups hold two values.  A
+    group offends iff a member differs from the value written for it, which
+    does not depend on which member's write won."""
+    n_ids = int(key.max(initial=-1)) + 1
+    rep = np.zeros(n_ids, dtype=values.dtype)
+    rep[key] = values
+    bad = np.zeros(n_ids, dtype=bool)
+    bad[key[values != rep[key]]] = True
+    return bad
+
+
+def _group_pairs(
+    idx: TraceIndex, key: np.ndarray, values: np.ndarray, groups: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Least node, x and y of every group marked in the bool id table
+    ``groups``, each of which must offend, in id order.
+
+    The witness rule of ``trees.select_violation_seq``, as segment minima
+    over node ids (shortlex ranks) and ``idx.lex_ranks()``:
+
+    * ``l0``/``v0``: lex rank and value of the group's lex-least member;
+    * ``l1``: least lex rank among members whose value is not ``v0``;
+    * ``y``: least node whose lex rank exceeds that of the lex-least member
+      with another value (``l0`` if its value is not ``v0``, else ``l1``);
+    * ``x``: least node with a value other than ``y``'s and a lex rank
+      below ``y``'s.
+    """
+    nodes = np.flatnonzero(groups[key])  # members, ascending
+    ids = np.flatnonzero(groups)
+    g = np.searchsorted(ids, key[nodes])  # groups renumbered 0..len(ids)-1
+    big = np.iinfo(np.int64).max
+    lex_all = idx.lex_ranks()
+    val, lex = values[nodes], lex_all[nodes]
+
+    def seg_min(mask: np.ndarray, of: np.ndarray) -> np.ndarray:
+        out = np.full(len(ids), big, dtype=np.int64)
+        np.minimum.at(out, g[mask], of[mask])
+        return out
+
+    every = np.ones(len(nodes), dtype=bool)
+    l0 = seg_min(every, lex)
+    at_l0 = lex == l0[g]
+    v0 = np.empty(len(ids), dtype=values.dtype)
+    v0[g[at_l0]] = val[at_l0]
+    differs = val != v0[g]
+    l1 = seg_min(differs, lex)
+    y = seg_min(np.where(differs, l0[g], l1[g]) < lex, nodes)
+    yg = y[g]
+    x = seg_min((val != values[yg]) & (lex < lex_all[yg]), nodes)
+    return seg_min(every, nodes), x, y
+
+
 def class_violations(
     idx: TraceIndex,
     key: np.ndarray,
@@ -49,50 +102,15 @@ def class_violations(
     contiguous, and the per-id tables take memory proportional to the
     largest one.  Within a group ``values`` should be constant.  Returns an
     int64 array of shape [k, 2], one row per offending group in order of the
-    group's least node.  Each pair follows the witness rule of
-    ``trees.select_violation_seq``, computed with segment minima over node
-    ids (shortlex ranks) and ``idx.lex_ranks()``:
-
-    * ``l0``/``v0``: lex rank and value of the group's lex-least member;
-    * ``l1``: least lex rank among members whose value is not ``v0``;
-    * ``y``: least node whose lex rank exceeds that of the lex-least member
-      with another value (``l0`` if its value is not ``v0``, else ``l1``);
-    * ``x``: least node with a value other than ``y``'s and a lex rank
-      below ``y``'s.
+    group's least node, each pair by the witness rule (``_group_pairs``).
+    Verdicts need only the least pair, which ``_grouped_violation`` finds
+    without building the others.
     """
-    big = np.iinfo(np.int64).max
-    n_ids = int(key.max(initial=-1)) + 1
-    gmin = np.full(n_ids, big, dtype=np.int64)
-    gmax = np.full(n_ids, -big, dtype=np.int64)
-    np.minimum.at(gmin, key, values)
-    np.maximum.at(gmax, key, values)
-    is_bad = gmin < gmax  # an unused id keeps gmin > gmax
-    if not is_bad.any():
+    bad = _offending(key, values)
+    if not bad.any():
         return np.empty((0, 2), dtype=np.int64)
-
-    # from here on, groups are the offending ids renumbered 0..n_groups-1
-    gid = np.cumsum(is_bad) - 1
-    n_groups = int(gid[-1]) + 1
-    lex_all = idx.lex_ranks()
-    nodes = np.nonzero(is_bad[key])[0]  # members of offending groups
-    g, val, lex = gid[key[nodes]], values[nodes], lex_all[nodes]
-
-    def seg_min(mask: np.ndarray, of: np.ndarray) -> np.ndarray:
-        out = np.full(n_groups, big, dtype=np.int64)
-        np.minimum.at(out, g[mask], of[mask])
-        return out
-
-    every = np.ones(len(nodes), dtype=bool)
-    l0 = seg_min(every, lex)
-    at_l0 = lex == l0[g]
-    v0 = np.empty(n_groups, dtype=values.dtype)
-    v0[g[at_l0]] = val[at_l0]
-    differs = val != v0[g]
-    l1 = seg_min(differs, lex)
-    y = seg_min(np.where(differs, l0[g], l1[g]) < lex, nodes)
-    yg = y[g]
-    x = seg_min((val != values[yg]) & (lex < lex_all[yg]), nodes)
-    order = np.argsort(seg_min(every, nodes))
+    first, x, y = _group_pairs(idx, key, values, bad)
+    order = np.argsort(first)
     return np.stack([x[order], y[order]], axis=1)
 
 
@@ -100,14 +118,28 @@ def _grouped_violation(
     idx: TraceIndex,
     key: np.ndarray,
     values: np.ndarray,
+    bound: Optional[int] = None,
 ) -> Optional[Tuple[int, int]]:
-    """The rule-minimal node pair over all groups of ``class_violations``:
-    least y, then least x.  Groups are disjoint, so the y nodes are distinct."""
-    pairs = class_violations(idx, key, values)
-    if not len(pairs):
+    """The rule-minimal pair (x, y) of ``class_violations`` with y at most
+    ``bound``: least y, then least x; groups are disjoint, so y is distinct.
+
+    A group's y is one of its members, so only a group with a member at or
+    below the best y so far can win.  The group of the least node of any
+    offending group gives a first y, and the witness steps then run only on
+    the offending groups with a member at or below it and ``bound``."""
+    bad = _offending(key, values)
+    top = len(key) - 1 if bound is None else min(bound, len(key) - 1)
+    hit = bad[key[: max(top + 1, 0)]]
+    if not hit.any():
         return None
-    x, y = pairs[np.argmin(pairs[:, 1])]
-    return int(x), int(y)
+    first = np.zeros_like(bad)
+    first[key[np.argmax(hit)]] = True
+    top = min(top, int(_group_pairs(idx, key, values, first)[2][0]))
+    cand = np.zeros_like(bad)
+    cand[key[: top + 1][hit[: top + 1]]] = True
+    _, x, y = _group_pairs(idx, key, values, cand)
+    i = int(np.argmin(y))
+    return (int(x[i]), int(y[i])) if y[i] <= top else None
 
 
 def _least_violation(
@@ -116,10 +148,13 @@ def _least_violation(
     states: np.ndarray,
 ) -> Optional[Tuple[int, int, int]]:
     """The least (y, x, domain index) over all domains whose labels agree on
-    nodes x and y but whose observations differ at their end ``states``."""
+    nodes x and y but whose observations differ at their end ``states``.
+    Each domain searches only for pairs with y at most the best y so far;
+    the bound is inclusive, so a tie on y still goes to the least x."""
     best = None
     for ui in range(idx.n_domains):
-        pair = _grouped_violation(idx, labels[ui], idx.obs_ids[ui][states].astype(np.int64))
+        bound = None if best is None else best[0]
+        pair = _grouped_violation(idx, labels[ui], idx.obs_ids[ui][states], bound)
         if pair is not None and (best is None or (pair[1], pair[0], ui) < best):
             best = (pair[1], pair[0], ui)
     return best
@@ -261,6 +296,7 @@ def check_ta_static_security(system: PolicyEnhancedSystem, depth: int) -> Verdic
 
 
 _KNOWN_TO = (None, "sender", "receiver")
+_NO_KEY = np.uint64(np.iinfo(np.uint64).max)  # above every joint label key
 
 
 def check_locality(
@@ -295,11 +331,19 @@ def _locality_verdict(
                 joint = (labels[ui].astype(np.uint64) << np.uint64(32)) | labels[
                     vi
                 ].astype(np.uint64)
-                ids = _sorted_unique(joint, return_inverse=True)[1]
+                if best is None:
+                    ids = _sorted_unique(joint, return_inverse=True)[1]
+                else:
+                    # Only groups with a node at or below the best y can win:
+                    # number the joint keys of those nodes and put every
+                    # other node under one id past them (the sentinel's).
+                    head = np.append(_sorted_unique(joint[: best[0][0] + 1]), _NO_KEY)
+                    ids = np.searchsorted(head, joint)
+                    ids[head[ids] != joint] = len(head) - 1
             for a, b in ((ui, vi), (vi, ui)):
                 key = ids if known_to is None else labels[a if known_to == "sender" else b]
-                atom = idx.edge_bool[idx.states, a, b].astype(np.int64)
-                pair = _grouped_violation(idx, key, atom)
+                atom = idx.edge_bool[idx.states, a, b]
+                pair = _grouped_violation(idx, key, atom, None if best is None else best[0][0])
                 if pair is None:
                     continue
                 # position of (a, b) among the ordered pairs, row by row
@@ -352,7 +396,7 @@ def check_globally_known(
     # values only need to compare equal: one id per distinct edge set
     ids: Dict[frozenset, int] = {}
     edge_set = np.array(
-        [ids.setdefault(system.edges[s], len(ids)) for s in idx.state_names], dtype=np.int64
+        [ids.setdefault(system.edges[s], len(ids)) for s in idx.state_names], dtype=np.int32
     )
     pair = _grouped_violation(idx, proj[sig.domain_index(policy_domain)], edge_set[idx.states])
     if pair is not None:

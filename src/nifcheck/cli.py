@@ -180,11 +180,20 @@ def run_checks(
     depth: int = DEFAULT_DEPTH,
     flags: Optional[Mapping[str, object]] = None,
 ) -> Report:
-    """Parse one input file and evaluate the requested properties in order."""
+    """Parse one input file and evaluate the requested properties in order.
+    The property names are checked before the file is read."""
     flags = dict(flags or {})
     margin = int(flags.get("margin", 1))
     variant = flags.get("variant")
     gk_domain = flags.get("gk_domain")
+    asked = tuple(properties or ())
+    for p in asked:
+        if p not in PROPERTIES:
+            raise InputError(
+                f"unknown property {p!r}; choose from {', '.join(PROPERTIES)}"
+            )
+    if "gk" in asked and not gk_domain:
+        raise InputError("property gk needs --gk-domain")
 
     with open(path, "rb") as fh:
         data = fh.read()
@@ -197,7 +206,7 @@ def run_checks(
             raise InputError("capability configurations have no variants")
         system = build_pes(config, depth)
         source = config
-        requested = tuple(properties) if properties else _CAP_DEFAULT
+        requested = asked or _CAP_DEFAULT
         notes.append(
             f"capability system: {len(system.states)} states reachable at depth {depth}"
         )
@@ -205,15 +214,9 @@ def run_checks(
         doc = parse_document(text)
         system = doc.select(variant)
         source = system
-        requested = tuple(properties) if properties else _NIF_DEFAULT
+        requested = asked or _NIF_DEFAULT
         if variant is not None:
             notes.append(f"variant {variant!r} selected")
-
-    for p in requested:
-        if p not in PROPERTIES:
-            raise InputError(
-                f"unknown property {p!r}; choose from {', '.join(PROPERTIES)}"
-            )
 
     verdicts: List[Verdict] = []
     timing: Dict[str, float] = {}
@@ -233,8 +236,6 @@ def run_checks(
         elif p == "static":
             v = _static_verdict(system, depth)
         elif p == "gk":
-            if not gk_domain:
-                raise InputError("property gk needs --gk-domain")
             v = check_globally_known(system, str(gk_domain), depth)
         elif p == "lpurge":
             v = check_lpurge_security(system, depth)

@@ -50,7 +50,9 @@ def _sorted_unique(keys: np.ndarray, return_inverse: bool = False):
     inverse taken from a stable argsort.  So how the package deduplicates
     never depends on which algorithm the installed numpy picks for its own
     unique.  Keys that already are non-negative ids, such as tree labels or
-    closure roots, group without a sort (``checkers.class_violations``)."""
+    closure roots, group without a sort (``checkers.class_violations``).
+    ``locality`` sorts its joint labels whole only until a first violating
+    pair; after that, only those of the nodes up to the best y."""
     if return_inverse:
         order = np.argsort(keys, kind="stable")
         ordered = keys[order]

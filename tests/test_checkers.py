@@ -2,6 +2,7 @@
 policy-shape checks, and the state-level certifier."""
 
 import dataclasses
+import itertools
 import random
 
 import numpy as np
@@ -9,8 +10,13 @@ import pytest
 
 import nifcheck.checkers
 import nifcheck.unwinding
-from nifcheck.checkers import class_violations, label_partitions
-from nifcheck.traceindex import TraceIndex
+from nifcheck.checkers import (
+    _grouped_violation,
+    _least_violation,
+    class_violations,
+    label_partitions,
+)
+from nifcheck.traceindex import TraceIndex, _sorted_unique
 from nifcheck import (
     BOUNDED_SECURE,
     CERTIFIED_SECURE,
@@ -455,22 +461,66 @@ class TestLocalityKnownTo:
         assert seen == {"sender", "receiver"}
 
 
+    @staticmethod
+    def later_pair_competes(system, depth):
+        """Does an unordered pair of domains after the first violating one
+        have a violation whose y is at or below the least y so far?  Then
+        plain locality groups that pair on its bounded joint-key path, and
+        the bound decides the verdict.  Read off ``class_violations``, which
+        builds the pair of every group."""
+        idx = TraceIndex(strip_inactive_edges(system)[0], depth)
+        labels = idx.ta_labels()
+        best = None
+        for ui, vi in itertools.combinations(range(idx.n_domains), 2):
+            ids = _sorted_unique(labels[ui] * (int(labels.max()) + 1) + labels[vi], True)[1]
+            ys = [
+                int(y)
+                for a, b in ((ui, vi), (vi, ui))
+                for y in class_violations(idx, ids, idx.edge_bool[idx.states, a, b])[:, 1]
+            ]
+            if ys and best is not None and min(ys) <= best:
+                return True
+            best = min(ys + ([] if best is None else [best]), default=None)
+        return False
+
     def test_matches_the_oracle(self):
         # three or more domains, so that distinct unordered pairs exist
         rng = random.Random(1818)
         systems = [
             s for s in random_systems(1818, 40, max_domains=4) if len(s.signature.domains) >= 3
         ] + [shaped_system(rng, rng.randint(2, 5), rng.randint(3, 5), d) for d in (3, 4) * 6]
-        insecure = dict.fromkeys((None, "sender", "receiver"), 0)
+        # two systems where a later pair of domains reaches the least y so far
+        for r in map(random.Random, (8, 27)):
+            systems.append(
+                shaped_system(
+                    r, r.randint(2, 5), r.randint(2, 5), r.choice((3, 4)),
+                    edge_bias=r.choice((0.2, 0.35, 0.6)),
+                )
+            )
+        insecure = dict.fromkeys((None, "sender", "receiver", "isec", "gk"), 0)
+        bounded = 0
         for system in systems:
+            admin = system.signature.domains[0]
+            public = {(admin, v) for v in system.signature.domains if v != admin}
+            administered = dataclasses.replace(
+                system, edges={s: system.edges[s] | public for s in system.states}
+            )
             for depth in range(4):
-                for known_to in insecure:
+                for known_to in (None, "sender", "receiver"):
                     got = check_locality(system, depth, known_to=known_to)
                     want = python_locality(system, depth, known_to)
                     assert got.property == want.property
                     assert_same_verdict(got, want)
                     insecure[known_to] += got.outcome == INSECURE
+                got = check_i_security(system, depth)
+                assert_same_verdict(got, python_i_security(system, depth))
+                insecure["isec"] += got.outcome == INSECURE
+                got = check_globally_known(administered, admin, depth)
+                assert_same_verdict(got, python_globally_known(administered, admin, depth))
+                insecure["gk"] += got.outcome == INSECURE
+                bounded += self.later_pair_competes(system, depth)
         assert min(insecure.values()) >= 2, insecure
+        assert bounded >= 10, bounded
 
 class TestRestrictToLocal:
     def test_never_grants_more_than_the_original(self):
@@ -697,6 +747,45 @@ class TestClassViolations:
         # half the nodes in singleton groups
         key = np.where(gen.random(n) < 0.5, np.arange(n) + 10, gen.integers(0, 10, n))
         assert self.agree(idx, key, gen.integers(0, 3, n))
+
+    def test_bounded_search_matches_all_pairs(self):
+        # the least pair with y <= bound is the least-y row of all pairs
+        gen = np.random.default_rng(3030)
+        idx = TraceIndex(shaped_system(random.Random(3030), 5, 3, 2), 4)
+        n = idx.n_nodes
+        later_wins = 0
+        for groups in (1, 3, 10, 40, 200):
+            for _ in range(3):
+                dense = gen.integers(0, groups, n)
+                values = gen.integers(0, 3, n)
+                for key in (dense, dense * 1009 + 3):
+                    pairs = class_violations(idx, key, values)
+                    ys = pairs[:, 1]
+                    for bound in [None] + list(range(-1, int(ys.max(initial=0)) + 2)):
+                        rows = pairs if bound is None else pairs[ys <= bound]
+                        want = tuple(rows[np.argmin(rows[:, 1])].tolist()) if len(rows) else None
+                        assert _grouped_violation(idx, key, values, bound) == want
+                    # rows follow the groups' least nodes, so row 0 is the
+                    # group of the least offending node
+                    later_wins += len(pairs) > 0 and int(np.argmin(ys)) != 0
+        assert later_wins >= 3
+
+    def test_least_violation_ties_on_y_go_to_the_least_x(self):
+        gen = np.random.default_rng(3131)
+        later_wins = 0
+        for seed in range(40):
+            idx = TraceIndex(shaped_system(random.Random(seed), 4, 3, 3), 3)
+            labels = gen.integers(0, gen.integers(1, 12), (3, idx.n_nodes))
+            rows = [
+                (y, x, ui)
+                for ui in range(3)
+                for x, y in class_violations(idx, labels[ui], idx.obs_ids[ui][idx.states]).tolist()
+            ]
+            want = min(rows, default=None)
+            assert _least_violation(idx, labels, idx.states) == want
+            # an earlier domain has a pair with the same y but a larger x
+            later_wins += any(r[0] == want[0] and r[2] < want[2] for r in rows)
+        assert later_wins >= 2
 
     def test_constant_groups_have_no_pairs(self):
         idx = TraceIndex(shaped_system(random.Random(2929), 4, 3, 2), 3)

@@ -90,6 +90,20 @@ class TestRunChecks:
             run_checks(fig1, properties=("gk",))
         assert "--gk-domain" in str(err.value)
 
+    def test_bad_property_lists_fail_before_any_work(self, cap, fig1, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("ran before the property list was checked")
+
+        monkeypatch.setattr(nifcheck.cli, "build_pes", refuse)
+        monkeypatch.setattr(nifcheck.cli, "parse_cap_config", refuse)
+        with pytest.raises(InputError, match="unknown property"):
+            run_checks(cap, ["bogus"], 4)
+        monkeypatch.setattr(nifcheck.cli, "check_ta_static_security", refuse)
+        with pytest.raises(InputError, match="--gk-domain"):
+            run_checks(fig1, ["ta", "gk"], 3)
+        with pytest.raises(InputError, match="unknown property"):
+            run_checks("no/such/file.nif", ["ta", "bogus"])
+
     def test_gk_with_domain_runs(self, fig1):
         report = run_checks(
             fig1, properties=("gk",), depth=3, flags={"gk_domain": "A"}
