@@ -7,8 +7,10 @@ transmission trees, unwinding closure) sweep level by level over numpy
 arrays, which keeps systems with tens of millions of traces inside a
 two-minute budget.  One labelling kernel serves the static, permissive and
 prohibitive trees; they differ only in the per-node table that says which
-actions reach which observer.  Brute-force oracles in the test suite pin
-the semantics at small scale.
+actions reach which observer.  A child's tree label is interned from its
+parent's labels and its action, so the kernel interns words per distinct
+parent label pair rather than per child.  Brute-force oracles in the test
+suite pin the semantics at small scale.
 """
 
 from __future__ import annotations
@@ -73,7 +75,11 @@ class _PackedArena:
     Ids are dense, start at 1 (0 is the leaf), and are stable across levels:
     the same packed word always maps to the same id, so label equality is
     structural tree equality.  Fresh words of one call get ids in ascending
-    word order.
+    word order.  ``TraceIndex.ta_labels`` builds its words from the distinct
+    label pairs of the parents, so a call's words are already distinct and
+    come in one ascending run per actor domain.  With ``grow`` false the
+    fresh words get their ids but stay out of the table, for a last call
+    after which nothing looks them up.
     """
 
     def __init__(self) -> None:
@@ -81,7 +87,7 @@ class _PackedArena:
         self.ids = np.empty(0, dtype=np.int64)
         self.count = 1
 
-    def intern(self, packed: np.ndarray) -> np.ndarray:
+    def intern(self, packed: np.ndarray, grow: bool = True) -> np.ndarray:
         uniq, inverse = _sorted_unique(packed, return_inverse=True)
         pos = np.searchsorted(self.keys, uniq)
         known = pos < len(self.keys)
@@ -95,10 +101,18 @@ class _PackedArena:
             self.count += n_fresh
             if self.count >= _MAX_LABELS:
                 raise InputError("tree label space exhausted; reduce the depth bound")
-            # uniq is sorted, so inserting at the searchsorted positions keeps
-            # the table sorted without re-sorting it
-            self.keys = np.insert(self.keys, pos[fresh], uniq[fresh])
-            self.ids = np.insert(self.ids, pos[fresh], ids[fresh])
+            if grow:
+                # uniq is sorted, so a fresh word's slot in the merged table is
+                # its searchsorted position plus the fresh words before it: the
+                # table stays sorted without re-sorting it
+                at = pos[fresh] + np.arange(n_fresh)
+                old = np.ones(len(self.keys) + n_fresh, dtype=bool)
+                old[at] = False
+                keys = np.empty(len(old), dtype=np.uint64)
+                keys[at], keys[old] = uniq[fresh], self.keys
+                table = np.empty(len(old), dtype=np.int64)
+                table[at], table[old] = ids[fresh], self.ids
+                self.keys, self.ids = keys, table
         return ids[inverse]
 
 
@@ -251,33 +265,45 @@ class TraceIndex:
         initial state's edges give the static trees and jointly known edges
         (``jointly_known``) the prohibitive ones.  Label equality is
         structural equality of the trees (the single-trace recursions in
-        ``trees`` and ``unwinding`` are the reference semantics)."""
+        ``trees`` and ``unwinding`` are the reference semantics).
+
+        Where u is passed the action a of domain d at parent p, the child's
+        label interns the word (L_u(p), L_d(p), a); elsewhere it keeps
+        L_u(p).  The word depends on the child only through a, so each
+        (level, u, d) dedups the label pairs of the passing parents and
+        expands each distinct pair by d's actions: the words come out
+        ascending, one per distinct (pair, action).  One arena call per
+        (level, u) interns them, and each child gathers its id by its
+        parent's pair and its action."""
         if allowed is None:
             allowed = self.edge_bool[self.states[: self.interior_end]]
         labels = np.zeros((self.n_domains, self.n_nodes), dtype=np.int64)
         arena = _PackedArena()
+        acts = [np.flatnonzero(self.dom_of == d) for d in range(self.n_domains)]
         for l in range(1, self.depth + 1):
-            s, e = self.offs[l], self.offs[l + 1]
+            p, s, e = self.offs[l - 1], self.offs[l], self.offs[l + 1]
             if s == e:
                 break
-            size = e - s
-            local = np.arange(size, dtype=np.int32)
-            pid = self.offs[l - 1] + local // self.n_actions
-            aidx = local % self.n_actions
-            di = self.dom_of[aidx]
+            parent = labels[:, p:s].astype(np.uint64)
             for u in range(self.n_domains):
-                passed = allowed[pid, di, u]
-                left = labels[u][pid]
-                row = left.copy()
-                if passed.any():
-                    right = labels[di[passed], pid[passed]]
-                    packed = (
-                        (left[passed].astype(np.uint64) << np.uint64(37))
-                        | (right.astype(np.uint64) << np.uint64(10))
-                        | aidx[passed].astype(np.uint64)
-                    )
-                    row[passed] = arena.intern(packed)
-                labels[u][s:e] = row
+                child = labels[u, s:e].reshape(s - p, self.n_actions)
+                child[:] = labels[u, p:s, None]  # what u is not passed keeps its label
+                runs = []
+                for d, a in enumerate(acts):
+                    at = np.flatnonzero(allowed[p:s, d, u])
+                    if len(at) and len(a):
+                        pairs, group = _sorted_unique(
+                            (parent[u, at] << np.uint64(27)) | parent[d, at], return_inverse=True
+                        )
+                        words = (pairs[:, None] << np.uint64(10)) | a.astype(np.uint64)
+                        runs.append((at, group, a, words))
+                if runs:
+                    # no lookup follows the deepest level's last observer
+                    grow = l < self.depth or u < self.n_domains - 1
+                    ids = arena.intern(np.concatenate([w.ravel() for *_, w in runs]), grow)
+                    for at, group, a, words in runs:
+                        child[at[:, None], a] = ids[: words.size].reshape(words.shape)[group]
+                        ids = ids[words.size :]
         return labels
 
     def jointly_known(self, roots: np.ndarray) -> np.ndarray:

@@ -11,6 +11,8 @@ from __future__ import annotations
 import random
 from typing import Dict, FrozenSet, Hashable, List, Tuple
 
+import numpy as np
+
 from nifcheck import (
     BOUNDED_SECURE,
     CERTIFIED_SECURE,
@@ -37,6 +39,7 @@ from nifcheck import (
 )
 from nifcheck import checkers
 from nifcheck.access import STRONG_FIVE, ConditionResult, DrmReport, StructuredSystem
+from nifcheck.traceindex import _PackedArena
 from nifcheck.trees import select_violation_seq
 
 Trace = Tuple[str, ...]
@@ -142,6 +145,39 @@ def naive_ta_must(system, closure, depth: int, trace: Trace, domain: str):
     if group_knows:
         return (mine, naive_ta_must(system, closure, depth, head, d), a)
     return mine
+
+
+def child_level_ta_labels(idx, allowed=None):
+    """``TraceIndex.ta_labels`` one word per passed child: at each level and
+    observer u, every child (p, a) that u is passed packs (L_u(p), L_d(p),
+    a) for the actor domain d of a, and one arena call interns them all.
+    The ids must be bit-identical, not just the same partitions."""
+    if allowed is None:
+        allowed = idx.edge_bool[idx.states[: idx.interior_end]]
+    labels = np.zeros((idx.n_domains, idx.n_nodes), dtype=np.int64)
+    arena = _PackedArena()
+    for l in range(1, idx.depth + 1):
+        s, e = idx.offs[l], idx.offs[l + 1]
+        if s == e:
+            break
+        local = np.arange(e - s)
+        pid = idx.offs[l - 1] + local // idx.n_actions
+        aidx = local % idx.n_actions
+        di = idx.dom_of[aidx]
+        for u in range(idx.n_domains):
+            passed = allowed[pid, di, u]
+            left = labels[u][pid]
+            row = left.copy()
+            if passed.any():
+                right = labels[di[passed], pid[passed]]
+                packed = (
+                    (left[passed].astype(np.uint64) << np.uint64(37))
+                    | (right.astype(np.uint64) << np.uint64(10))
+                    | aidx[passed].astype(np.uint64)
+                )
+                row[passed] = arena.intern(packed)
+            labels[u][s:e] = row
+    return labels
 
 
 # ---------------------------------------------------------------------------

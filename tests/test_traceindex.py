@@ -16,6 +16,7 @@ import nifcheck.traceindex
 from nifcheck.traceindex import TraceIndex, _PackedArena, _sorted_unique
 
 from oracles import (
+    child_level_ta_labels,
     naive_closure,
     naive_ta_may,
     naive_ta_must,
@@ -34,9 +35,9 @@ def shape(idx, row):
     return {frozenset(c) for c in classes.values()}
 
 
-def oracle_shape(system, tree_of):
+def oracle_shape(system, tree_of, depth=DEPTH):
     classes = {}
-    for t in traces_upto(system.signature, DEPTH):
+    for t in traces_upto(system.signature, depth):
         classes.setdefault(tree_of(t), set()).add(t)
     return {frozenset(c) for c in classes.values()}
 
@@ -72,6 +73,91 @@ def test_prohibitive_labels():
                 system, lambda t: naive_ta_must(system, closure, DEPTH, t, u)
             )
             assert shape(idx, labels[ui]) == want
+
+
+THREE_PROCESS_CAP = """\
+processes: p q r
+tags: n
+messages: 0 1
+caps: p n+ n-
+caps: q n+
+kinds: data add_tag remove_tag send_message_to
+"""
+
+
+def test_capability_labels():
+    configs = (THREE_PROCESS_CAP, read_corpus("twoproc.cap"))
+    for config in map(parse_cap_config, configs):
+        for depth in (1, 2):
+            system = build_pes(config, depth)  # the index refuses no frontier
+            idx = TraceIndex(system, depth)
+            labels = idx.ta_labels()
+            for ui, u in enumerate(system.signature.domains):
+                want = oracle_shape(system, lambda t: naive_ta_may(system, t, u), depth)
+                assert shape(idx, labels[ui]) == want
+
+
+def allowed_tables(idx):
+    """The static, permissive (the default) and prohibitive tables of one
+    index."""
+    e0 = idx.edge_bool[idx.states[0]]
+    roots, _ = idx.unwinding_roots()
+    return (
+        np.broadcast_to(e0, (idx.interior_end,) + e0.shape),
+        None,
+        idx.jointly_known(roots)[: idx.interior_end],
+    )
+
+
+def assert_child_level_labels(idx, tables=None):
+    for allowed in tables or allowed_tables(idx):
+        got = idx.ta_labels(allowed)
+        assert got.dtype == np.int64
+        assert np.array_equal(got, child_level_ta_labels(idx, allowed))
+
+
+def test_labels_are_bit_identical_to_the_child_level_kernel():
+    rng = random.Random(3737)
+    for depth in range(6):
+        for _ in range(4):
+            shape_ = rng.randint(1, 6), rng.randint(1, 6), rng.randint(1, 4)
+            assert_child_level_labels(TraceIndex(shaped_system(rng, *shape_), depth))
+        # actions drawn to domains at random, not round robin
+        for system in random_systems(3737 + depth, 4, max_actions=5):
+            assert_child_level_labels(TraceIndex(system, depth))
+
+
+def test_labels_at_the_edges_of_the_shape():
+    rng = random.Random(3838)
+    # u2 owns no action and, with no edges, is never passed one
+    idx = TraceIndex(shaped_system(rng, 4, 2, 3, edge_bias=0.0), 4)
+    assert not (idx.dom_of == 2).any()
+    assert_child_level_labels(idx)
+    assert not idx.ta_labels()[2].any()
+    # a level at which no parent passes anything to observer 0
+    idx = TraceIndex(shaped_system(rng, 4, 4, 2, edge_bias=0.6), 4)
+    allowed = idx.edge_bool[idx.states[: idx.interior_end]].copy()
+    allowed[idx.offs[1] : idx.offs[2], :, 0] = False
+    assert_child_level_labels(idx, [allowed])
+    for system, depth in (
+        (shaped_system(rng, 4, 3, 1), 5),  # one domain
+        (shaped_system(rng, 5, 1, 2), 40),  # one action
+        (build_pes(parse_cap_config(read_corpus("twoproc.cap")), 2), 2),
+    ):
+        assert_child_level_labels(TraceIndex(system, depth))
+
+
+def test_labels_raise_when_the_label_space_runs_out(monkeypatch):
+    idx = TraceIndex(shaped_system(random.Random(3939), 5, 4, 3, edge_bias=0.5), 4)
+    most = int(child_level_ta_labels(idx).max())
+    # the arena's count ends one past the largest id, and reaching the
+    # limit raises
+    monkeypatch.setattr(nifcheck.traceindex, "_MAX_LABELS", most + 1)
+    for kernel in (TraceIndex.ta_labels, child_level_ta_labels):
+        with pytest.raises(InputError, match="tree label space exhausted"):
+            kernel(idx)
+    monkeypatch.setattr(nifcheck.traceindex, "_MAX_LABELS", most + 2)
+    assert int(idx.ta_labels().max()) == most
 
 
 def test_lex_ranks_order_nodes_lexicographically():
