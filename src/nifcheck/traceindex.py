@@ -43,6 +43,36 @@ def _compress(parent: np.ndarray) -> np.ndarray:
         parent = hop
 
 
+def _find(parent: np.ndarray, ids: np.ndarray) -> np.ndarray:
+    """Roots of ``ids`` by pointer jumping on the gathered ids alone.  Each
+    hop points every id at its grandparent, so the ids end up pointing at
+    their roots, and a chain through other gathered ids halves per hop."""
+    up = parent[ids]
+    while True:
+        top = parent[up]
+        if not (up != top).any():
+            return up
+        parent[ids] = up = top
+
+
+def _union(parent: np.ndarray, pairs: np.ndarray) -> int:
+    """Join the classes of ``pairs[0, i]`` and ``pairs[1, i]`` for every i,
+    hooking the larger root under the smaller; returns how many pairs were
+    in different classes.  One ``np.minimum.at`` keeps only the least of
+    the links that hit the same root, so the pairs whose link lost are
+    found and linked again until none is left."""
+    split = None
+    while True:
+        roots = _find(parent, pairs)
+        pairs = roots[:, roots[0] != roots[1]]
+        split = pairs.shape[1] if split is None else split
+        if not pairs.shape[1]:
+            return split
+        lo, hi = np.minimum(*pairs), np.maximum(*pairs)
+        np.minimum.at(parent, hi, lo)
+        pairs = pairs[:, parent[hi] != lo]
+
+
 def _sorted_unique(keys: np.ndarray, return_inverse: bool = False):
     """The distinct keys of a 1-d array in ascending order, and with
     ``return_inverse`` each key's index into them.
@@ -67,6 +97,27 @@ def _sorted_unique(keys: np.ndarray, return_inverse: bool = False):
     inverse = np.empty(len(keys), dtype=np.intp)
     inverse[order] = np.cumsum(head) - 1
     return ordered[head], inverse
+
+
+def _insert_sorted(
+    keys: np.ndarray,
+    values: np.ndarray,
+    pos: np.ndarray,
+    fresh_keys: np.ndarray,
+    fresh_values: np.ndarray,
+) -> Tuple[np.ndarray, np.ndarray]:
+    """The sorted table ``keys`` (with ``values``) merged with the sorted
+    ``fresh_keys``, none of them in it, whose ``searchsorted`` positions
+    in ``keys`` are ``pos``.  A fresh key's slot in the merged table is
+    its position plus the fresh keys before it, so nothing is re-sorted."""
+    at = pos + np.arange(len(fresh_keys))
+    old = np.ones(len(keys) + len(fresh_keys), dtype=bool)
+    old[at] = False
+    merged_keys = np.empty(len(old), dtype=keys.dtype)
+    merged_keys[at], merged_keys[old] = fresh_keys, keys
+    merged_values = np.empty(len(old), dtype=values.dtype)
+    merged_values[at], merged_values[old] = fresh_values, values
+    return merged_keys, merged_values
 
 
 class _PackedArena:
@@ -102,17 +153,9 @@ class _PackedArena:
             if self.count >= _MAX_LABELS:
                 raise InputError("tree label space exhausted; reduce the depth bound")
             if grow:
-                # uniq is sorted, so a fresh word's slot in the merged table is
-                # its searchsorted position plus the fresh words before it: the
-                # table stays sorted without re-sorting it
-                at = pos[fresh] + np.arange(n_fresh)
-                old = np.ones(len(self.keys) + n_fresh, dtype=bool)
-                old[at] = False
-                keys = np.empty(len(old), dtype=np.uint64)
-                keys[at], keys[old] = uniq[fresh], self.keys
-                table = np.empty(len(old), dtype=np.int64)
-                table[at], table[old] = ids[fresh], self.ids
-                self.keys, self.ids = keys, table
+                self.keys, self.ids = _insert_sorted(
+                    self.keys, self.ids, pos[fresh], uniq[fresh], ids[fresh]
+                )
         return ids[inverse]
 
 
@@ -370,66 +413,88 @@ def unwinding_closure(
 
     Links go from the larger id to the smaller, so every class's root is
     its least node.  The trace tree (``TraceIndex.unwinding_roots``) and the
-    reachable states (``checkers.state_unwinding_check``) share this sweep.
+    reachable states (``checkers.state_unwinding_check``) share this kernel.
+
+    Joint stepping runs in rounds over a signature table that maps the
+    (u, d, root_u, root_d) key of a stepping node to the node that first
+    had it.  A round looks up only the nodes whose root_u or root_d moved in
+    the last round (every node in the first) and pairs each with the node
+    its key maps to, so the cost of a round follows what changed.  A key
+    whose roots have since merged is stale, but no node can have it again.
+    The rounds end when no stepping node's root moved.
 
     Returns (roots[n_domains, n_nodes], counts): "dlr" deletion pairs,
-    "wsc" stepping links made and "sweeps" stepping sweeps."""
+    "wsc" stepping links made, the child pairs that joint stepping found
+    in different classes, "sweeps" rounds and "regrouped" the (node, u, d)
+    key lookups of all rounds.  The benchmark reads "sweeps" and "wsc" as
+    ``closure_sweeps`` and ``rule_wsc``."""
     n_domains = allowed.shape[1]
     m = len(allowed)
+    # Row k of the arrays below is the k-th domain that owns actions.
+    doms = np.array(sorted(set(dom_of.tolist())), dtype=np.intp)
+    acts = [np.flatnonzero(dom_of == d) for d in doms]
+    if n_domains * len(doms) * m * m >= 1 << 64:
+        raise InputError("too many domains and nodes for the closure's signature keys")
     parents = np.tile(np.arange(n_nodes, dtype=np.int64), (n_domains, 1))
-    counts = {"dlr": 0, "wsc": 0, "sweeps": 0}
+    counts = {"dlr": 0, "wsc": 0, "sweeps": 0, "regrouped": 0}
     if m == 0 or len(dom_of) == 0:
         return parents, counts
     counts["dlr"] = m * len(dom_of) * n_domains - int(allowed.sum(axis=0)[dom_of].sum())
+    permitted = allowed[:, doms, :].transpose(2, 1, 0)  # [u, k, node]
 
-    # Deletion is a plain union of (node, successor) pairs, repeated until
-    # they agree, since a target hooked twice keeps only its least link.
-    # On the trace tree every successor is hooked once, so the second round
-    # only confirms the first.
-    hooked = True
-    while hooked:
-        hooked = False
-        for j, d in enumerate(dom_of):
-            succ = child(j)
-            for u in range(n_domains):
-                at = np.nonzero(~allowed[:, d, u])[0]
-                ra, rb = parents[u][at], parents[u][succ[at]]
-                differ = ra != rb
-                if differ.any():
-                    hooked = True
-                    lo, hi = np.minimum(ra, rb)[differ], np.maximum(ra, rb)[differ]
-                    np.minimum.at(parents[u], hi, lo)
-        for u in range(n_domains):
-            parents[u] = _compress(parents[u])
+    def unions(u, k, nodes, pairs_of):
+        """Joins, in each domain v, the pairs ``pairs_of(child(j), x)`` of
+        the nodes x with u == v, for each action j of their row k; (u, k)
+        ascends, as ``np.nonzero`` lists them.  Returns the pairs found in
+        different classes."""
+        edges = np.searchsorted(u * len(doms) + k, np.arange(n_domains * len(doms) + 1))
+        spans = np.stack([edges[:-1], edges[1:]], axis=1).reshape(n_domains, len(doms), 2)
+        parts: List[List[np.ndarray]] = [[] for _ in range(n_domains)]
+        for row, js in enumerate(acts):
+            takers = [(v, lo, hi) for v, (lo, hi) in enumerate(spans[:, row].tolist()) if lo < hi]
+            for j in js if takers else ():
+                succ = child(j)
+                for v, lo, hi in takers:
+                    parts[v].append(pairs_of(succ, nodes[..., lo:hi]))
+        return sum(_union(parents[v], np.concatenate(p, axis=1)) for v, p in enumerate(parts) if p)
 
-    actions_by_domain: Dict[int, List[int]] = {}
-    for j, d in enumerate(dom_of.tolist()):
-        actions_by_domain.setdefault(d, []).append(j)
+    unions(*np.nonzero(~permitted), lambda succ, x: np.stack([x, succ[x]]))
+
+    # A stepping node's chain stays among the stepping nodes, since links
+    # go to smaller ids, so the rounds compress only that prefix.
+    old = np.full((n_domains, m), -1, dtype=np.int64)
+    keys, reps = np.empty(0, dtype=np.uint64), np.empty(0, dtype=np.int64)
+    radix = np.uint64(m)
     while True:
+        for row in parents:
+            row[:m] = _compress(row[:m])
+        moved = parents[:, :m] != old
+        if not moved.any():
+            break
+        old = parents[:, :m].copy()
         counts["sweeps"] += 1
-        for u in range(n_domains):
-            parents[u] = _compress(parents[u])
-        changed = 0
-        for u in range(n_domains):
-            for d, action_list in actions_by_domain.items():
-                at = np.nonzero(allowed[:, d, u])[0] if diamond else slice(0, m)
-                ru = parents[u][at].astype(np.uint64)
-                rd = parents[d][at].astype(np.uint64)
-                key = (ru << np.uint64(32)) | rd
-                uniq, ginv = _sorted_unique(key, return_inverse=True)
-                if len(uniq) == len(key):
-                    continue  # all joint classes are singletons
-                for j in action_list:
-                    croots = parents[u][child(j)[at]]
-                    gmin = np.full(len(uniq), n_nodes, dtype=np.int64)
-                    np.minimum.at(gmin, ginv, croots)
-                    tgt = gmin[ginv]
-                    mask = croots != tgt
-                    hits = int(mask.sum())
-                    if hits:
-                        np.minimum.at(parents[u], croots[mask], tgt[mask])
-                        changed += hits
-                        counts["wsc"] += hits
-        if changed == 0:
-            # nothing moved since the sweep's compression: these are roots
-            return parents, counts
+        sel = moved[:, None, :] | moved[None, doms, :]
+        if diamond:
+            sel &= permitted
+        u, k, at = np.nonzero(sel)
+        counts["regrouped"] += len(at)
+        flat = old.reshape(-1)
+        key = (u * len(doms) + k).astype(np.uint64) * radix + flat[u * m + at].astype(np.uint64)
+        key = key * radix + flat[doms[k] * m + at].astype(np.uint64)
+        # a fresh key's representative is its least node
+        uniq, group = _sorted_unique(key, return_inverse=True)
+        rep = np.full(len(uniq), m, dtype=np.int64)
+        np.minimum.at(rep, group, at)
+        pos = np.searchsorted(keys, uniq)
+        known = pos < len(keys)
+        known[known] = keys[pos[known]] == uniq[known]
+        fresh = ~known
+        rep[known] = reps[pos[known]]
+        keys, reps = _insert_sorted(keys, reps, pos[fresh], uniq[fresh], rep[fresh])
+        rep = rep[group]
+        pair = at != rep
+        xy = np.stack([at[pair], rep[pair]])
+        counts["wsc"] += unions(u[pair], k[pair], xy, lambda succ, nodes: succ[nodes])
+    for row in parents:
+        row[:] = _compress(row)
+    return parents, counts

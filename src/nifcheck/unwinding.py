@@ -25,10 +25,12 @@ from .trees import LEAF, SHARED_ARENA, TracePartition, TreeArena
 class UnwindingResult:
     """Finished per-domain closure, plus how much work it took.
 
-    ``saturated`` records that the final fixpoint sweep fired no rule; the
-    engine always runs until that holds, so a False value would indicate an
-    aborted computation.  Transitive closure is implicit in the union-find,
-    so ``rule_counts`` tracks only the two generating rules and the sweeps.
+    ``saturated`` records that the final round of the closure moved no
+    root; the engine always runs until that holds, so a False value would
+    indicate an aborted computation.  ``rule_counts`` are the counts of
+    ``traceindex.unwinding_closure``: deletion pairs, stepping links, rounds
+    ("sweeps") and key lookups; transitive closure is implicit in the
+    union-find.
     """
 
     partitions: Mapping[str, TracePartition]

@@ -9,7 +9,7 @@ with "e" for the empty tree, matching TreeArena.to_tuple output.
 from __future__ import annotations
 
 import random
-from typing import Dict, FrozenSet, Hashable, List, Tuple
+from typing import Callable, Dict, FrozenSet, Hashable, List, Tuple
 
 import numpy as np
 
@@ -39,7 +39,7 @@ from nifcheck import (
 )
 from nifcheck import checkers
 from nifcheck.access import STRONG_FIVE, ConditionResult, DrmReport, StructuredSystem
-from nifcheck.traceindex import _PackedArena
+from nifcheck.traceindex import _PackedArena, _compress, _sorted_unique
 from nifcheck.trees import select_violation_seq
 
 Trace = Tuple[str, ...]
@@ -126,6 +126,82 @@ def naive_closure(system, depth: int) -> Dict[str, Dict[Trace, Trace]]:
                         if uf[u].find(x) == uf[u].find(y) and uf[d].find(x) == uf[d].find(y):
                             changed |= uf[u].union(x + (a,), y + (a,))
     return {u: {t: uf[u].find(t) for t in traces} for u in sig.domains}
+
+
+def full_sweep_closure(
+    n_nodes: int,
+    child: Callable[[int], np.ndarray],
+    allowed: np.ndarray,
+    dom_of: np.ndarray,
+    diamond: bool = False,
+) -> Tuple[np.ndarray, Dict[str, int]]:
+    """``traceindex.unwinding_closure`` by full sweeps: every sweep
+    compresses all nodes and regroups every stepping node on its
+    (root_u, root_d) key for each (u, d), until one fires no rule.  The
+    roots must be bit-identical.
+
+    Returns (roots[n_domains, n_nodes], counts): "dlr" deletion pairs,
+    "wsc" every child whose root differed from its group's least, summed
+    over the sweeps, and "sweeps" the full sweeps."""
+    n_domains = allowed.shape[1]
+    m = len(allowed)
+    parents = np.tile(np.arange(n_nodes, dtype=np.int64), (n_domains, 1))
+    counts = {"dlr": 0, "wsc": 0, "sweeps": 0}
+    if m == 0 or len(dom_of) == 0:
+        return parents, counts
+    counts["dlr"] = m * len(dom_of) * n_domains - int(allowed.sum(axis=0)[dom_of].sum())
+
+    # Deletion is a plain union of (node, successor) pairs, repeated until
+    # they agree, since a target hooked twice keeps only its least link.
+    # On the trace tree every successor is hooked once, so the second round
+    # only confirms the first.
+    hooked = True
+    while hooked:
+        hooked = False
+        for j, d in enumerate(dom_of):
+            succ = child(j)
+            for u in range(n_domains):
+                at = np.nonzero(~allowed[:, d, u])[0]
+                ra, rb = parents[u][at], parents[u][succ[at]]
+                differ = ra != rb
+                if differ.any():
+                    hooked = True
+                    lo, hi = np.minimum(ra, rb)[differ], np.maximum(ra, rb)[differ]
+                    np.minimum.at(parents[u], hi, lo)
+        for u in range(n_domains):
+            parents[u] = _compress(parents[u])
+
+    actions_by_domain: Dict[int, List[int]] = {}
+    for j, d in enumerate(dom_of.tolist()):
+        actions_by_domain.setdefault(d, []).append(j)
+    while True:
+        counts["sweeps"] += 1
+        for u in range(n_domains):
+            parents[u] = _compress(parents[u])
+        changed = 0
+        for u in range(n_domains):
+            for d, action_list in actions_by_domain.items():
+                at = np.nonzero(allowed[:, d, u])[0] if diamond else slice(0, m)
+                ru = parents[u][at].astype(np.uint64)
+                rd = parents[d][at].astype(np.uint64)
+                key = (ru << np.uint64(32)) | rd
+                uniq, ginv = _sorted_unique(key, return_inverse=True)
+                if len(uniq) == len(key):
+                    continue  # all joint classes are singletons
+                for j in action_list:
+                    croots = parents[u][child(j)[at]]
+                    gmin = np.full(len(uniq), n_nodes, dtype=np.int64)
+                    np.minimum.at(gmin, ginv, croots)
+                    tgt = gmin[ginv]
+                    mask = croots != tgt
+                    hits = int(mask.sum())
+                    if hits:
+                        np.minimum.at(parents[u], croots[mask], tgt[mask])
+                        changed += hits
+                        counts["wsc"] += hits
+        if changed == 0:
+            # nothing moved since the sweep's compression: these are roots
+            return parents, counts
 
 
 def naive_ta_must(system, closure, depth: int, trace: Trace, domain: str):

@@ -181,6 +181,12 @@ class TestJsonReport:
             "notes",
             "details",
         ]
+        assert list(data["properties"][1]["details"]["rule_applications"]) == [
+            "dlr",
+            "wsc",
+            "sweeps",
+            "regrouped",
+        ]
 
     def test_witnesses_serialize_to_plain_lists(self, fig1, capsys):
         main([fig1, "--json", "--property", "unwinding"])

@@ -11,12 +11,21 @@ import numpy as np
 import pytest
 
 from conftest import read_corpus
-from nifcheck import InputError, build_pes, lex_key, parse_cap_config, traces_upto
+from nifcheck import (
+    InputError,
+    build_pes,
+    lex_key,
+    parse_cap_config,
+    state_unwinding_check,
+    traces_upto,
+)
+import nifcheck.checkers
 import nifcheck.traceindex
-from nifcheck.traceindex import TraceIndex, _PackedArena, _sorted_unique
+from nifcheck.traceindex import TraceIndex, _PackedArena, _sorted_unique, unwinding_closure
 
 from oracles import (
     child_level_ta_labels,
+    full_sweep_closure,
     naive_closure,
     naive_ta_may,
     naive_ta_must,
@@ -191,6 +200,95 @@ def test_closure_roots_at_a_larger_shape():
         for node, root in enumerate(roots[ui].tolist()):
             least.setdefault(root, node)
         assert all(root == node for root, node in least.items())
+
+
+@pytest.fixture
+def closures(monkeypatch):
+    """Checks every call of the closure kernel against the full-sweep
+    oracle: the roots must be bit-identical, and every root is its own root
+    and no larger than its node, leaves included.  Records the counts of
+    each call."""
+    seen = []
+
+    def checked(n_nodes, child, allowed, dom_of, diamond=False):
+        roots, counts = unwinding_closure(n_nodes, child, allowed, dom_of, diamond)
+        want, _ = full_sweep_closure(n_nodes, child, allowed, dom_of, diamond)
+        assert np.array_equal(roots, want)
+        assert np.array_equal(np.take_along_axis(roots, roots, axis=1), roots)
+        assert (roots <= np.arange(n_nodes)).all()
+        seen.append(counts)
+        return roots, counts
+
+    monkeypatch.setattr(nifcheck.traceindex, "unwinding_closure", checked)
+    monkeypatch.setattr(nifcheck.checkers, "unwinding_closure", checked)
+    return seen
+
+
+def test_closure_is_bit_identical_to_full_sweeps(closures):
+    rng = random.Random(4040)
+    for depth in range(6):
+        for _ in range(4):
+            shape_ = rng.randint(1, 6), rng.randint(1, 5), rng.randint(1, 4)
+            TraceIndex(shaped_system(rng, *shape_), depth).unwinding_roots()
+        # actions drawn to domains at random, not round robin
+        for system in random_systems(4040 + depth, 3, max_actions=4):
+            TraceIndex(system, depth).unwinding_roots()
+    for system, depth in (
+        (shaped_system(rng, 4, 3, 1), 5),  # one domain
+        (shaped_system(rng, 4, 2, 3), 4),  # u2 owns no action
+        (shaped_system(rng, 5, 1, 2), 40),  # one action
+        (shaped_system(random.Random(3434), 8, 4, 3), 5),
+    ):
+        TraceIndex(system, depth).unwinding_roots()
+    assert closures[-1]["sweeps"] >= 4
+
+
+def test_state_graph_closure_is_bit_identical_to_full_sweeps(closures):
+    """The reachable-state graphs of the state-certifier tests."""
+    rng = random.Random(6464)
+    systems = [
+        shaped_system(
+            rng,
+            rng.randint(1, 8),
+            rng.randint(1, 4),
+            rng.randint(1, 3),
+            edge_bias=rng.choice((0.2, 0.5, 0.8)),
+        )
+        for _ in range(200)
+    ]
+    config = parse_cap_config(read_corpus("twoproc.cap"))
+    systems += [build_pes(config, depth) for depth in (0, 1, 2, 3)]
+    systems += random_systems(7777, 15)
+    for system in systems:
+        for mode in ("box", "diamond"):
+            state_unwinding_check(system, mode=mode)
+    assert len(closures) == 2 * len(systems)
+    assert max(counts["sweeps"] for counts in closures) >= 2
+
+
+def test_regrouped_counts_the_key_lookups_of_moved_nodes():
+    def shape_of(idx):
+        return idx.interior_end * idx.n_domains * len(set(idx.dom_of.tolist()))
+
+    # later rounds look up only the nodes whose roots moved
+    idx = TraceIndex(shaped_system(random.Random(3434), 8, 4, 3), 5)
+    _, counts = idx.unwinding_roots()
+    assert counts["sweeps"] >= 4
+    assert shape_of(idx) < counts["regrouped"] < counts["sweeps"] * shape_of(idx)
+    # with every edge at every state nothing is deleted, no two nodes share
+    # a key, and the first round links nothing
+    idx = TraceIndex(shaped_system(random.Random(4141), 4, 3, 3, edge_bias=1.0), 4)
+    _, counts = idx.unwinding_roots()
+    assert (counts["dlr"], counts["wsc"], counts["sweeps"]) == (0, 0, 1)
+    assert counts["regrouped"] == shape_of(idx)
+
+
+def test_closure_refuses_keys_that_would_overflow():
+    # zero-stride views: nothing of this size is allocated
+    m, n_domains = 1 << 27, 1 << 11
+    allowed = np.broadcast_to(np.ones((1, 1, 1), dtype=bool), (m, n_domains, n_domains))
+    with pytest.raises(InputError, match="signature keys"):
+        unwinding_closure(m + 1, None, allowed, np.zeros(1, dtype=np.int32))
 
 
 def test_depth_past_the_truncated_frontier_is_rejected():

@@ -105,6 +105,7 @@ class TestUnwindingPartition:
         result = unwinding_partition(system, 3)
         assert result.saturated
         assert result.depth == 3
+        assert list(result.rule_counts) == ["dlr", "wsc", "sweeps", "regrouped"]
         assert all(count >= 0 for count in result.rule_counts.values())
 
     def test_materialization_guard(self, monkeypatch):
