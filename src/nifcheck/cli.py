@@ -181,7 +181,7 @@ def run_checks(
     flags: Optional[Mapping[str, object]] = None,
 ) -> Report:
     """Parse one input file and evaluate the requested properties in order.
-    The property names are checked before the file is read."""
+    The property names and flags are checked before the file is read."""
     flags = dict(flags or {})
     margin = int(flags.get("margin", 1))
     variant = flags.get("variant")
@@ -194,6 +194,8 @@ def run_checks(
             )
     if "gk" in asked and not gk_domain:
         raise InputError("property gk needs --gk-domain")
+    if "theorem-mustunwind" in asked and not 0 <= margin < depth:
+        raise InputError("margin must satisfy 0 <= margin < depth")
 
     with open(path, "rb") as fh:
         data = fh.read()

@@ -8,8 +8,9 @@ arrays, which keeps systems with tens of millions of traces inside a
 two-minute budget.  One labelling kernel serves the static, permissive and
 prohibitive trees; they differ only in the per-node table that says which
 actions reach which observer.  A child's tree label is interned from its
-parent's labels and its action, so the kernel interns words per distinct
-parent label pair rather than per child.  Brute-force oracles in the test
+parent's labels and its action, so the kernel interns one block of ids per
+distinct parent label pair and actor domain, one id per action of the
+actor, rather than one word per child.  Brute-force oracles in the test
 suite pin the semantics at small scale.
 """
 
@@ -77,12 +78,15 @@ def _sorted_unique(keys: np.ndarray, return_inverse: bool = False):
     """The distinct keys of a 1-d array in ascending order, and with
     ``return_inverse`` each key's index into them.
 
-    Every group-by on a composite key goes through here (packed arena
-    words, pairs of class ids): one sort and an adjacent diff, with the
+    Every group-by on a composite key goes through here (packed label
+    pairs, pairs of class ids): one sort and an adjacent diff, with the
     inverse taken from a stable argsort.  So how the package deduplicates
     never depends on which algorithm the installed numpy picks for its own
-    unique.  Keys that already are non-negative ids, such as tree labels or
-    closure roots, group without a sort (``checkers.class_violations``).
+    unique.  The stable kind (timsort on these keys) stays on measurement:
+    it beats the default kind on keys that arrive in long ascending runs,
+    loses on random ones, and whole passes got no faster without it.  Keys
+    that already are non-negative ids, such as tree labels or closure
+    roots, group without a sort (``checkers.class_violations``).
     ``locality`` sorts its joint labels whole only until a first violating
     pair; after that, only those of the nodes up to the best y."""
     if return_inverse:
@@ -121,42 +125,42 @@ def _insert_sorted(
 
 
 class _PackedArena:
-    """Interning table keyed by packed (left, right, action) words.
+    """Interning table of tree-label blocks, keyed by packed words.
 
-    Ids are dense, start at 1 (0 is the leaf), and are stable across levels:
-    the same packed word always maps to the same id, so label equality is
-    structural tree equality.  Fresh words of one call get ids in ascending
-    word order.  ``TraceIndex.ta_labels`` builds its words from the distinct
-    label pairs of the parents, so a call's words are already distinct and
-    come in one ascending run per actor domain.  With ``grow`` false the
-    fresh words get their ids but stay out of the table, for a last call
-    after which nothing looks them up.
+    A block is a run of consecutive ids, and the table holds each block's
+    first id.  Ids are dense, start at 1 (0 is the leaf), and are stable
+    across levels: the same key always maps to the same block, so label
+    equality is structural tree equality.  Fresh blocks of one call take
+    their ids in ascending key order, ``widths[i]`` ids for key i.  A
+    call's keys must be distinct.  With ``grow`` false the fresh blocks get
+    their ids but stay out of the table, for a last call after which
+    nothing looks them up.
     """
 
     def __init__(self) -> None:
         self.keys = np.empty(0, dtype=np.uint64)  # sorted
-        self.ids = np.empty(0, dtype=np.int64)
+        self.firsts = np.empty(0, dtype=np.int64)
         self.count = 1
 
-    def intern(self, packed: np.ndarray, grow: bool = True) -> np.ndarray:
-        uniq, inverse = _sorted_unique(packed, return_inverse=True)
-        pos = np.searchsorted(self.keys, uniq)
+    def intern(self, keys: np.ndarray, widths: np.ndarray, grow: bool = True) -> np.ndarray:
+        pos = np.searchsorted(self.keys, keys)
         known = pos < len(self.keys)
-        known[known] = self.keys[pos[known]] == uniq[known]
-        ids = np.empty(len(uniq), dtype=np.int64)
-        ids[known] = self.ids[pos[known]]
-        fresh = ~known
-        n_fresh = int(fresh.sum())
-        if n_fresh:
-            ids[fresh] = np.arange(self.count, self.count + n_fresh, dtype=np.int64)
-            self.count += n_fresh
+        known[known] = self.keys[pos[known]] == keys[known]
+        firsts = np.empty(len(keys), dtype=np.int64)
+        firsts[known] = self.firsts[pos[known]]
+        fresh = np.flatnonzero(~known)
+        if len(fresh):
+            fresh = fresh[np.argsort(keys[fresh], kind="stable")]
+            ends = self.count + np.cumsum(widths[fresh])
+            firsts[fresh] = ends - widths[fresh]
+            self.count = int(ends[-1])
             if self.count >= _MAX_LABELS:
                 raise InputError("tree label space exhausted; reduce the depth bound")
             if grow:
-                self.keys, self.ids = _insert_sorted(
-                    self.keys, self.ids, pos[fresh], uniq[fresh], ids[fresh]
+                self.keys, self.firsts = _insert_sorted(
+                    self.keys, self.firsts, pos[fresh], keys[fresh], firsts[fresh]
                 )
-        return ids[inverse]
+        return firsts
 
 
 class TraceIndex:
@@ -311,18 +315,24 @@ class TraceIndex:
         ``trees`` and ``unwinding`` are the reference semantics).
 
         Where u is passed the action a of domain d at parent p, the child's
-        label interns the word (L_u(p), L_d(p), a); elsewhere it keeps
-        L_u(p).  The word depends on the child only through a, so each
-        (level, u, d) dedups the label pairs of the passing parents and
-        expands each distinct pair by d's actions: the words come out
-        ascending, one per distinct (pair, action).  One arena call per
-        (level, u) interns them, and each child gathers its id by its
-        parent's pair and its action."""
+        label is the word (L_u(p), L_d(p), a); elsewhere it keeps L_u(p).
+        The word depends on the child only through a, and every parent that
+        passes d to u passes all of d's actions, so each (level, u, d)
+        dedups the label pairs of the passing parents and interns one block
+        per distinct pair, keyed by (L_u(p), L_d(p), k) with k the rank of d
+        among the domains that own actions.  A block holds one id per action
+        of d, in alphabet order, so the child on d's i-th action gets its
+        block's first id plus i.  One arena call per (level, u) interns the
+        blocks; its fresh ids rise in (L_u(p), L_d(p), k, i) order, which is
+        (L_u(p), L_d(p), a) order where each domain's actions are
+        contiguous in the alphabet and ascend with the domain."""
         if allowed is None:
             allowed = self.edge_bool[self.states[: self.interior_end]]
         labels = np.zeros((self.n_domains, self.n_nodes), dtype=np.int64)
         arena = _PackedArena()
-        acts = [np.flatnonzero(self.dom_of == d) for d in range(self.n_domains)]
+        # Row k of the lists below is the k-th domain that owns actions.
+        doms = sorted(set(self.dom_of.tolist()))
+        acts = [np.flatnonzero(self.dom_of == d) for d in doms]
         for l in range(1, self.depth + 1):
             p, s, e = self.offs[l - 1], self.offs[l], self.offs[l + 1]
             if s == e:
@@ -332,21 +342,24 @@ class TraceIndex:
                 child = labels[u, s:e].reshape(s - p, self.n_actions)
                 child[:] = labels[u, p:s, None]  # what u is not passed keeps its label
                 runs = []
-                for d, a in enumerate(acts):
+                for k, (d, a) in enumerate(zip(doms, acts)):
                     at = np.flatnonzero(allowed[p:s, d, u])
-                    if len(at) and len(a):
+                    if len(at):
                         pairs, group = _sorted_unique(
                             (parent[u, at] << np.uint64(27)) | parent[d, at], return_inverse=True
                         )
-                        words = (pairs[:, None] << np.uint64(10)) | a.astype(np.uint64)
-                        runs.append((at, group, a, words))
+                        runs.append((at, group, a, (pairs << np.uint64(10)) | np.uint64(k)))
                 if runs:
                     # no lookup follows the deepest level's last observer
                     grow = l < self.depth or u < self.n_domains - 1
-                    ids = arena.intern(np.concatenate([w.ravel() for *_, w in runs]), grow)
-                    for at, group, a, words in runs:
-                        child[at[:, None], a] = ids[: words.size].reshape(words.shape)[group]
-                        ids = ids[words.size :]
+                    firsts = arena.intern(
+                        np.concatenate([key for *_, key in runs]),
+                        np.repeat([len(a) for _, _, a, _ in runs], [len(key) for *_, key in runs]),
+                        grow,
+                    )
+                    for at, group, a, key in runs:
+                        child[at[:, None], a] = firsts[: len(key)][group, None] + np.arange(len(a))
+                        firsts = firsts[len(key) :]
         return labels
 
     def jointly_known(self, roots: np.ndarray) -> np.ndarray:

@@ -39,7 +39,8 @@ from nifcheck import (
 )
 from nifcheck import checkers
 from nifcheck.access import STRONG_FIVE, ConditionResult, DrmReport, StructuredSystem
-from nifcheck.traceindex import _PackedArena, _compress, _sorted_unique
+from nifcheck import traceindex
+from nifcheck.traceindex import _compress, _insert_sorted, _sorted_unique
 from nifcheck.trees import select_violation_seq
 
 Trace = Tuple[str, ...]
@@ -223,15 +224,53 @@ def naive_ta_must(system, closure, depth: int, trace: Trace, domain: str):
     return mine
 
 
-def child_level_ta_labels(idx, allowed=None):
+class WordArena:
+    """Interning table keyed by packed (left, right, action) words, one id
+    per word: ids are dense, start at 1, and fresh words of one call get
+    theirs in ascending word order, under the bulk engine's label limit."""
+
+    def __init__(self) -> None:
+        self.keys = np.empty(0, dtype=np.uint64)  # sorted
+        self.ids = np.empty(0, dtype=np.int64)
+        self.count = 1
+
+    def intern(self, packed: np.ndarray) -> np.ndarray:
+        uniq, inverse = _sorted_unique(packed, return_inverse=True)
+        pos = np.searchsorted(self.keys, uniq)
+        known = pos < len(self.keys)
+        known[known] = self.keys[pos[known]] == uniq[known]
+        ids = np.empty(len(uniq), dtype=np.int64)
+        ids[known] = self.ids[pos[known]]
+        fresh = ~known
+        n_fresh = int(fresh.sum())
+        ids[fresh] = np.arange(self.count, self.count + n_fresh, dtype=np.int64)
+        self.count += n_fresh
+        if self.count >= traceindex._MAX_LABELS:
+            raise InputError("tree label space exhausted; reduce the depth bound")
+        self.keys, self.ids = _insert_sorted(
+            self.keys, self.ids, pos[fresh], uniq[fresh], ids[fresh]
+        )
+        return ids[inverse]
+
+
+def child_level_ta_labels(idx, allowed=None, by_domain=True):
     """``TraceIndex.ta_labels`` one word per passed child: at each level and
     observer u, every child (p, a) that u is passed packs (L_u(p), L_d(p),
     a) for the actor domain d of a, and one arena call interns them all.
-    The ids must be bit-identical, not just the same partitions."""
+
+    With ``by_domain`` the word packs a's rank in the alphabet sorted
+    stably by domain, so fresh ids rise in (L_u(p), L_d(p), d, a) order and
+    must be bit-identical to the kernel's.  Without it the word packs a
+    itself, so fresh ids rise in (L_u(p), L_d(p), a) order: a different
+    numbering where domains' actions interleave, with the same partitions
+    and the same largest id."""
     if allowed is None:
         allowed = idx.edge_bool[idx.states[: idx.interior_end]]
+    rank = np.arange(idx.n_actions)
+    if by_domain:
+        rank[np.argsort(idx.dom_of, kind="stable")] = np.arange(idx.n_actions)
     labels = np.zeros((idx.n_domains, idx.n_nodes), dtype=np.int64)
-    arena = _PackedArena()
+    arena = WordArena()
     for l in range(1, idx.depth + 1):
         s, e = idx.offs[l], idx.offs[l + 1]
         if s == e:
@@ -249,7 +288,7 @@ def child_level_ta_labels(idx, allowed=None):
                 packed = (
                     (left[passed].astype(np.uint64) << np.uint64(37))
                     | (right.astype(np.uint64) << np.uint64(10))
-                    | aidx[passed].astype(np.uint64)
+                    | rank[aidx[passed]].astype(np.uint64)
                 )
                 row[passed] = arena.intern(packed)
             labels[u][s:e] = row

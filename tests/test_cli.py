@@ -103,6 +103,9 @@ class TestRunChecks:
             run_checks(fig1, ["ta", "gk"], 3)
         with pytest.raises(InputError, match="unknown property"):
             run_checks("no/such/file.nif", ["ta", "bogus"])
+        monkeypatch.setattr(nifcheck.cli, "check_unwinding_security", refuse)
+        with pytest.raises(InputError, match="0 <= margin < depth"):
+            run_checks(fig1, ("unwinding", "theorem-mustunwind"), 6, flags={"margin": 9})
 
     def test_gk_with_domain_runs(self, fig1):
         report = run_checks(
@@ -141,6 +144,23 @@ class TestExitCodes:
     def test_two_on_gk_without_domain(self, fig1, capsys):
         assert main([fig1, "--property", "gk"]) == 2
         assert "--gk-domain" in capsys.readouterr().err
+
+    def test_margin_sets_the_theorems_interior(self, fig1, capsys):
+        argv = [fig1, "--property", "theorem-mustunwind", "--depth", "4"]
+        assert main(argv + ["--margin", "2"]) == 0
+        out = capsys.readouterr().out
+        assert "theorem-mustunwind: BOUNDED_SECURE" in out
+        assert "traces of length at most 2" in out
+
+    def test_two_on_a_margin_past_the_depth(self, fig1, capsys, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("ran before the margin was checked")
+
+        monkeypatch.setattr(nifcheck.cli, "check_unwinding_security", refuse)
+        monkeypatch.setattr(nifcheck.cli, "parse_document", refuse)
+        argv = [fig1, "--property", "unwinding,theorem-mustunwind", "--depth", "3"]
+        assert main(argv + ["--margin", "3"]) == 2
+        assert "0 <= margin < depth" in capsys.readouterr().err
 
     def test_two_on_unknown_variant(self, fig2, capsys):
         assert main([fig2, "--variant", "nope", "--property", "mayta"]) == 2

@@ -14,6 +14,8 @@ from conftest import read_corpus
 from nifcheck import (
     InputError,
     build_pes,
+    PolicyEnhancedSystem,
+    Signature,
     lex_key,
     parse_cap_config,
     state_unwinding_check,
@@ -154,6 +156,62 @@ def test_labels_at_the_edges_of_the_shape():
         (build_pes(parse_cap_config(read_corpus("twoproc.cap")), 2), 2),
     ):
         assert_child_level_labels(TraceIndex(system, depth))
+
+
+def first_occurrence(row):
+    """Ids renumbered by first occurrence: equal iff the partitions are."""
+    _, first, inverse = np.unique(row, return_index=True, return_inverse=True)
+    return np.argsort(np.argsort(first))[inverse.ravel()]
+
+
+def test_block_ids_renumber_the_alphabet_order_words_only_within_partitions():
+    """Blocks number a call's fresh ids by domain before action.  Words
+    packed with the raw action number them by action alone, which differs
+    where domains' actions interleave, but every domain's partition and
+    the largest id stay the same."""
+    rng = random.Random(4040)
+    systems = [
+        shaped_system(rng, rng.randint(1, 5), rng.randint(2, 6), rng.randint(2, 4))
+        for _ in range(8)
+    ] + random_systems(4040, 8, max_actions=5)
+    renumbered = 0
+    for system in systems:
+        idx = TraceIndex(system, 4)
+        for allowed in allowed_tables(idx):
+            got = idx.ta_labels(allowed)
+            raw = child_level_ta_labels(idx, allowed, by_domain=False)
+            assert got.max() == raw.max()
+            for mine, theirs in zip(got, raw):
+                assert np.array_equal(first_occurrence(mine), first_occurrence(theirs))
+            renumbered += not np.array_equal(got, raw)
+    assert renumbered  # the systems do interleave
+
+
+def test_labels_key_blocks_by_domain_rank_past_the_action_field():
+    """A domain's index can exceed the action field of the packed key, its
+    rank among the domains that own actions cannot."""
+    rng = random.Random(4141)
+    domains = tuple(f"u{i}" for i in range(1030))
+    actors = ("u1029", "u1025", "u0")
+    actions = ("a0", "a1", "a2", "a3")
+    states = ("s0", "s1", "s2")
+    system = PolicyEnhancedSystem(
+        signature=Signature(
+            domains=domains, actions=actions, dom=dict(zip(actions, actors + ("u1029",)))
+        ),
+        states=states,
+        initial="s0",
+        transitions={(s, a): rng.choice(states) for s in states for a in actions},
+        obs={(u, s): rng.randrange(2) for u in domains for s in states},
+        edges={
+            s: frozenset(
+                (d, u) for d in actors for u in actors + ("u7",) if d != u and rng.random() < 0.5
+            )
+            for s in states
+        },
+    )
+    idx = TraceIndex(system, 3)
+    assert_child_level_labels(idx, [None])
 
 
 def test_labels_raise_when_the_label_space_runs_out(monkeypatch):
@@ -334,24 +392,35 @@ def test_sorted_unique_matches_numpy():
 def test_arena_matches_a_dict_oracle():
     rng = np.random.default_rng(3636)
     for span in (40, 1 << 64):
-        arena, oracle = _PackedArena(), {}
+        arena, oracle, count = _PackedArena(), {}, 1
         for n in (0, 30, 1, 200, 30, 500):
             keys = rng.integers(0, span, size=n, dtype=np.uint64)
             if n and oracle:  # repeat keys of earlier calls
                 old = np.fromiter(oracle, dtype=np.uint64)
                 keys[: n // 3] = rng.choice(old, size=n // 3)
-            fresh = sorted(set(keys.tolist()) - set(oracle))
-            for k in fresh:  # fresh ids rise in key order
-                oracle[k] = len(oracle) + 1
-            ids = arena.intern(keys)
-            assert ids.tolist() == [oracle[k] for k in keys.tolist()]
-            assert arena.count == len(oracle) + 1
+            keys = rng.permutation(np.unique(keys))  # distinct, in no order
+            widths = rng.integers(1, 5, size=len(keys))
+            for k, w in sorted(zip(keys.tolist(), widths.tolist())):
+                if k not in oracle:  # fresh blocks take their ids in key order
+                    oracle[k], count = count, count + w
+            firsts = arena.intern(keys, widths)
+            assert firsts.tolist() == [oracle[k] for k in keys.tolist()]
+            assert arena.count == count
+
+
+def test_arena_leaves_a_last_calls_blocks_out():
+    arena = _PackedArena()
+    keys, widths = np.array([5, 2], dtype=np.uint64), np.array([3, 1])
+    assert arena.intern(keys, widths, grow=False).tolist() == [2, 1]
+    assert arena.intern(keys, widths).tolist() == [6, 5]  # fresh again
+    assert arena.intern(keys, widths).tolist() == [6, 5]
+    assert arena.count == 9
 
 
 def test_arena_raises_when_the_label_space_runs_out(monkeypatch):
     monkeypatch.setattr(nifcheck.traceindex, "_MAX_LABELS", 10)
     arena = _PackedArena()
-    arena.intern(np.arange(5, dtype=np.uint64))
-    arena.intern(np.arange(8, dtype=np.uint64))  # ids 1..8, below the limit
+    arena.intern(np.arange(2, dtype=np.uint64), np.array([3, 1]))
+    arena.intern(np.arange(4, dtype=np.uint64), np.array([9, 9, 2, 2]))  # ids 1..8
     with pytest.raises(InputError, match="label space exhausted"):
-        arena.intern(np.arange(10, dtype=np.uint64))
+        arena.intern(np.arange(5, dtype=np.uint64), np.ones(5, dtype=np.int64))
