@@ -84,14 +84,12 @@ from .formats import (
     print_system,
 )
 from .model import (
-    BisimResult,
     DenseTransitions,
     DynamicPolicyAutomaton,
     InputError,
     PolicyEnhancedSystem,
     Signature,
     System,
-    check_bisimilar,
     encode,
     lex_key,
     permits,

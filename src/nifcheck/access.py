@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from typing import Dict, Hashable, List, Mapping, Optional, Tuple
+from typing import Dict, Hashable, Mapping, Optional, Tuple
 
 import numpy as np
 
@@ -27,34 +27,69 @@ STRONG_FIVE = "DRM-5'"
 ALL_CONDITIONS = BASE_CONDITIONS + (STRONG_FIVE,)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class StructuredSystem:
     """A system whose states decompose into named objects.
 
-    ``contents`` maps (object, state) to the object's current value,
-    ``observe`` and ``alter`` map (domain, state) to the object sets the
-    domain may currently read or write.  Every domain owns a distinguished
-    object, ``osets[domain]``, which it can always observe and whose
-    contents equal its whole observe set; that pairing is what makes the
-    induced indistinguishability relation an equivalence.
+    The tables are arrays indexed by state in ``base.states`` order, by
+    domain in declaration order and by object in ``objects`` order:
+    ``contents[o, s]`` is what object o holds at state s (an object array
+    ``[n_objects, n_states]``), and ``observe[u, s, o]`` and ``alter[u, s, o]``
+    (bool ``[n_domains, n_states, n_objects]``) say whether domain u may read
+    or write object o at s.  Every domain owns a distinguished object,
+    ``osets[domain]``, which it observes at every state and which holds its
+    observe set there, the frozenset of the objects it observes; that
+    pairing is what makes the induced indistinguishability relation an
+    equivalence.  The constructor checks the shapes and both oset laws over
+    every state, once, and keeps read-only views of the tables.
     """
 
     base: PolicyEnhancedSystem
     objects: Tuple[Hashable, ...]
     osets: Mapping[str, Hashable]
-    contents: Mapping[Tuple[Hashable, Hashable], Hashable]
-    observe: Mapping[Tuple[str, Hashable], frozenset]
-    alter: Mapping[Tuple[str, Hashable], frozenset]
+    contents: np.ndarray
+    observe: np.ndarray
+    alter: np.ndarray
 
     def __post_init__(self) -> None:
         if len(set(self.objects)) != len(self.objects):
             raise InputError("duplicate object")
-        declared = set(self.objects)
-        for u in self.base.signature.domains:
+        declared = {o: i for i, o in enumerate(self.objects)}
+        domains, states = self.base.signature.domains, self.base.states
+        for u in domains:
             if u not in self.osets:
                 raise InputError(f"domain {u!r} has no oset object")
             if self.osets[u] not in declared:
                 raise InputError(f"oset object for {u!r} is not declared")
+        n_objects, n = len(self.objects), len(states)
+        grid = (len(domains), n, n_objects)
+        for name, shape, dtype in (
+            ("contents", (n_objects, n), object),
+            ("observe", grid, bool),
+            ("alter", grid, bool),
+        ):
+            table = getattr(self, name)
+            if not isinstance(table, np.ndarray) or table.shape != shape or table.dtype != dtype:
+                raise InputError(
+                    f"{name} must be an array of shape {shape} and dtype {np.dtype(dtype)}"
+                )
+            view = table.view()
+            view.flags.writeable = False
+            object.__setattr__(self, name, view)
+        at = [declared[self.osets[u]] for u in domains]
+        watched: Dict[bytes, frozenset] = {}
+        for si, s in enumerate(states):
+            for ui, u in enumerate(domains):
+                row = self.observe[ui, si]
+                if not row[at[ui]]:
+                    raise InputError(f"oset of {u!r} is not observable at {s!r}")
+                key = row.tobytes()
+                if key not in watched:
+                    watched[key] = frozenset(self.objects[o] for o in np.flatnonzero(row))
+                if self.contents[at[ui], si] != watched[key]:
+                    raise InputError(
+                        f"contents of oset({u!r}) at {s!r} do not equal the observe set"
+                    )
 
 
 def dynacrel(system: StructuredSystem, domain: str, state_a, state_b) -> bool:
@@ -63,16 +98,15 @@ def dynacrel(system: StructuredSystem, domain: str, state_a, state_b) -> bool:
     the observe set itself, the relation is symmetric and an equivalence
     even though this definition only reads state_a's observe set.
     """
-    if domain not in system.base.signature.domains:
+    domains, states = system.base.signature.domains, system.base.states
+    if domain not in domains:
         raise InputError(f"unknown domain {domain!r}")
     try:
-        watched = system.observe[(domain, state_a)]
-        return all(
-            system.contents[(o, state_a)] == system.contents[(o, state_b)]
-            for o in watched
-        )
-    except KeyError as missing:
-        raise InputError(f"state not covered by the structured tables: {missing}") from None
+        a, b = states.index(state_a), states.index(state_b)
+    except ValueError:
+        raise InputError("state not covered by the structured tables") from None
+    watched = np.flatnonzero(system.observe[domains.index(domain), a])
+    return all(system.contents[o, a] == system.contents[o, b] for o in watched)
 
 
 @dataclass(frozen=True)
@@ -163,50 +197,6 @@ def _discovery(trans: np.ndarray, start: int) -> Tuple[np.ndarray, np.ndarray]:
     return np.concatenate(levels), dist
 
 
-def _structured_arrays(system: StructuredSystem, order: list):
-    """Check the tables on the given states (totality and the two oset laws)
-    and turn them into arrays: per-object contents ids ``[n_objects, n]``, and
-    observe and alter as bool ``[n_domains, n, n_objects]``."""
-    domains = system.base.signature.domains
-    objects = system.objects
-    declared = {o: i for i, o in enumerate(objects)}
-    rows: Dict[frozenset, int] = {}
-    set_ids = np.empty((2, len(domains), len(order)), dtype=np.intp)
-    values: List[Dict[Hashable, int]] = [{} for _ in objects]
-    cont = np.empty((len(objects), len(order)), dtype=np.int64)
-    tables = ((system.observe, "observe"), (system.alter, "alter"))
-    for i, s in enumerate(order):
-        for ui, u in enumerate(domains):
-            for ti, (table, what) in enumerate(tables):
-                got = table.get((u, s))
-                if got is None:
-                    raise InputError(f"{what} set missing for ({u!r}, {s!r})")
-                row = rows.get(got)
-                if row is None:
-                    if not got <= declared.keys():
-                        raise InputError(f"{what}({u!r}, {s!r}) mentions undeclared objects")
-                    row = rows[got] = len(rows)
-                set_ids[ti, ui, i] = row
-            watched = system.observe[(u, s)]
-            oset = system.osets[u]
-            if oset not in watched:
-                raise InputError(f"oset of {u!r} is not observable at {s!r}")
-            if system.contents.get((oset, s)) != watched:
-                raise InputError(
-                    f"contents of oset({u!r}) at {s!r} do not equal the observe set"
-                )
-        for oi, o in enumerate(objects):
-            try:
-                v = system.contents[(o, s)]
-            except KeyError:
-                raise InputError(f"contents missing for ({o!r}, {s!r})") from None
-            cont[oi, i] = values[oi].setdefault(v, len(values[oi]))
-    members = np.zeros((len(rows), len(objects)), dtype=bool)
-    for got, row in rows.items():
-        members[row, [declared[o] for o in got]] = True
-    return cont, members[set_ids[0]], members[set_ids[1]]
-
-
 def _view_ids(cont: np.ndarray, seen: np.ndarray) -> np.ndarray:
     """One id per state for what a domain sees there: two states share an id
     exactly when the domain observes the same objects, with the same contents."""
@@ -238,9 +228,10 @@ def check_drm(
     their end states and range over states reachable within ``depth``.
     Each result line records the scope it was checked under.
 
-    The conditions run on state-id tables over the reachable states in
-    breadth-first discovery order, and each failure reports its least
-    candidate in that order (the README states the witness rule).
+    The conditions run on the tables' columns for the reachable states,
+    taken in breadth-first discovery order with each object's values
+    interned to ids, and each failure reports its least candidate in that
+    order (the README states the witness rule).
     """
     if depth < 0:
         raise InputError("depth must be nonnegative")
@@ -250,8 +241,13 @@ def check_drm(
     idx = TraceIndex(base, 0)
     sid, dist = _discovery(idx.trans, idx.state_ids[base.initial])
     order = [idx.state_names[i] for i in sid.tolist()]
-    cont, observe, alter = _structured_arrays(system, order)
     n = len(order)
+    # Content ids stay below n, as DRM-2's packed keys * n + cont needs.
+    cont = np.empty((len(objects), n), dtype=np.int64)
+    for oi, row in enumerate(system.contents[:, sid].tolist()):
+        ids: Dict[Hashable, int] = {}
+        cont[oi] = [ids.setdefault(v, len(ids)) for v in row]
+    observe, alter = system.observe[:, sid], system.alter[:, sid]
     pos = np.full(len(idx.state_names), -1, dtype=np.intp)
     pos[sid] = np.arange(n)
     succ = pos[idx.trans[sid]]
@@ -356,7 +352,7 @@ def check_drm(
     return DrmReport(conditions=results, depth=depth, strong_five=strong_five)
 
 
-def derive_security_from_drm(report: DrmReport, system: StructuredSystem) -> Verdict:
+def derive_security_from_drm(report: DrmReport) -> Verdict:
     """Turn a condition report into a security certificate.
 
     The six base conditions certify the permissive notion on all traces;
@@ -419,28 +415,21 @@ def ac_complete_construct(system: PolicyEnhancedSystem, depth: int) -> Structure
             "check; the monitor conditions will not all hold",
             stacklevel=2,
         )
-    tree = unfold(system, depth)
     sig = system.signature
-    osets = {u: ("oset", u) for u in sig.domains}
-    objects = tuple(sig.domains) + tuple(osets[u] for u in sig.domains)
-    watch = {u: frozenset({u, osets[u]}) for u in sig.domains}
-
-    contents: Dict[Tuple[Hashable, Hashable], Hashable] = {}
-    observe: Dict[Tuple[str, Hashable], frozenset] = {}
-    alter: Dict[Tuple[str, Hashable], frozenset] = {}
-    for node, trace in enumerate(tree.states):
-        granted = tree.edges.get(trace, frozenset())
-        for ui, u in enumerate(sig.domains):
-            observe[(u, trace)] = watch[u]
-            alter[(u, trace)] = frozenset(
-                {u} | {v for (w, v) in granted if w == u}
-            )
-            contents[(u, trace)] = int(labels[ui][node])
-            contents[(osets[u], trace)] = watch[u]
+    n_dom, n = len(sig.domains), idx.n_nodes
+    objects = tuple(sig.domains) + tuple(("oset", u) for u in sig.domains)
+    contents = np.empty((2 * n_dom, n), dtype=object)
+    observe = np.zeros((n_dom, n, 2 * n_dom), dtype=bool)
+    for ui in range(n_dom):
+        contents[ui] = labels[ui]
+        contents[n_dom + ui].fill(frozenset({objects[ui], objects[n_dom + ui]}))
+        observe[ui, :, [ui, n_dom + ui]] = True
+    alter = np.zeros_like(observe)
+    alter[:, :, :n_dom] = idx.edge_bool[idx.states].transpose(1, 0, 2)
     return StructuredSystem(
-        base=tree,
+        base=unfold(system, depth),
         objects=objects,
-        osets=osets,
+        osets=dict(zip(sig.domains, objects[n_dom:])),
         contents=contents,
         observe=observe,
         alter=alter,

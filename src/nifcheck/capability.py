@@ -613,23 +613,13 @@ def build_pes(config: CapabilityConfig, depth: int) -> PolicyEnhancedSystem:
         for s in order:
             obs[(p, s)] = fn(s.of(p))
 
-    edges = {}
-    for s in order:
-        sec = [(name, ps.secrecy) for name, ps in s.procs]
-        granted = set()
-        for p, sp in sec:
-            for q, sq in sec:
-                if p != q and sp <= sq:
-                    granted.add((p, q))
-        edges[s] = frozenset(granted)
-
     return PolicyEnhancedSystem(
         signature=sig,
         states=tuple(order),
         initial=config.initial,
         transitions=DenseTransitions(table, tuple(order), sig.actions),
         obs=obs,
-        edges=edges,
+        edges={s: associated_policy(s) for s in order},
         truncated=frozenset(truncated),
     )
 
@@ -641,54 +631,46 @@ def capability_drm_interpretation(
 
     Each process observes exactly its own objects plus its oset, in every
     state.  It may alter its own objects always, and another process's inbox
-    and capability set exactly when flow to that process is currently
-    permitted.  Object contents are read straight off the state.
+    and capability set exactly when the flow relation (the policy edges)
+    currently lets it flow to that process.  Object contents are read
+    straight off the state.
     """
     from .access import StructuredSystem
 
     if pes is None:
         pes = build_pes(config, depth)
     procs = config.processes
-
-    own = {}
-    watch = {}
-    objects = []
+    objects, blocks = [], []
     for p in procs:
-        base_objs = [("S", p), ("O", p), ("in", p), ("m", p)]
-        base_objs += [("d", p, name) for name, _ in config.initial.of(p).data]
-        own[p] = tuple(base_objs)
-        watch[p] = frozenset(base_objs) | {("oset", p)}
-        objects += base_objs + [("oset", p)]
-
-    contents = {}
-    observe = {}
-    alter = {}
-    for s in pes.states:
-        slices = {name: ps for name, ps in s.procs}
-        for p in procs:
-            ps = slices[p]
-            contents[(("S", p), s)] = ps.secrecy
-            contents[(("O", p), s)] = ps.caps
-            contents[(("in", p), s)] = ps.inbox
-            contents[(("m", p), s)] = ps.message
-            for name, value in ps.data:
-                contents[(("d", p, name), s)] = value
-            contents[(("oset", p), s)] = watch[p]
-            observe[(p, s)] = watch[p]
-        for p in procs:
-            writable = set(own[p])
-            sp = slices[p].secrecy
-            for q in procs:
-                if sp <= slices[q].secrecy:
-                    writable.add(("in", q))
-                    writable.add(("O", q))
-            alter[(p, s)] = frozenset(writable)
+        data = [("d", p, name) for name, _ in config.initial.of(p).data]
+        start = len(objects)
+        objects += [("S", p), ("O", p), ("in", p), ("m", p), *data, ("oset", p)]
+        blocks.append(slice(start, len(objects)))
+    at = {o: i for i, o in enumerate(objects)}
+    n = len(pes.states)
+    observe = np.zeros((len(procs), n, len(objects)), dtype=bool)
+    alter = np.zeros_like(observe)
+    for pi, block in enumerate(blocks):
+        observe[pi, :, block] = True
+        alter[pi, :, block.start : block.stop - 1] = True
+    for si, s in enumerate(pes.states):
+        for p, q in pes.edges[s]:
+            alter[procs.index(p), si, [at[("in", q)], at[("O", q)]]] = True
+    watch = [frozenset(objects[block]) for block in blocks]
+    # One state's column, process by process in the order of ``objects``.
+    values = (
+        v
+        for s in pes.states
+        for (_, ps), w in zip(s.procs, watch)
+        for v in (ps.secrecy, ps.caps, ps.inbox, ps.message, *(x for _, x in ps.data), w)
+    )
+    contents = np.fromiter(values, dtype=object, count=n * len(objects))
 
     return StructuredSystem(
         base=pes,
         objects=tuple(objects),
         osets={p: ("oset", p) for p in procs},
-        contents=contents,
+        contents=contents.reshape(n, len(objects)).T,
         observe=observe,
         alter=alter,
     )

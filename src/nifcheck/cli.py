@@ -19,8 +19,8 @@ from . import __version__
 from .access import ac_complete_construct, check_drm, derive_security_from_drm
 from .capability import (
     CapabilityConfig,
-    apply_script,
     build_pes,
+    cap_step,
     cap_text,
     capability_drm_interpretation,
     script_action,
@@ -169,9 +169,7 @@ def _drm_verdict(source, system: PolicyEnhancedSystem, depth: int) -> Verdict:
         structured = capability_drm_interpretation(source, depth, pes=system)
     else:
         structured = ac_complete_construct(system, depth)
-    report = check_drm(structured, depth, strong_five=True)
-    verdict = derive_security_from_drm(report, structured)
-    return verdict
+    return derive_security_from_drm(check_drm(structured, depth, strong_five=True))
 
 
 def run_checks(
@@ -272,7 +270,7 @@ def _replay(cap_path: str, trace_path: str) -> str:
     state = config.initial
     for tokens in script:
         action = script_action(config, tokens)
-        after = apply_script(config, (tokens,), start=state)
+        after = cap_step(state, action)
         moved = "  (no effect)" if after == state else ""
         lines.append(f"{action.name}{moved}")
         state = after

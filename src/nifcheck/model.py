@@ -333,48 +333,3 @@ def unfold(system: PolicyEnhancedSystem, depth: int) -> PolicyEnhancedSystem:
         edges=edges,
         truncated=frozenset(level),
     )
-
-
-@dataclass(frozen=True)
-class BisimResult:
-    """Outcome of a bounded observational-equivalence comparison."""
-
-    agree: bool
-    witness: Optional[Tuple[Trace, str]]
-    depth: int
-
-    def __bool__(self) -> bool:
-        return self.agree
-
-
-def check_bisimilar(m1, m2, depth: int) -> BisimResult:
-    """Do both systems produce identical observations on every trace <= depth?
-
-    Deduplicates on product state pairs: once a pair has been checked, longer
-    traces reaching the same pair cannot add new observation differences.
-    Witness is the shortlex-first differing trace with the first differing
-    domain in declaration order.
-    """
-    if m1.signature != m2.signature:
-        raise InputError("systems have different signatures")
-    sig = m1.signature
-    seen = {(m1.initial, m2.initial)}
-    frontier = [((m1.initial, m2.initial), EMPTY_TRACE)]
-    d = 0
-    while frontier:
-        for ((s1, s2), t) in frontier:
-            for u in sig.domains:
-                if m1.obs[(u, s1)] != m2.obs[(u, s2)]:
-                    return BisimResult(agree=False, witness=(t, u), depth=depth)
-        if d == depth:
-            break
-        nxt = []
-        for ((s1, s2), t) in frontier:
-            for a in sig.actions:
-                pair = (m1.transitions[(s1, a)], m2.transitions[(s2, a)])
-                if pair not in seen:
-                    seen.add(pair)
-                    nxt.append((pair, t + (a,)))
-        frontier = nxt
-        d += 1
-    return BisimResult(agree=True, witness=None, depth=depth)

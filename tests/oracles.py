@@ -9,7 +9,8 @@ with "e" for the empty tree, matching TreeArena.to_tuple output.
 from __future__ import annotations
 
 import random
-from typing import Callable, Dict, FrozenSet, Hashable, List, Tuple
+from dataclasses import dataclass
+from typing import Callable, Dict, FrozenSet, Hashable, List, Optional, Tuple
 
 import numpy as np
 
@@ -783,42 +784,58 @@ def naive_view(system, trace: Trace, domain: str) -> tuple:
 # dynamic reference-monitor conditions
 
 
-def _validate_structured(system: StructuredSystem, states) -> None:
-    """Totality plus the two oset laws, on the states actually examined."""
-    declared = set(system.objects)
-    for s in states:
-        for u in system.base.signature.domains:
-            for table, what in ((system.observe, "observe"), (system.alter, "alter")):
-                got = table.get((u, s))
-                if got is None:
-                    raise InputError(f"{what} set missing for ({u!r}, {s!r})")
-                if not got <= declared:
-                    raise InputError(f"{what}({u!r}, {s!r}) mentions undeclared objects")
-            oset = system.osets[u]
-            if oset not in system.observe[(u, s)]:
+def _validate_structured(base, objects, osets, contents, observe, alter) -> None:
+    """The two oset laws of ``StructuredSystem``'s tables, one state and
+    domain at a time over every state of the base, reading array entries."""
+    for si, s in enumerate(base.states):
+        for ui, u in enumerate(base.signature.domains):
+            oi = objects.index(osets[u])
+            if not observe[ui, si, oi]:
                 raise InputError(f"oset of {u!r} is not observable at {s!r}")
-            if system.contents.get((oset, s)) != system.observe[(u, s)]:
+            watched = frozenset(o for k, o in enumerate(objects) if observe[ui, si, k])
+            if contents[oi, si] != watched:
                 raise InputError(
                     f"contents of oset({u!r}) at {s!r} do not equal the observe set"
                 )
-        for o in system.objects:
-            if (o, s) not in system.contents:
-                raise InputError(f"contents missing for ({o!r}, {s!r})")
+
+
+class _Tables:
+    """Reads of a structured system's arrays by name, one entry at a time:
+    an object's value at a state, and a domain's observe or alter set there
+    as a frozenset of objects."""
+
+    def __init__(self, system: StructuredSystem) -> None:
+        self.system = system
+        self.state = {s: i for i, s in enumerate(system.base.states)}
+        self.domain = {u: i for i, u in enumerate(system.base.signature.domains)}
+        self.object = {o: i for i, o in enumerate(system.objects)}
+
+    def content(self, o, s):
+        return self.system.contents[self.object[o], self.state[s]]
+
+    def observe(self, u, s) -> frozenset:
+        return objects_in(self.system, self.system.observe[self.domain[u], self.state[s]])
+
+    def alter(self, u, s) -> frozenset:
+        return objects_in(self.system, self.system.alter[self.domain[u], self.state[s]])
+
+
+def objects_in(system: StructuredSystem, row) -> frozenset:
+    """The objects a bool row of an observe or alter table marks."""
+    return frozenset(o for o, member in zip(system.objects, row) if member)
 
 
 class _Keys:
     """Interned per-domain state keys: two states get the same key for a
     domain exactly when the domain cannot tell them apart."""
 
-    def __init__(self, system: StructuredSystem, order) -> None:
+    def __init__(self, tables: _Tables, order) -> None:
         self.by_domain: Dict[str, Dict[Hashable, int]] = {}
-        for u in system.base.signature.domains:
+        for u in tables.system.base.signature.domains:
             table: Dict[frozenset, int] = {}
             row: Dict[Hashable, int] = {}
             for s in order:
-                key = frozenset(
-                    (o, system.contents[(o, s)]) for o in system.observe[(u, s)]
-                )
+                key = frozenset((o, tables.content(o, s)) for o in tables.observe(u, s))
                 row[s] = table.setdefault(key, len(table))
             self.by_domain[u] = row
 
@@ -845,7 +862,8 @@ def python_check_drm(
     depth: int,
     strong_five: bool = False,
 ) -> DrmReport:
-    """The monitor conditions by dict-keyed python scans, one state at a time.
+    """The monitor conditions by python scans over named entries, one state
+    at a time.
 
     State-quantified conditions range over all reachable states; conditions
     that take a step exclude the truncated frontier, whose outgoing
@@ -860,14 +878,11 @@ def python_check_drm(
     dist = reachable_states(base)
     order = list(dist)
     index = {s: i for i, s in enumerate(order)}
-    _validate_structured(system, order)
-
-    keys = _Keys(system, order)
+    tables = _Tables(system)
+    keys = _Keys(tables, order)
     objects = system.objects
     obj_index = {o: i for i, o in enumerate(objects)}
-    cont_row = {
-        s: tuple(system.contents[(o, s)] for o in objects) for s in order
-    }
+    cont_row = {s: tuple(tables.content(o, s) for o in objects) for s in order}
     stepping = [s for s in order if s not in base.truncated]
     within = [s for s in order if dist[s] <= depth]
     results: List[ConditionResult] = []
@@ -905,7 +920,7 @@ def python_check_drm(
             if row_t == row_s:
                 continue
             d = sig.domain_of(a)
-            altered = system.alter[(d, s)]
+            altered = tables.alter(d, s)
             for oi, o in enumerate(objects):
                 if row_t[oi] != row_s[oi]:
                     changed.append((s, a, o))
@@ -922,7 +937,7 @@ def python_check_drm(
     affected: Dict[Tuple[str, Hashable], set] = {}
     for s, a, o in changed:
         d = sig.domain_of(a)
-        if o in system.alter[(d, s)]:
+        if o in tables.alter(d, s):
             bid = (keys.by_domain[d][s], cont_row[s][obj_index[o]])
             affected.setdefault((a, o), set()).add(bid)
     for (a, o), hot in sorted(
@@ -933,7 +948,7 @@ def python_check_drm(
         oi = obj_index[o]
 
         def bucket_of(s, _k=krow, _o=o, _oi=oi, _d=d, _hot=hot):
-            if _o not in system.alter[(_d, s)]:
+            if _o not in tables.alter(_d, s):
                 return None
             bid = (_k[s], cont_row[s][_oi])
             return bid if bid in _hot else None
@@ -974,14 +989,10 @@ def python_check_drm(
             t = base.transitions[(s, a)]
             d = sig.domain_of(a)
             for ui, u in enumerate(sig.domains):
-                ws = system.observe[(u, s)]
-                wt = system.observe[(u, t)]
-                if wt is ws:
-                    continue
-                fresh = wt - ws
+                fresh = tables.observe(u, t) - tables.observe(u, s)
                 if not fresh:
                     continue
-                leak = fresh - system.observe[(d, s)]
+                leak = fresh - tables.observe(d, s)
                 if leak:
                     o = min(leak, key=obj_index.__getitem__)
                     cand = ((index[s], ai, ui, obj_index[o]), (s, a, u, o))
@@ -1013,7 +1024,7 @@ def python_check_drm(
             clash = _first_bucket_clash(
                 within,
                 bucket_of,
-                lambda s, _u=u, _v=v: system.observe[(_u, s)] & system.alter[(_v, s)],
+                lambda s, _u=u, _v=v: tables.observe(_u, s) & tables.alter(_v, s),
             )
             if clash is not None:
                 si, s, ti, t = clash
@@ -1034,7 +1045,7 @@ def python_check_drm(
     for s in within:
         for ui, u in enumerate(sig.domains):
             for vi, v in enumerate(sig.domains):
-                if system.alter[(u, s)] & system.observe[(v, s)]:
+                if tables.alter(u, s) & tables.observe(v, s):
                     if not permits(base, s, u, v):
                         cand = ((index[s], ui, vi), (s, u, v))
                         if drm6_best is None or cand[0] < drm6_best[0]:
@@ -1057,7 +1068,7 @@ def python_check_drm(
             clash = _first_bucket_clash(
                 order,
                 lambda s, _ku=ku, _kv=kv: (_ku[s], _kv[s]),
-                lambda s, _u=u, _v=v: system.observe[(_u, s)] & system.alter[(_v, s)],
+                lambda s, _u=u, _v=v: tables.observe(_u, s) & tables.alter(_v, s),
             )
             if clash is not None:
                 si, s, ti, t = clash
@@ -1076,6 +1087,55 @@ def python_check_drm(
     named = {c.name: c for c in results}
     ordered = tuple(named[n] for n in ("DRM-1", "DRM-2", "DRM-3", "DRM-4", "DRM-5", STRONG_FIVE, "DRM-6"))
     return DrmReport(conditions=ordered, depth=depth, strong_five=strong_five)
+
+
+# ---------------------------------------------------------------------------
+# bounded bisimulation
+
+
+@dataclass(frozen=True)
+class BisimResult:
+    """Outcome of a bounded observational-equivalence comparison."""
+
+    agree: bool
+    witness: Optional[Tuple[Trace, str]]
+    depth: int
+
+    def __bool__(self) -> bool:
+        return self.agree
+
+
+def check_bisimilar(m1, m2, depth: int) -> BisimResult:
+    """Do both systems produce identical observations on every trace <= depth?
+
+    Deduplicates on product state pairs: once a pair has been checked, longer
+    traces reaching the same pair cannot add new observation differences.
+    Witness is the shortlex-first differing trace with the first differing
+    domain in declaration order.
+    """
+    if m1.signature != m2.signature:
+        raise InputError("systems have different signatures")
+    sig = m1.signature
+    seen = {(m1.initial, m2.initial)}
+    frontier = [((m1.initial, m2.initial), ())]
+    d = 0
+    while frontier:
+        for ((s1, s2), t) in frontier:
+            for u in sig.domains:
+                if m1.obs[(u, s1)] != m2.obs[(u, s2)]:
+                    return BisimResult(agree=False, witness=(t, u), depth=depth)
+        if d == depth:
+            break
+        nxt = []
+        for ((s1, s2), t) in frontier:
+            for a in sig.actions:
+                pair = (m1.transitions[(s1, a)], m2.transitions[(s2, a)])
+                if pair not in seen:
+                    seen.add(pair)
+                    nxt.append((pair, t + (a,)))
+        frontier = nxt
+        d += 1
+    return BisimResult(agree=True, witness=None, depth=depth)
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ import random
 import warnings
 from collections import Counter
 
+import numpy as np
 import pytest
 
 from nifcheck import (
@@ -30,7 +31,7 @@ from nifcheck import (
 )
 from nifcheck.traceindex import TraceIndex
 
-from oracles import python_check_drm, random_system
+from oracles import _validate_structured, objects_in, python_check_drm, random_system
 
 OSET_U = ("oset", "U")
 OSET_V = ("oset", "V")
@@ -49,9 +50,11 @@ def build_case(
 ) -> StructuredSystem:
     """Two-domain scaffold with the oset bookkeeping filled in.
 
-    ``watch``/``alters`` give per (domain, state) extra objects; contents of
-    plain objects default to 0 and transitions to self-loops.  ``truncated``
-    flags states whose transitions are synthetic.
+    ``watch``/``alters`` give per (domain, state) extra objects and
+    ``values`` per (object, state) contents, which the scaffold writes into
+    the table arrays; contents of plain objects default to 0 and transitions
+    to self-loops.  ``truncated`` flags states whose transitions are
+    synthetic.
     """
     trans = trans or {}
     obs = obs or {}
@@ -74,16 +77,18 @@ def build_case(
     )
     osets = {"U": OSET_U, "V": OSET_V}
     objects = tuple(plain) + (OSET_U, OSET_V)
-    observe = {}
-    alter = {}
-    contents = {}
-    for s in states:
-        for d in sig.domains:
-            observe[(d, s)] = frozenset({osets[d], *watch.get((d, s), ())})
-            alter[(d, s)] = frozenset(alters.get((d, s), ()))
-            contents[(osets[d], s)] = observe[(d, s)]
+    at = {o: i for i, o in enumerate(objects)}
+    contents = np.empty((len(objects), n_states), dtype=object)
+    observe = np.zeros((2, n_states, len(objects)), dtype=bool)
+    alter = np.zeros_like(observe)
+    for si, s in enumerate(states):
+        for di, d in enumerate(sig.domains):
+            watched = frozenset({osets[d], *watch.get((d, s), ())})
+            observe[di, si, [at[o] for o in watched]] = True
+            alter[di, si, [at[o] for o in alters.get((d, s), ())]] = True
+            contents[at[osets[d]], si] = watched
         for o in plain:
-            contents[(o, s)] = values.get((o, s), 0)
+            contents[at[o], si] = values.get((o, s), 0)
     return StructuredSystem(
         base=base,
         objects=objects,
@@ -92,6 +97,12 @@ def build_case(
         observe=observe,
         alter=alter,
     )
+
+
+def rebuild(case: StructuredSystem, **fields) -> StructuredSystem:
+    """``case`` with some fields replaced, through the validating constructor."""
+    names = ("base", "objects", "osets", "contents", "observe", "alter")
+    return StructuredSystem(**{f: fields.get(f, getattr(case, f)) for f in names})
 
 
 class TestDynacrel:
@@ -148,35 +159,44 @@ class TestTableValidation:
                 alter=good.alter,
             )
 
-    def test_missing_observe_row_rejected(self):
-        good = build_case(trans={("s0", "u"): "s1"})
-        observe = dict(good.observe)
-        del observe[("V", "s1")]
-        broken = StructuredSystem(
-            base=good.base,
-            objects=good.objects,
-            osets=good.osets,
-            contents=good.contents,
-            observe=observe,
-            alter=good.alter,
-        )
-        with pytest.raises(InputError, match="observe set missing"):
-            check_drm(broken, 3)
+    @pytest.mark.parametrize("name", ["contents", "observe", "alter"])
+    def test_table_shapes_are_checked(self, name):
+        good = build_case(n_states=3)
+        table = getattr(good, name)
+        # a state short, not an array, the wrong dtype
+        for wrong in (table[:, :2], table.tolist(), table.astype(str)):
+            with pytest.raises(InputError, match=f"{name} must be an array of shape"):
+                rebuild(good, **{name: wrong})
+
+    def test_tables_are_read_only(self):
+        with pytest.raises(ValueError):
+            build_case().observe[0, 0, 0] = False
+
+    def test_oset_must_be_observable_at_every_state(self):
+        # s1 is unreachable: the tables are still checked there
+        good = build_case()
+        observe = good.observe.copy()
+        observe[1, 1, good.objects.index(OSET_V)] = False
+        with pytest.raises(InputError, match="oset of 'V' is not observable at 's1'"):
+            rebuild(good, observe=observe)
 
     def test_oset_contents_must_equal_the_observe_set(self):
         good = build_case()
-        contents = dict(good.contents)
-        contents[(OSET_U, "s0")] = frozenset({OSET_U, "x"})
-        broken = StructuredSystem(
-            base=good.base,
-            objects=good.objects,
-            osets=good.osets,
-            contents=contents,
-            observe=good.observe,
-            alter=good.alter,
-        )
-        with pytest.raises(InputError, match="do not equal"):
-            check_drm(broken, 3)
+        contents = good.contents.copy()
+        contents[good.objects.index(OSET_U), 0] = frozenset({OSET_U, "x"})
+        with pytest.raises(InputError, match=r"contents of oset\('U'\) at 's0' do not equal"):
+            rebuild(good, contents=contents)
+
+    def test_domains_sharing_an_oset_must_observe_the_same_set(self):
+        good = build_case(watch={("U", "s0"): ("x",)})
+        shared = {"U": OSET_U, "V": OSET_U}
+        observe = good.observe.copy()
+        observe[1, :, good.objects.index(OSET_U)] = True
+        observe[1, :, good.objects.index(OSET_V)] = False
+        with pytest.raises(InputError, match=r"contents of oset\('V'\) at 's0' do not equal"):
+            rebuild(good, osets=shared, observe=observe)
+        observe[1, 0, good.objects.index("x")] = True
+        rebuild(good, osets=shared, observe=observe)
 
     def test_negative_depth_rejected(self):
         with pytest.raises(InputError):
@@ -307,20 +327,19 @@ class TestDeriveSecurity:
             alters={("V", "s0"): ("x",)},
             edges={"s0": {("V", "U")}},
         )
-        verdict = derive_security_from_drm(check_drm(system, 3), system)
+        verdict = derive_security_from_drm(check_drm(system, 3))
         assert verdict.outcome == CERTIFIED_SECURE
         assert verdict.details["certified"] == ["ta-permissive"]
         assert verdict.details["failed"] == ["DRM-5'"]
 
     def test_strong_five_extends_to_the_prohibitive_reading(self):
-        system = build_case()
-        verdict = derive_security_from_drm(check_drm(system, 3), system)
+        verdict = derive_security_from_drm(check_drm(build_case(), 3))
         assert verdict.outcome == CERTIFIED_SECURE
         assert verdict.details["certified"] == ["ta-permissive", "unwinding"]
 
     def test_failed_conditions_certify_nothing(self):
         system = build_case(trans={("s0", "u"): "s1"}, obs={("U", "s1"): 1})
-        verdict = derive_security_from_drm(check_drm(system, 3), system)
+        verdict = derive_security_from_drm(check_drm(system, 3))
         assert verdict.outcome == INCONCLUSIVE
         assert verdict.details["certified"] == []
         assert "DRM-1" in verdict.details["failed"]
@@ -346,15 +365,19 @@ class TestCompletenessConstruction:
         depth = 3
         structured = ac_complete_construct(figure3, depth)
         sig = figure3.signature
-        for trace in traces_upto(sig, depth):
+        labels = TraceIndex(figure3, depth).ta_labels()
+        assert structured.base.states == tuple(traces_upto(sig, depth))
+        for si, trace in enumerate(structured.base.states):
             granted = figure3.edges[run(figure3, trace)]
-            for u in sig.domains:
-                assert structured.observe[(u, trace)] == frozenset(
-                    {u, ("oset", u)}
-                )
-                assert structured.alter[(u, trace)] == frozenset(
+            for ui, u in enumerate(sig.domains):
+                watched = frozenset({u, ("oset", u)})
+                assert objects_in(structured, structured.observe[ui, si]) == watched
+                assert objects_in(structured, structured.alter[ui, si]) == frozenset(
                     {u} | {v for (w, v) in granted if w == u}
                 )
+                at = structured.objects.index
+                assert structured.contents[at(u), si] == labels[ui, si]
+                assert structured.contents[at(("oset", u)), si] == watched
 
     def test_insecure_system_warns(self, figure4_doc):
         primed = figure4_doc.select("primed")
@@ -399,7 +422,7 @@ class TestCompletenessConstruction:
         # bounded check passes, construction certifies, derivation agrees
         assert check_ta_may_security(figure3, 4).outcome == BOUNDED_SECURE
         structured = ac_complete_construct(figure3, 4)
-        verdict = derive_security_from_drm(check_drm(structured, 4), structured)
+        verdict = derive_security_from_drm(check_drm(structured, 4))
         assert verdict.outcome == CERTIFIED_SECURE
 
 
@@ -417,9 +440,11 @@ def assert_matches_oracle(system: StructuredSystem, depth: int):
     return got
 
 
-def random_case(rng: random.Random) -> StructuredSystem:
-    """``build_case`` over random tables, some truncated states with genuine
-    transitions, and now and then one broken table entry."""
+def random_case(rng: random.Random) -> dict:
+    """``build_case``'s fields over random tables, with some truncated states
+    that have genuine transitions, and now and then one broken oset entry at
+    a state that may be unreachable: an oset hidden from its domain, an
+    observe entry changed without its oset, or oset contents changed."""
     states = [f"s{k}" for k in range(rng.randint(1, 5))]
     plain = ("x", "y")
     objects = plain + (OSET_U, OSET_V)
@@ -438,21 +463,31 @@ def random_case(rng: random.Random) -> StructuredSystem:
         plain=plain,
         truncated=some(states, 0.2),
     )
+    fields = dict(
+        base=case.base,
+        objects=case.objects,
+        osets=case.osets,
+        contents=case.contents.copy(),
+        observe=case.observe.copy(),
+        alter=case.alter,
+    )
     if rng.random() < 0.1:
-        tables = {name: dict(getattr(case, name)) for name in ("observe", "alter", "contents")}
-        table = tables[rng.choice(sorted(tables))]
-        key = rng.choice(list(table))
-        if rng.random() < 0.5:
-            del table[key]
+        di, si = rng.randrange(2), rng.randrange(len(states))
+        oset = objects.index((OSET_U, OSET_V)[di])
+        broken = rng.randrange(3)
+        if broken == 0:
+            fields["observe"][di, si, oset] = False
+        elif broken == 1:
+            fields["observe"][di, si, rng.randrange(len(plain))] ^= True
         else:
-            table[key] = frozenset({"undeclared"})
-        case = StructuredSystem(base=case.base, objects=case.objects, osets=case.osets, **tables)
-    return case
+            fields["contents"][oset, si] = frozenset({"undeclared"})
+    return fields
 
 
 class TestArrayScanMatchesOracle:
-    """The array scan against the dict-keyed python scan: same report, same
-    witnesses, same errors."""
+    """The array scan against the python scan over named entries: same
+    report, same witnesses; and the constructor's table checks against a
+    per-state scan: same errors."""
 
     def test_completeness_construction(self):
         rng = random.Random(5151)
@@ -489,10 +524,21 @@ class TestArrayScanMatchesOracle:
         failed = Counter()
         errors = Counter()
         for _ in range(1500):
-            got = assert_matches_oracle(random_case(rng), rng.randint(0, 3))
-            if isinstance(got, str):
-                errors[got.split(" ")[0]] += 1
-            else:
-                failed.update(c["name"] for c in got["conditions"] if not c["holds"])
+            fields = random_case(rng)
+            depth = rng.randint(0, 3)
+            try:
+                _validate_structured(**fields)
+                expected = None
+            except InputError as err:
+                expected = str(err)
+            try:
+                system = StructuredSystem(**fields)
+            except InputError as err:
+                assert str(err) == expected
+                errors[expected.split(" ")[0]] += 1
+                continue
+            assert expected is None
+            got = assert_matches_oracle(system, depth)
+            failed.update(c["name"] for c in got["conditions"] if not c["holds"])
         assert min(failed[name] for name in ALL_CONDITIONS) >= 10, failed
-        assert sum(errors.values()) >= 10, errors
+        assert min(errors[word] for word in ("oset", "contents")) >= 10, errors

@@ -51,6 +51,8 @@ from nifcheck import (
     validate_candidate_initial,
 )
 
+from oracles import objects_in
+
 N_P = ("n", "p")
 
 
@@ -468,19 +470,16 @@ class TestSecurityOfTheInducedSystem:
 class TestDrmInterpretation:
     def test_observation_objects_are_constant_and_own(self, twoproc):
         structured = capability_drm_interpretation(twoproc, 1)
-        pes = structured.base
-        for s in pes.states:
-            for p in twoproc.processes:
-                assert structured.observe[(p, s)] == frozenset(
-                    {("S", p), ("O", p), ("in", p), ("m", p), ("oset", p)}
-                )
+        for pi, p in enumerate(twoproc.processes):
+            own = frozenset({("S", p), ("O", p), ("in", p), ("m", p), ("oset", p)})
+            for row in structured.observe[pi]:
+                assert objects_in(structured, row) == own
 
     def test_alter_tracks_the_flow_relation(self, twoproc):
         structured = capability_drm_interpretation(twoproc, 2)
-        pes = structured.base
-        for s in pes.states:
+        for si, s in enumerate(structured.base.states):
             flows = associated_policy(s)
-            for p in twoproc.processes:
+            for pi, p in enumerate(twoproc.processes):
                 extra = {
                     obj
                     for q in twoproc.processes
@@ -488,15 +487,21 @@ class TestDrmInterpretation:
                     for obj in (("in", q), ("O", q))
                 }
                 own = {("S", p), ("O", p), ("in", p), ("m", p)}
-                assert structured.alter[(p, s)] == frozenset(own | extra)
+                assert objects_in(structured, structured.alter[pi, si]) == frozenset(own | extra)
 
     def test_contents_mirror_the_state(self, twoproc, narrative):
         structured = capability_drm_interpretation(twoproc, 2)
-        mid = apply_script(twoproc, narrative[:2])
-        assert structured.contents[(("S", "p"), mid)] == mid.of("p").secrecy
-        assert structured.contents[(("O", "q"), mid)] == mid.of("q").caps
-        assert structured.contents[(("in", "q"), mid)] == ()
-        assert structured.contents[(("m", "p"), mid)] == 0
+        at = structured.objects.index
+        for si, s in enumerate(structured.base.states):
+            for p in twoproc.processes:
+                ps = s.of(p)
+                assert structured.contents[at(("S", p)), si] == ps.secrecy
+                assert structured.contents[at(("O", p)), si] == ps.caps
+                assert structured.contents[at(("in", p)), si] == ps.inbox
+                assert structured.contents[at(("m", p)), si] == ps.message
+        mid = structured.base.states.index(apply_script(twoproc, narrative[:2]))
+        assert structured.contents[at(("in", "q")), mid] == ()
+        assert structured.contents[at(("m", "p")), mid] == 0
 
 
 def field_changes(before: CapabilityState, after: CapabilityState) -> dict:
