@@ -18,7 +18,7 @@ from typing import Dict, Hashable, Mapping, Optional, Tuple
 
 import numpy as np
 
-from .model import InputError, PolicyEnhancedSystem, unfold
+from .model import InputError, PolicyEnhancedSystem, check_depth, unfold
 from .traceindex import MATERIALIZE_LIMIT, TraceIndex, _sorted_unique
 from .verdicts import CERTIFIED_SECURE, INCONCLUSIVE, Verdict
 
@@ -233,8 +233,7 @@ def check_drm(
     interned to ids, and each failure reports its least candidate in that
     order (the README states the witness rule).
     """
-    if depth < 0:
-        raise InputError("depth must be nonnegative")
+    check_depth(depth)
     base = system.base
     sig = base.signature
     domains, objects = sig.domains, system.objects

@@ -27,6 +27,7 @@ from .model import (
     InputError,
     PolicyEnhancedSystem,
     Signature,
+    check_depth,
 )
 
 Tag = Union[str, Tuple[str, str]]
@@ -239,15 +240,21 @@ def send_cap_action(process: str, cap: Capability, target: str) -> CapAction:
     )
 
 
-def cap_step(state: CapabilityState, action: CapAction) -> CapabilityState:
-    """One guarded move.  A failed guard leaves the state unchanged.
+def _touched(action: CapAction) -> str:
+    """The process whose slice the action may change: the target of a send."""
+    sends = action.kind in ("send_message_to", "send_cap")
+    return action.payload[-1] if sends else action.process
 
-    Every action is always enabled as a transition; the guards only decide
-    whether anything moves.  When nothing moves the input state itself is
-    returned, so callers may use identity to detect no-ops.
+
+def _step_slice(
+    ps: ProcessState, qs: ProcessState, action: CapAction
+) -> Optional[ProcessState]:
+    """The guarded semantics of one action on the slices it reads.
+
+    ``ps`` is the actor's slice and ``qs`` the touched process's slice (the
+    actor's own unless the action is a send).  Returns the touched process's
+    new slice, or None when a guard fails and nothing moves.
     """
-    p = action.process
-    ps = state.of(p)
     kind = action.kind
 
     if kind == "data":
@@ -258,51 +265,60 @@ def cap_step(state: CapabilityState, action: CapAction) -> CapabilityState:
         if tuple(k for k, _ in data) != tuple(k for k, _ in ps.data):
             raise InputError("data update must preserve the named-object set")
         if message == ps.message and data == ps.data:
-            return state
-        return state._set(p, replace(ps, message=message, data=data))
+            return None
+        return replace(ps, message=message, data=data)
 
     if kind == "add_cap":
         signs, name = action.payload
-        gained = {((name, p), x) for x in signs}
+        gained = {((name, action.process), x) for x in signs}
         if gained <= ps.caps:
-            return state
-        return state._set(p, replace(ps, caps=ps.caps | gained))
+            return None
+        return replace(ps, caps=ps.caps | gained)
 
     if kind == "drop_cap":
         (cap,) = action.payload
         if cap not in ps.caps:
-            return state
-        return state._set(p, replace(ps, caps=ps.caps - {cap}))
+            return None
+        return replace(ps, caps=ps.caps - {cap})
 
     if kind == "add_tag":
         (tag,) = action.payload
         if (tag, PLUS) not in ps.caps or tag in ps.secrecy:
-            return state
-        return state._set(p, replace(ps, secrecy=ps.secrecy | {tag}))
+            return None
+        return replace(ps, secrecy=ps.secrecy | {tag})
 
     if kind == "remove_tag":
         (tag,) = action.payload
         if (tag, MINUS) not in ps.caps or tag not in ps.secrecy:
-            return state
-        return state._set(p, replace(ps, secrecy=ps.secrecy - {tag}))
+            return None
+        return replace(ps, secrecy=ps.secrecy - {tag})
 
     if kind == "send_message_to":
-        (q,) = action.payload
-        qs = state.of(q)
         if not ps.secrecy <= qs.secrecy:
-            return state
-        return state._set(q, replace(qs, inbox=qs.inbox + (ps.message,)))
+            return None
+        return replace(qs, inbox=qs.inbox + (ps.message,))
 
     if kind == "send_cap":
-        cap, q = action.payload
-        qs = state.of(q)
+        cap, _ = action.payload
         if not ps.secrecy <= qs.secrecy or cap not in ps.caps:
-            return state
+            return None
         if cap in qs.caps:
-            return state
-        return state._set(q, replace(qs, caps=qs.caps | {cap}))
+            return None
+        return replace(qs, caps=qs.caps | {cap})
 
     raise InputError(f"unknown action kind {kind!r}")
+
+
+def cap_step(state: CapabilityState, action: CapAction) -> CapabilityState:
+    """One guarded move.  A failed guard leaves the state unchanged.
+
+    Every action is always enabled as a transition; the guards only decide
+    whether anything moves.  When nothing moves the input state itself is
+    returned, so callers may use identity to detect no-ops.
+    """
+    q = _touched(action)
+    qs = _step_slice(state.of(action.process), state.of(q), action)
+    return state if qs is None else state._set(q, qs)
 
 
 def associated_policy(state: CapabilityState) -> frozenset:
@@ -558,38 +574,72 @@ def build_pes(config: CapabilityConfig, depth: int) -> PolicyEnhancedSystem:
     States found at exactly the depth bound are kept but not expanded; their
     outgoing transitions are synthetic self-loops and they are flagged
     truncated so trace-walking checks stop short of them.
+
+    States are discovered breadth first, actions in alphabet order.  An
+    action changes only the slice of the process it touches, as a function of
+    the actor's slice and the touched one, so each distinct (action, actor
+    slice, touched slice) is stepped once: slices are interned to ids, states
+    are keyed by their tuple of slice ids, and a state is made only for a key
+    not seen before.  This relies on every data action's ``update`` being a
+    pure function of the acting slice, as ``CapAction`` requires.
     """
-    if not isinstance(depth, int) or depth < 0:
-        raise InputError("depth must be a nonnegative integer")
+    check_depth(depth)
     actions = config.actions
     sig = Signature(
         domains=config.processes,
         actions=tuple(a.name for a in actions),
         dom={a.name: a.process for a in actions},
     )
+    at_proc = {p: i for i, p in enumerate(config.processes)}
+    moves = [
+        (ai, at_proc[a.process], at_proc[_touched(a)], a) for ai, a in enumerate(actions)
+    ]
 
+    slices: list = []
+    slice_ids: dict = {}
+
+    def intern(ps: ProcessState) -> int:
+        i = slice_ids.get(ps)
+        if i is None:
+            i = slice_ids[ps] = len(slices)
+            slices.append(ps)
+        return i
+
+    key = tuple(intern(ps) for _, ps in config.initial.procs)
     order = [config.initial]
-    index = {config.initial: 0}
+    keys = [key]
+    index = {key: 0}
     dist = [0]
     rows: list = [None]
+    # (action, actor slice id, touched slice id) -> new touched slice id, or
+    # -1 when the guard fails.
+    memo: dict = {}
     at = 0
     while at < len(order):
         if dist[at] >= depth:
             at += 1
             continue
-        s = order[at]
+        key = keys[at]
         d1 = dist[at] + 1
         row = []
-        for act in actions:
-            t = cap_step(s, act)
-            if t is s:
+        for ai, pi, qi, act in moves:
+            step = (ai, key[pi], key[qi])
+            new = memo.get(step)
+            if new is None:
+                qs = _step_slice(slices[key[pi]], slices[key[qi]], act)
+                new = memo[step] = -1 if qs is None else intern(qs)
+            if new < 0:
                 row.append(at)
                 continue
+            t = key[:qi] + (new,) + key[qi + 1 :]
             j = index.get(t)
             if j is None:
                 j = len(order)
                 index[t] = j
-                order.append(t)
+                keys.append(t)
+                order.append(
+                    CapabilityState(tuple(zip(config.processes, (slices[i] for i in t))))
+                )
                 dist.append(d1)
                 rows.append(None)
             row.append(j)

@@ -22,6 +22,12 @@ class InputError(ValueError):
     """Raised for malformed systems, unknown identifiers, or bad arguments."""
 
 
+def check_depth(depth) -> None:
+    """A depth bound is a nonnegative int; bool is rejected though it is one."""
+    if isinstance(depth, bool) or not isinstance(depth, int) or depth < 0:
+        raise InputError(f"depth must be a nonnegative integer, got {depth!r}")
+
+
 @dataclass(frozen=True)
 class Signature:
     """Action alphabet partitioned over security domains.
@@ -296,8 +302,7 @@ def unfold(system: PolicyEnhancedSystem, depth: int) -> PolicyEnhancedSystem:
     are flagged truncated.  Observations and edges are inherited from the run
     of each trace in the original system.
     """
-    if depth < 0:
-        raise InputError("depth must be non-negative")
+    check_depth(depth)
     sig = system.signature
     states = []
     transitions = {}

@@ -21,7 +21,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from .model import InputError, PolicyEnhancedSystem, Trace
+from .model import InputError, PolicyEnhancedSystem, Trace, check_depth
 
 _MAX_NODES = 1 << 27
 _MAX_ACTIONS = 1 << 10  # label packing reserves 10 bits for the action
@@ -167,8 +167,7 @@ class TraceIndex:
     """Shortlex-ranked enumeration of all traces of length <= depth."""
 
     def __init__(self, system: PolicyEnhancedSystem, depth: int) -> None:
-        if depth < 0:
-            raise InputError("depth must be non-negative")
+        check_depth(depth)
         sig = system.signature
         self.system = system
         self.signature = sig

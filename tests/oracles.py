@@ -9,7 +9,8 @@ with "e" for the empty tree, matching TreeArena.to_tuple output.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from collections.abc import Mapping as _MappingABC
+from dataclasses import dataclass, replace
 from typing import Callable, Dict, FrozenSet, Hashable, List, Optional, Tuple
 
 import numpy as np
@@ -20,6 +21,7 @@ from nifcheck import (
     INCONCLUSIVE,
     INSECURE,
     AgreementReport,
+    DenseTransitions,
     InputError,
     PolicyEnhancedSystem,
     Signature,
@@ -39,6 +41,15 @@ from nifcheck import (
     Verdict,
 )
 from nifcheck import checkers
+from nifcheck.capability import (
+    MINUS,
+    PLUS,
+    CapabilityConfig,
+    CapabilityState,
+    CapAction,
+    _default_obs,
+    associated_policy,
+)
 from nifcheck.access import STRONG_FIVE, ConditionResult, DrmReport, StructuredSystem
 from nifcheck import traceindex
 from nifcheck.traceindex import _compress, _insert_sorted, _sorted_unique
@@ -1087,6 +1098,149 @@ def python_check_drm(
     named = {c.name: c for c in results}
     ordered = tuple(named[n] for n in ("DRM-1", "DRM-2", "DRM-3", "DRM-4", "DRM-5", STRONG_FIVE, "DRM-6"))
     return DrmReport(conditions=ordered, depth=depth, strong_five=strong_five)
+
+
+# ---------------------------------------------------------------------------
+# capability systems
+
+
+def python_cap_step(state: CapabilityState, action: CapAction) -> CapabilityState:
+    """One guarded move.  A failed guard leaves the state unchanged.
+
+    Every action is always enabled as a transition; the guards only decide
+    whether anything moves.  When nothing moves the input state itself is
+    returned, so callers may use identity to detect no-ops.
+    """
+    p = action.process
+    ps = state.of(p)
+    kind = action.kind
+
+    if kind == "data":
+        message, data = action.update(ps)
+        if isinstance(data, _MappingABC):
+            data = data.items()
+        data = tuple(sorted(data, key=lambda kv: kv[0]))
+        if tuple(k for k, _ in data) != tuple(k for k, _ in ps.data):
+            raise InputError("data update must preserve the named-object set")
+        if message == ps.message and data == ps.data:
+            return state
+        return state._set(p, replace(ps, message=message, data=data))
+
+    if kind == "add_cap":
+        signs, name = action.payload
+        gained = {((name, p), x) for x in signs}
+        if gained <= ps.caps:
+            return state
+        return state._set(p, replace(ps, caps=ps.caps | gained))
+
+    if kind == "drop_cap":
+        (cap,) = action.payload
+        if cap not in ps.caps:
+            return state
+        return state._set(p, replace(ps, caps=ps.caps - {cap}))
+
+    if kind == "add_tag":
+        (tag,) = action.payload
+        if (tag, PLUS) not in ps.caps or tag in ps.secrecy:
+            return state
+        return state._set(p, replace(ps, secrecy=ps.secrecy | {tag}))
+
+    if kind == "remove_tag":
+        (tag,) = action.payload
+        if (tag, MINUS) not in ps.caps or tag not in ps.secrecy:
+            return state
+        return state._set(p, replace(ps, secrecy=ps.secrecy - {tag}))
+
+    if kind == "send_message_to":
+        (q,) = action.payload
+        qs = state.of(q)
+        if not ps.secrecy <= qs.secrecy:
+            return state
+        return state._set(q, replace(qs, inbox=qs.inbox + (ps.message,)))
+
+    if kind == "send_cap":
+        cap, q = action.payload
+        qs = state.of(q)
+        if not ps.secrecy <= qs.secrecy or cap not in ps.caps:
+            return state
+        if cap in qs.caps:
+            return state
+        return state._set(q, replace(qs, caps=qs.caps | {cap}))
+
+    raise InputError(f"unknown action kind {kind!r}")
+
+
+def python_build_pes(config: CapabilityConfig, depth: int) -> PolicyEnhancedSystem:
+    """Bounded reachable system with the flow relation as its policy.
+
+    States found at exactly the depth bound are kept but not expanded; their
+    outgoing transitions are synthetic self-loops and they are flagged
+    truncated so trace-walking checks stop short of them.  One full-state
+    step per (state, action): the reference for ``build_pes``.
+    """
+    if not isinstance(depth, int) or depth < 0:
+        raise InputError("depth must be a nonnegative integer")
+    actions = config.actions
+    sig = Signature(
+        domains=config.processes,
+        actions=tuple(a.name for a in actions),
+        dom={a.name: a.process for a in actions},
+    )
+
+    order = [config.initial]
+    index = {config.initial: 0}
+    dist = [0]
+    rows: list = [None]
+    at = 0
+    while at < len(order):
+        if dist[at] >= depth:
+            at += 1
+            continue
+        s = order[at]
+        d1 = dist[at] + 1
+        row = []
+        for act in actions:
+            t = python_cap_step(s, act)
+            if t is s:
+                row.append(at)
+                continue
+            j = index.get(t)
+            if j is None:
+                j = len(order)
+                index[t] = j
+                order.append(t)
+                dist.append(d1)
+                rows.append(None)
+            row.append(j)
+        rows[at] = row
+        at += 1
+
+    n = len(order)
+    table = np.empty((n, len(actions)), dtype=np.int32)
+    truncated = []
+    for i, row in enumerate(rows):
+        if row is None:
+            table[i, :] = i
+            truncated.append(order[i])
+        else:
+            table[i, :] = row
+
+    obs = {}
+    for p in config.processes:
+        fn = None if config.obs is None else config.obs.get(p)
+        fn = _default_obs if fn is None else fn
+        for s in order:
+            obs[(p, s)] = fn(s.of(p))
+
+    return PolicyEnhancedSystem(
+        signature=sig,
+        states=tuple(order),
+        initial=config.initial,
+        transitions=DenseTransitions(table, tuple(order), sig.actions),
+        obs=obs,
+        edges={s: associated_policy(s) for s in order},
+        truncated=frozenset(truncated),
+    )
 
 
 # ---------------------------------------------------------------------------

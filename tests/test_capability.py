@@ -10,6 +10,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -18,6 +19,7 @@ import nifcheck
 from nifcheck import (
     ACTION_KINDS,
     CapAction,
+    CapabilityConfig,
     CapabilityState,
     InputError,
     ProcessState,
@@ -51,7 +53,9 @@ from nifcheck import (
     validate_candidate_initial,
 )
 
-from oracles import objects_in
+from nifcheck.traceindex import TraceIndex
+
+from oracles import objects_in, python_build_pes, python_cap_step
 
 N_P = ("n", "p")
 
@@ -197,19 +201,46 @@ class TestCapStep:
 
         def update(view: ProcessState):
             seen.append(view)
-            return view.message, view.data
+            return (view.message + 1) % 3, view.data
 
         state = two_state(p=ProcessState(message=0, data=(("a", 5),)))
         cap_step(state, data_action("p", "probe", update))
         assert seen == [state.of("p")]
+
+        # Under build_pes the update runs once per distinct acting slice.
+        seen.clear()
+        config = CapabilityConfig(
+            processes=("p", "q"),
+            basic_tags=(),
+            messages=(0,),
+            actions=(
+                data_action("p", "probe", update),
+                send_message_action("q", "p"),
+            ),
+            initial=state,
+        )
+        pes = build_pes(config, 3)
+        expanded = [s for s in pes.states if s not in pes.truncated]
+        assert all(type(view) is ProcessState for view in seen)
+        assert len(seen) == len(set(seen))
+        assert set(seen) == {s.of("p") for s in expanded}
 
     def test_data_update_must_preserve_object_names(self):
         def grow(view: ProcessState):
             return view.message, view.data + (("extra", 1),)
 
         state = two_state()
-        with pytest.raises(InputError):
+        with pytest.raises(InputError, match="named-object set"):
             cap_step(state, data_action("p", "grow", grow))
+        config = CapabilityConfig(
+            processes=("p", "q"),
+            basic_tags=(),
+            messages=(None,),
+            actions=(send_message_action("q", "p"), data_action("p", "grow", grow)),
+            initial=state,
+        )
+        with pytest.raises(InputError, match="named-object set"):
+            build_pes(config, 2)
 
     def test_data_update_may_rewrite_values(self):
         def bump(view: ProcessState):
@@ -391,10 +422,19 @@ class TestBuildPes:
         assert values == {0, 1}
 
     def test_bad_depth_rejected(self, twoproc):
-        with pytest.raises(InputError):
-            build_pes(twoproc, -1)
-        with pytest.raises(InputError):
-            build_pes(twoproc, 1.5)
+        pes = build_pes(twoproc, 1)
+        structured = capability_drm_interpretation(twoproc, 1, pes)
+        checks = (check_locality, check_unwinding_security, check_ta_may_security)
+        for depth in (-1, 1.5, "2", True, False, None):
+            with pytest.raises(InputError, match="nonnegative integer"):
+                build_pes(twoproc, depth)
+            with pytest.raises(InputError, match="nonnegative integer"):
+                TraceIndex(pes, depth)
+            for check in checks:
+                with pytest.raises(InputError, match="nonnegative integer"):
+                    check(pes, depth)
+            with pytest.raises(InputError, match="nonnegative integer"):
+                check_drm(structured, depth)
 
     def test_single_process_no_actions(self):
         config = standard_config(("p",), (), (0,), kinds=())
@@ -402,6 +442,131 @@ class TestBuildPes:
         assert len(pes.states) == 1
         assert pes.edges[config.initial] == frozenset()
         assert pes.truncated == frozenset()
+
+
+def three_process_config():
+    return standard_config(
+        ("p", "q", "r"),
+        ("n",),
+        (0, 1),
+        caps={"p": (("n", "+"), ("n", "-")), "r": (("n", "+"),)},
+        kinds=("data", "add_cap", "add_tag", "remove_tag", "send_message_to"),
+    )
+
+
+def data_object_config():
+    """Named data objects, custom data actions and an observation override."""
+
+    def bump(view):
+        return view.message, tuple((k, (v + 1) % 3) for k, v in view.data)
+
+    def publish(view):
+        return dict(view.data)["a"] % 2, view.data
+
+    def swap(view):
+        (_, a), (_, b) = view.data
+        return view.message, {"b": a, "a": b}
+
+    initial = CapabilityState(
+        (
+            ("p", ProcessState(message=0, data=(("a", 0),))),
+            ("q", ProcessState(caps={("n", "+")}, message=1, data={"b": 2, "a": 1})),
+        )
+    )
+    actions = (
+        data_action("p", "bump", bump),
+        data_action("p", "publish", publish),
+        data_action("q", "swap", swap),
+        data_action("q", "bump", bump),
+    ) + default_actions(("p", "q"), ("n",), (0, 1), kinds=("add_tag", "send_message_to"))
+    return CapabilityConfig(
+        processes=("p", "q"),
+        basic_tags=("n",),
+        messages=(0, 1),
+        actions=actions,
+        initial=initial,
+        obs={"q": lambda ps: (ps.data, ps.inbox)},
+    )
+
+
+def random_config(rng: random.Random):
+    processes = ("p", "q", "r")[: rng.randint(1, 3)]
+    basic = ("m", "n")[: rng.randint(0, 2)]
+    messages = (0, 1)[: rng.randint(1, 2)]
+    kinds = [k for k in ACTION_KINDS if rng.random() < 0.6]
+    caps = [(t, x) for t in basic for x in ("+", "-")]
+    return standard_config(
+        processes,
+        basic,
+        messages,
+        secrecy={p: [t for t in basic if rng.random() < 0.3] for p in processes},
+        caps={p: [c for c in caps if rng.random() < 0.5] for p in processes},
+        kinds=kinds,
+    )
+
+
+def assert_same_system(config, depth):
+    got, want = build_pes(config, depth), python_build_pes(config, depth)
+    assert got.signature == want.signature
+    assert got.initial == want.initial
+    assert got.states == want.states
+    assert np.array_equal(got.transitions.table, want.transitions.table)
+    assert got.obs == want.obs
+    assert got.edges == want.edges
+    assert got.truncated == want.truncated
+    return want
+
+
+def assert_same_steps(config, states):
+    for s in states:
+        for action in config.actions:
+            got, want = cap_step(s, action), python_cap_step(s, action)
+            assert got == want
+            assert (got is s) == (want is s)
+
+
+class TestBuildPesMatchesOracle:
+    """The slice-memoized search against one full-state step per (state, action)."""
+
+    @pytest.mark.parametrize("depth", [0, 1, 2, 3, 4])
+    def test_twoproc(self, twoproc, depth):
+        pes = assert_same_system(twoproc, depth)
+        if depth == 3:
+            assert_same_steps(twoproc, pes.states)
+
+    def test_cap_d4_alphabet(self, corpus_dir):
+        text = (corpus_dir / "twoproc.cap").read_text()
+        kinds = "kinds: data add_cap drop_cap add_tag remove_tag send_message_to\n"
+        config = parse_cap_config(text + kinds)
+        assert not any(a.kind == "send_cap" for a in config.actions)
+        assert_same_system(config, 4)
+
+    @pytest.mark.parametrize("depth", [1, 2, 3])
+    def test_three_processes(self, depth):
+        config = three_process_config()
+        pes = assert_same_system(config, depth)
+        if depth == 2:
+            assert_same_steps(config, pes.states)
+
+    def test_data_objects_and_observation_override(self):
+        config = data_object_config()
+        for depth in range(5):
+            pes = assert_same_system(config, depth)
+        assert_same_steps(config, pes.states)
+        assert {pes.obs[("q", s)][0] for s in pes.states} > {config.initial.of("q").data}
+
+    def test_random_configs(self):
+        rng = random.Random(7171)
+        sizes = []
+        for _ in range(60):
+            config = random_config(rng)
+            depth = rng.randint(1, 3)
+            while len(config.actions) ** depth > 20_000:
+                depth -= 1
+            pes = assert_same_system(config, depth)
+            assert_same_steps(config, pes.states)
+            sizes.append(len(pes.states))
+        assert max(sizes) > 50
 
 
 class TestStateHash:
