@@ -18,6 +18,7 @@ from typing import Dict, Hashable, Mapping, Optional, Tuple
 
 import numpy as np
 
+from .checkers import _observation_consistency
 from .model import InputError, PolicyEnhancedSystem, check_depth, unfold
 from .traceindex import MATERIALIZE_LIMIT, TraceIndex, _sorted_unique
 from .verdicts import CERTIFIED_SECURE, INCONCLUSIVE, Verdict
@@ -399,8 +400,6 @@ def ac_complete_construct(system: PolicyEnhancedSystem, depth: int) -> Structure
     permissive transmission tree at that trace, and it may write exactly
     the domains the policy currently lets it flow to.
     """
-    from .checkers import _observation_consistency
-
     idx = TraceIndex(system, depth)
     if idx.n_nodes > MATERIALIZE_LIMIT:
         raise InputError(

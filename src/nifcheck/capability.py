@@ -22,6 +22,7 @@ from typing import Callable, Hashable, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
+from .access import StructuredSystem
 from .model import (
     DenseTransitions,
     InputError,
@@ -405,10 +406,6 @@ class CapabilityConfig:
             if q not in procs:
                 raise InputError(f"action {a.name!r} targets unknown process {q!r}")
 
-    @property
-    def universe(self) -> TagUniverse:
-        return TagUniverse(self.processes, self.basic_tags)
-
 
 def validate_candidate_initial(state: CapabilityState, basic_tags: Sequence[str]) -> None:
     """Initial states may mention basic tags only: labelled tags do not exist yet."""
@@ -685,8 +682,6 @@ def capability_drm_interpretation(
     currently lets it flow to that process.  Object contents are read
     straight off the state.
     """
-    from .access import StructuredSystem
-
     if pes is None:
         pes = build_pes(config, depth)
     procs = config.processes

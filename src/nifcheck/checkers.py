@@ -17,6 +17,7 @@ from .model import (
     PolicyEnhancedSystem,
     State,
     Trace,
+    check_depth,
     permits,
     reachable_states,
     step,
@@ -373,6 +374,7 @@ def check_globally_known(
     verdict cross-checks plain locality, and a failed cross-check makes it
     ``INCONCLUSIVE`` with the locality witness in the details.
     """
+    check_depth(depth)
     sig = system.signature
     if policy_domain not in sig.domains:
         raise InputError(f"unknown domain {policy_domain!r}")
@@ -436,6 +438,7 @@ def policy_leq(
     """Does the first system permit at most what the second permits, on every
     trace up to the depth?  Edges depend only on the pair of states reached in
     lockstep, so the walk deduplicates on state pairs."""
+    check_depth(depth)
     if tighter.signature != looser.signature:
         raise InputError("systems have different signatures")
     sig = tighter.signature

@@ -38,7 +38,7 @@ from .checkers import (
     check_unwinding_security,
 )
 from .formats import ParseError, parse_cap_config, parse_document, parse_trace
-from .model import InputError, PolicyEnhancedSystem
+from .model import InputError, PolicyEnhancedSystem, check_depth
 from .unwinding import check_theorem_mustunwind
 from .verdicts import BOUNDED_SECURE, CERTIFIED_SECURE, INCONCLUSIVE, Verdict
 
@@ -179,7 +179,8 @@ def run_checks(
     flags: Optional[Mapping[str, object]] = None,
 ) -> Report:
     """Parse one input file and evaluate the requested properties in order.
-    The property names and flags are checked before the file is read."""
+    The property names, the depth and the flags are checked before the file
+    is read."""
     flags = dict(flags or {})
     margin = int(flags.get("margin", 1))
     variant = flags.get("variant")
@@ -190,6 +191,9 @@ def run_checks(
             raise InputError(
                 f"unknown property {p!r}; choose from {', '.join(PROPERTIES)}"
             )
+    check_depth(depth)
+    if path.endswith(".cap") and variant is not None:
+        raise InputError("capability configurations have no variants")
     if "gk" in asked and not gk_domain:
         raise InputError("property gk needs --gk-domain")
     if "theorem-mustunwind" in asked and not 0 <= margin < depth:
@@ -202,8 +206,6 @@ def run_checks(
 
     if path.endswith(".cap"):
         config = parse_cap_config(text)
-        if variant is not None:
-            raise InputError("capability configurations have no variants")
         system = build_pes(config, depth)
         source = config
         requested = asked or _CAP_DEFAULT

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Tuple
 
 from .model import InputError, PolicyEnhancedSystem, Signature
-from .capability import CapabilityConfig, standard_config
+from .capability import CapabilityConfig, parse_cap, parse_tag, standard_config
 
 
 class ParseError(InputError):
@@ -269,8 +269,6 @@ def parse_cap_config(text: str) -> CapabilityConfig:
     `secrecy: p n`, `caps: p n+ n-`, and an optional `kinds:` line
     restricting the generated action alphabet.
     """
-    from .capability import parse_cap, parse_tag
-
     processes: List[str] = []
     tags: List[str] = []
     messages: List[object] = []

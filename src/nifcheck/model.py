@@ -229,6 +229,8 @@ def reachable_states(system, depth: Optional[int] = None) -> dict:
     Exploration follows action declaration order, so insertion order is the
     deterministic discovery order.  ``depth`` bounds the distance if given.
     """
+    if depth is not None:
+        check_depth(depth)
     dist = {system.initial: 0}
     frontier = [system.initial]
     d = 0

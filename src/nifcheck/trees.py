@@ -8,6 +8,7 @@ Trees are interned: within one arena, structural equality is id equality.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Dict, Iterable, List, Mapping, Optional, Tuple
 
 from .model import (
@@ -17,6 +18,7 @@ from .model import (
     Trace,
     lex_key,
     permits,
+    run,
     shortlex_key,
     step,
 )
@@ -97,6 +99,24 @@ class TreeArena:
 SHARED_ARENA = TreeArena()
 
 
+def _tree_step(
+    signature: Signature,
+    cur: Mapping[str, int],
+    action: str,
+    passes: Callable[[str, str], bool],
+    arena: TreeArena,
+) -> Dict[str, int]:
+    """Every domain's tree one action further: the acting domain d always
+    takes the action, another domain u iff ``passes(d, u)``, and the new node
+    carries d's own tree.  Nodes are made in domain order, which fixes the
+    ids a fresh arena hands out."""
+    d = signature.domain_of(action)
+    return {
+        u: arena.node(cur[u], cur[d], action) if u == d or passes(d, u) else cur[u]
+        for u in signature.domains
+    }
+
+
 def ta_static(
     signature: Signature,
     static_edges: frozenset,
@@ -104,26 +124,16 @@ def ta_static(
     domain: str,
     arena: Optional[TreeArena] = None,
 ) -> int:
-    """Transmission tree under a fixed policy.
-
-    An action is folded into the observer's tree exactly when its domain may
-    flow to the observer; the node then carries the acting domain's own tree
-    at that point, so downstream equality captures what could have been
-    transmitted.
-    """
+    """Transmission tree under a fixed policy: an action is folded into the
+    observer's tree exactly when its domain may flow to the observer under
+    ``static_edges``."""
     arena = SHARED_ARENA if arena is None else arena
-    if domain not in signature.dom.values() and domain not in signature.domains:
+    if domain not in signature.domains:
         raise InputError(f"unknown domain {domain!r}")
     cur = {u: LEAF for u in signature.domains}
+    passes = lambda d, u: (d, u) in static_edges
     for a in trace:
-        d = signature.domain_of(a)
-        nxt = {}
-        for u in signature.domains:
-            if d == u or (d, u) in static_edges:
-                nxt[u] = arena.node(cur[u], cur[d], a)
-            else:
-                nxt[u] = cur[u]
-        cur = nxt
+        cur = _tree_step(signature, cur, a, passes, arena)
     return cur[domain]
 
 
@@ -146,14 +156,7 @@ def ta_may(
     cur = {u: LEAF for u in sig.domains}
     state = system.initial
     for a in trace:
-        d = sig.domain_of(a)
-        nxt = {}
-        for u in sig.domains:
-            if permits(system, state, d, u):
-                nxt[u] = arena.node(cur[u], cur[d], a)
-            else:
-                nxt[u] = cur[u]
-        cur = nxt
+        cur = _tree_step(sig, cur, a, partial(permits, system, state), arena)
         state = step(system, state, a)
     return cur[domain]
 
@@ -295,16 +298,6 @@ def select_violation(
     return select_violation_seq(signature, ms, [value_of(t) for t in ms])
 
 
-def _ends_table(system: PolicyEnhancedSystem, traces: Iterable[Trace]) -> Dict[Trace, object]:
-    ends: Dict[Trace, object] = {}
-    for t in sorted(traces, key=len):
-        if not t:
-            ends[t] = system.initial
-        else:
-            ends[t] = step(system, ends[t[:-1]], t[-1])
-    return ends
-
-
 def check_f_security(
     partitions: Mapping[str, TracePartition],
     system: PolicyEnhancedSystem,
@@ -328,8 +321,7 @@ def check_f_security(
         if part is None:
             continue
         if mode == "final-obs":
-            ends = _ends_table(system, part.traces())
-            value_of = lambda t, _u=u, _e=ends: system.obs[(_u, _e[t])]
+            value_of = lambda t, _u=u: system.obs[(_u, run(system, t))]
         else:
             cache: Dict[Trace, tuple] = {}
             def value_of(t, _u=u, _c=cache):

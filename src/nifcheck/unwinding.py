@@ -11,32 +11,29 @@ margin that separates genuine disagreement from artifacts of the depth bound.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Dict, Iterable, List, Mapping, Optional, Tuple
 
 import numpy as np
 
 from .checkers import class_violations, label_partitions
-from .model import InputError, PolicyEnhancedSystem, Trace, permits, run
+from .model import InputError, PolicyEnhancedSystem, Trace, check_depth, permits, run
 from .traceindex import MATERIALIZE_LIMIT, TraceIndex
-from .trees import LEAF, SHARED_ARENA, TracePartition, TreeArena
+from .trees import LEAF, SHARED_ARENA, TracePartition, TreeArena, _tree_step
 
 
 @dataclass(frozen=True)
 class UnwindingResult:
     """Finished per-domain closure, plus how much work it took.
 
-    ``saturated`` records that the final round of the closure moved no
-    root; the engine always runs until that holds, so a False value would
-    indicate an aborted computation.  ``rule_counts`` are the counts of
-    ``traceindex.unwinding_closure``: deletion pairs, stepping links, rounds
-    ("sweeps") and key lookups; transitive closure is implicit in the
-    union-find.
+    ``rule_counts`` are the counts of ``traceindex.unwinding_closure``:
+    deletion pairs, stepping links, rounds ("sweeps") and key lookups;
+    transitive closure is implicit in the union-find.
     """
 
     partitions: Mapping[str, TracePartition]
     rule_counts: Mapping[str, int]
     depth: int
-    saturated: bool = True
 
     def same_class(self, domain: str, a: Trace, b: Trace) -> bool:
         return self.partitions[domain].same_class(a, b)
@@ -87,23 +84,18 @@ def holds_distributed(
 def _joint_atom(
     system: PolicyEnhancedSystem,
     result: UnwindingResult,
+    cache: Dict[tuple, bool],
+    prefix: Trace,
     actor: str,
     observer: str,
-    prefix: Trace,
-    cache: Dict[tuple, bool],
 ) -> bool:
-    pd = result.partitions[actor]
-    pu = result.partitions[observer]
-    key = (actor, observer, pd.find(prefix), pu.find(prefix))
+    """``holds_distributed`` for the group {actor, observer} and the edge
+    actor -> observer, cached per pair of classes."""
+    pair = (actor, observer)
+    key = pair + tuple(result.partitions[g].find(prefix) for g in pair)
     got = cache.get(key)
     if got is None:
-        in_u = set(pu.members(prefix))
-        got = all(
-            permits(system, run(system, b), actor, observer)
-            for b in pd.members(prefix)
-            if b in in_u
-        )
-        cache[key] = got
+        got = cache[key] = holds_distributed(result, system, pair, pair, prefix)
     return got
 
 
@@ -125,15 +117,8 @@ def ta_must(
     cache: Dict[tuple, bool] = {}
     cur = {u: LEAF for u in sig.domains}
     for i, a in enumerate(trace):
-        prefix = trace[:i]
-        d = sig.domain_of(a)
-        nxt = {}
-        for u in sig.domains:
-            if u == d or _joint_atom(system, result, d, u, prefix, cache):
-                nxt[u] = arena.node(cur[u], cur[d], a)
-            else:
-                nxt[u] = cur[u]
-        cur = nxt
+        passes = partial(_joint_atom, system, result, cache, trace[:i])
+        cur = _tree_step(sig, cur, a, passes, arena)
     return cur[domain]
 
 
@@ -152,16 +137,10 @@ def ta_must_labels(
     for _ in range(result.depth):
         nxt_level: Dict[Trace, Dict[str, int]] = {}
         for prefix, cur in level.items():
+            passes = partial(_joint_atom, system, result, cache, prefix)
             for a in sig.actions:
-                d = sig.domain_of(a)
-                nxt = {}
-                for u in sig.domains:
-                    if u == d or _joint_atom(system, result, d, u, prefix, cache):
-                        nxt[u] = arena.node(cur[u], cur[d], a)
-                    else:
-                        nxt[u] = cur[u]
                 t = prefix + (a,)
-                nxt_level[t] = nxt
+                nxt_level[t] = nxt = _tree_step(sig, cur, a, passes, arena)
                 for u in sig.domains:
                     out[u][t] = nxt[u]
         level = nxt_level
@@ -207,6 +186,7 @@ def check_theorem_mustunwind(
     Both labellings run on the bulk engine; ``unwinding_partition`` and
     ``ta_must_labels`` are the materializing reference.
     """
+    check_depth(depth)
     if not 0 <= margin < depth:
         raise InputError("margin must satisfy 0 <= margin < depth")
     idx = TraceIndex(system, depth)

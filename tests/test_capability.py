@@ -33,8 +33,10 @@ from nifcheck import (
     cap_text,
     capability_drm_interpretation,
     check_drm,
+    check_globally_known,
     check_locality,
     check_ta_may_security,
+    check_theorem_mustunwind,
     check_unwinding_security,
     data_action,
     default_actions,
@@ -43,6 +45,8 @@ from nifcheck import (
     parse_cap_config,
     parse_tag,
     parse_trace,
+    policy_leq,
+    reachable_states,
     remove_tag_action,
     script_action,
     send_cap_action,
@@ -424,7 +428,14 @@ class TestBuildPes:
     def test_bad_depth_rejected(self, twoproc):
         pes = build_pes(twoproc, 1)
         structured = capability_drm_interpretation(twoproc, 1, pes)
-        checks = (check_locality, check_unwinding_security, check_ta_may_security)
+        checks = (
+            check_locality,
+            check_unwinding_security,
+            check_ta_may_security,
+            check_theorem_mustunwind,
+            lambda system, depth: check_globally_known(system, "p", depth),
+            lambda system, depth: policy_leq(system, system, depth),
+        )
         for depth in (-1, 1.5, "2", True, False, None):
             with pytest.raises(InputError, match="nonnegative integer"):
                 build_pes(twoproc, depth)
@@ -435,6 +446,9 @@ class TestBuildPes:
                     check(pes, depth)
             with pytest.raises(InputError, match="nonnegative integer"):
                 check_drm(structured, depth)
+            if depth is not None:  # None means unbounded here
+                with pytest.raises(InputError, match="nonnegative integer"):
+                    reachable_states(pes, depth)
 
     def test_single_process_no_actions(self):
         config = standard_config(("p",), (), (0,), kinds=())

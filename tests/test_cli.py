@@ -103,6 +103,10 @@ class TestRunChecks:
             run_checks(fig1, ["ta", "gk"], 3)
         with pytest.raises(InputError, match="unknown property"):
             run_checks("no/such/file.nif", ["ta", "bogus"])
+        with pytest.raises(InputError, match="nonnegative integer"):
+            run_checks("no/such/file.nif", ["ta"], -1)
+        with pytest.raises(InputError, match="no variants"):
+            run_checks("no/such/file.cap", flags={"variant": "open"})
         monkeypatch.setattr(nifcheck.cli, "check_unwinding_security", refuse)
         with pytest.raises(InputError, match="0 <= margin < depth"):
             run_checks(fig1, ("unwinding", "theorem-mustunwind"), 6, flags={"margin": 9})
@@ -161,6 +165,11 @@ class TestExitCodes:
         argv = [fig1, "--property", "unwinding,theorem-mustunwind", "--depth", "3"]
         assert main(argv + ["--margin", "3"]) == 2
         assert "0 <= margin < depth" in capsys.readouterr().err
+
+    def test_two_on_a_negative_depth(self, fig1, capsys):
+        argv = [fig1, "--depth", "-1", "--property", "gk", "--gk-domain", "A"]
+        assert main(argv) == 2
+        assert "nonnegative integer" in capsys.readouterr().err
 
     def test_two_on_unknown_variant(self, fig2, capsys):
         assert main([fig2, "--variant", "nope", "--property", "mayta"]) == 2
