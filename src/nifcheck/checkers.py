@@ -51,13 +51,14 @@ def _offending(key: np.ndarray, values: np.ndarray) -> np.ndarray:
 
 
 def _group_pairs(
-    idx: TraceIndex, key: np.ndarray, values: np.ndarray, groups: np.ndarray
+    lex_all: np.ndarray, key: np.ndarray, values: np.ndarray, groups: np.ndarray
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Least node, x and y of every group marked in the bool id table
+    """Least entry, x and y of every group marked in the bool id table
     ``groups``, each of which must offend, in id order.
 
     The witness rule of ``trees.select_violation_seq``, as segment minima
-    over node ids (shortlex ranks) and ``idx.lex_ranks()``:
+    over entry positions, which rise with the node ids (shortlex ranks),
+    and the entries' lex ranks ``lex_all``:
 
     * ``l0``/``v0``: lex rank and value of the group's lex-least member;
     * ``l1``: least lex rank among members whose value is not ``v0``;
@@ -70,7 +71,6 @@ def _group_pairs(
     ids = np.flatnonzero(groups)
     g = np.searchsorted(ids, key[nodes])  # groups renumbered 0..len(ids)-1
     big = np.iinfo(np.int64).max
-    lex_all = idx.lex_ranks()
     val, lex = values[nodes], lex_all[nodes]
 
     def seg_min(mask: np.ndarray, of: np.ndarray) -> np.ndarray:
@@ -110,7 +110,7 @@ def class_violations(
     bad = _offending(key, values)
     if not bad.any():
         return np.empty((0, 2), dtype=np.int64)
-    first, x, y = _group_pairs(idx, key, values, bad)
+    first, x, y = _group_pairs(idx.lex_ranks(), key, values, bad)
     order = np.argsort(first)
     return np.stack([x[order], y[order]], axis=1)
 
@@ -120,27 +120,37 @@ def _grouped_violation(
     key: np.ndarray,
     values: np.ndarray,
     bound: Optional[int] = None,
+    nodes: Optional[np.ndarray] = None,
 ) -> Optional[Tuple[int, int]]:
     """The rule-minimal pair (x, y) of ``class_violations`` with y at most
     ``bound``: least y, then least x; groups are disjoint, so y is distinct.
+    Given ``nodes``, ascending node ids, ``key`` and ``values`` hold only
+    those nodes' entries, and no group of the other nodes may offend.
 
     A group's y is one of its members, so only a group with a member at or
     below the best y so far can win.  The group of the least node of any
     offending group gives a first y, and the witness steps then run only on
     the offending groups with a member at or below it and ``bound``."""
     bad = _offending(key, values)
-    top = len(key) - 1 if bound is None else min(bound, len(key) - 1)
-    hit = bad[key[: max(top + 1, 0)]]
+    end = len(key)  # entries [0, end) are the nodes at or below the bound
+    if bound is not None:
+        end = min(bound + 1, end) if nodes is None else int(np.searchsorted(nodes, bound, "right"))
+    hit = bad[key[:end]]
     if not hit.any():
         return None
+    lex_all = idx.lex_ranks() if nodes is None else idx.lex_ranks()[nodes]
     first = np.zeros_like(bad)
     first[key[np.argmax(hit)]] = True
-    top = min(top, int(_group_pairs(idx, key, values, first)[2][0]))
+    end = min(end, int(_group_pairs(lex_all, key, values, first)[2][0]) + 1)
     cand = np.zeros_like(bad)
-    cand[key[: top + 1][hit[: top + 1]]] = True
-    _, x, y = _group_pairs(idx, key, values, cand)
+    cand[key[:end][hit[:end]]] = True
+    _, x, y = _group_pairs(lex_all, key, values, cand)
     i = int(np.argmin(y))
-    return (int(x[i]), int(y[i])) if y[i] <= top else None
+    if y[i] >= end:
+        return None
+    if nodes is not None:
+        x, y = nodes[x], nodes[y]
+    return int(x[i]), int(y[i])
 
 
 def _least_violation(
@@ -317,6 +327,12 @@ def check_locality(
     return _locality_verdict(TraceIndex(system, depth), known_to, notes)
 
 
+def _joint_keys(labels: np.ndarray, ui: int, vi: int, nodes=slice(None)) -> np.ndarray:
+    """The (L_ui, L_vi) label pair of each of ``nodes``, packed into a uint64."""
+    high = labels[ui][nodes].astype(np.uint64) << np.uint64(32)
+    return high | labels[vi][nodes].astype(np.uint64)
+
+
 def _locality_verdict(
     idx: TraceIndex, known_to: Optional[str] = None, notes: Tuple[str, ...] = ()
 ) -> Verdict:
@@ -327,24 +343,36 @@ def _locality_verdict(
     best = None
     for ui in range(n):
         for vi in range(ui + 1, n):
-            if known_to is None:
-                # one grouping of the joint labels serves both directed edges
-                joint = (labels[ui].astype(np.uint64) << np.uint64(32)) | labels[
-                    vi
-                ].astype(np.uint64)
-                if best is None:
-                    ids = _sorted_unique(joint, return_inverse=True)[1]
-                else:
-                    # Only groups with a node at or below the best y can win:
-                    # number the joint keys of those nodes and put every
-                    # other node under one id past them (the sentinel's).
-                    head = np.append(_sorted_unique(joint[: best[0][0] + 1]), _NO_KEY)
-                    ids = np.searchsorted(head, joint)
-                    ids[head[ids] != joint] = len(head) - 1
-            for a, b in ((ui, vi), (vi, ui)):
+            atoms = {(a, b): idx.edge_bool[idx.states, a, b] for a, b in ((ui, vi), (vi, ui))}
+            nodes = None
+            # one grouping of the joint labels serves both directed edges
+            if known_to is None and best is None:
+                # A joint class lies inside one class of each endpoint, so on
+                # the edge a to b it can offend only inside an offending L_a
+                # class, where its L_b class must offend too.  The mask is
+                # constant on joint classes: grouping its nodes alone finds
+                # every offending joint class.
+                mask = np.zeros(idx.n_nodes, dtype=bool)
+                for (a, b), atom in atoms.items():
+                    live = np.flatnonzero(_offending(labels[a], atom)[labels[a]])
+                    lb = labels[b][live]
+                    mask[live[_offending(lb, atom[live])[lb]]] = True
+                nodes = np.flatnonzero(mask)
+                ids = _sorted_unique(_joint_keys(labels, ui, vi, nodes), return_inverse=True)[1]
+            elif known_to is None:
+                # Only groups with a node at or below the best y can win:
+                # number the joint keys of those nodes and put every other
+                # node under one id past them (the sentinel's).
+                joint = _joint_keys(labels, ui, vi)
+                head = np.append(_sorted_unique(joint[: best[0][0] + 1]), _NO_KEY)
+                ids = np.searchsorted(head, joint)
+                ids[head[ids] != joint] = len(head) - 1
+            for (a, b), atom in atoms.items():
                 key = ids if known_to is None else labels[a if known_to == "sender" else b]
-                atom = idx.edge_bool[idx.states, a, b]
-                pair = _grouped_violation(idx, key, atom, None if best is None else best[0][0])
+                values = atom if nodes is None else atom[nodes]
+                pair = _grouped_violation(
+                    idx, key, values, None if best is None else best[0][0], nodes
+                )
                 if pair is None:
                     continue
                 # position of (a, b) among the ordered pairs, row by row

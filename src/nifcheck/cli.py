@@ -38,7 +38,7 @@ from .checkers import (
     check_unwinding_security,
 )
 from .formats import ParseError, parse_cap_config, parse_document, parse_trace
-from .model import InputError, PolicyEnhancedSystem, check_depth
+from .model import InputError, PolicyEnhancedSystem, check_depth, check_margin
 from .unwinding import check_theorem_mustunwind
 from .verdicts import BOUNDED_SECURE, CERTIFIED_SECURE, INCONCLUSIVE, Verdict
 
@@ -182,7 +182,7 @@ def run_checks(
     The property names, the depth and the flags are checked before the file
     is read."""
     flags = dict(flags or {})
-    margin = int(flags.get("margin", 1))
+    margin = flags.get("margin", 1)
     variant = flags.get("variant")
     gk_domain = flags.get("gk_domain")
     asked = tuple(properties or ())
@@ -196,8 +196,8 @@ def run_checks(
         raise InputError("capability configurations have no variants")
     if "gk" in asked and not gk_domain:
         raise InputError("property gk needs --gk-domain")
-    if "theorem-mustunwind" in asked and not 0 <= margin < depth:
-        raise InputError("margin must satisfy 0 <= margin < depth")
+    if "theorem-mustunwind" in asked:
+        check_margin(margin, depth)
 
     with open(path, "rb") as fh:
         data = fh.read()

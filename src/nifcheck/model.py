@@ -28,6 +28,12 @@ def check_depth(depth) -> None:
         raise InputError(f"depth must be a nonnegative integer, got {depth!r}")
 
 
+def check_margin(margin, depth: int) -> None:
+    """An interior margin is an int with 0 <= margin < depth; bool is rejected."""
+    if isinstance(margin, bool) or not isinstance(margin, int) or not 0 <= margin < depth:
+        raise InputError(f"margin must be an integer with 0 <= margin < depth, got {margin!r}")
+
+
 @dataclass(frozen=True)
 class Signature:
     """Action alphabet partitioned over security domains.

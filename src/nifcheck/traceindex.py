@@ -87,8 +87,10 @@ def _sorted_unique(keys: np.ndarray, return_inverse: bool = False):
     loses on random ones, and whole passes got no faster without it.  Keys
     that already are non-negative ids, such as tree labels or closure
     roots, group without a sort (``checkers.class_violations``).
-    ``locality`` sorts its joint labels whole only until a first violating
-    pair; after that, only those of the nodes up to the best y."""
+    Until a first violating pair, ``locality`` sorts the joint labels of
+    only the nodes that could offend, those in an offending class of one
+    endpoint's labels and, among them, of the other's; after that, only
+    those of the nodes up to the best y."""
     if return_inverse:
         order = np.argsort(keys, kind="stable")
         ordered = keys[order]

@@ -17,7 +17,7 @@ from typing import Dict, Iterable, List, Mapping, Optional, Tuple
 import numpy as np
 
 from .checkers import class_violations, label_partitions
-from .model import InputError, PolicyEnhancedSystem, Trace, check_depth, permits, run
+from .model import InputError, PolicyEnhancedSystem, Trace, check_depth, check_margin, permits, run
 from .traceindex import MATERIALIZE_LIMIT, TraceIndex
 from .trees import LEAF, SHARED_ARENA, TracePartition, TreeArena, _tree_step
 
@@ -187,8 +187,7 @@ def check_theorem_mustunwind(
     ``ta_must_labels`` are the materializing reference.
     """
     check_depth(depth)
-    if not 0 <= margin < depth:
-        raise InputError("margin must satisfy 0 <= margin < depth")
+    check_margin(margin, depth)
     idx = TraceIndex(system, depth)
     roots, _ = idx.unwinding_roots()
     must = idx.ta_labels(idx.jointly_known(roots)[: idx.interior_end])

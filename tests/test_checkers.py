@@ -55,6 +55,7 @@ from oracles import (
     naive_dipurge,
     naive_dsrc,
     naive_lpurge,
+    naive_ta_may,
     python_class_violations,
     python_globally_known,
     python_i_security,
@@ -97,6 +98,28 @@ def admin_system(admin_changes_policy: bool = True) -> PolicyEnhancedSystem:
         transitions=trans,
         obs=obs,
         edges=edges,
+    )
+
+
+def parity_edge_system() -> PolicyEnhancedSystem:
+    """U may flow to V iff U and V have acted an unequal number of times,
+    mod 2; W only acts.  Neither endpoint alone knows the edge, the two
+    jointly do: plain locality holds, but both single-label classes offend."""
+    sig = Signature(
+        domains=("U", "V", "W"), actions=("u", "v", "w"), dom={"u": "U", "v": "V", "w": "W"}
+    )
+    states = ((0, 0), (0, 1), (1, 0), (1, 1))
+    flip = {"u": (1, 0), "v": (0, 1), "w": (0, 0)}
+    trans = {
+        (s, a): (s[0] ^ flip[a][0], s[1] ^ flip[a][1]) for s in states for a in sig.actions
+    }
+    return PolicyEnhancedSystem(
+        signature=sig,
+        states=states,
+        initial=(0, 0),
+        transitions=trans,
+        obs={(u, s): 0 for u in sig.domains for s in states},
+        edges={s: frozenset({("U", "V")} if s[0] != s[1] else ()) for s in states},
     )
 
 
@@ -483,7 +506,47 @@ class TestLocalityKnownTo:
             best = min(ys + ([] if best is None else [best]), default=None)
         return False
 
-    def test_matches_the_oracle(self):
+    @staticmethod
+    def python_masks(system, depth):
+        """Per unordered pair of domains, in check order: the number of
+        traces that plain locality's mask keeps, read off materialized
+        traces, and whether a joint class of the pair offends.  A trace is
+        kept if, for the edge a to b either way, its L_a class offends and
+        its L_b class offends among the traces of offending L_a classes."""
+        system, _ = strip_inactive_edges(system)
+        sig = system.signature
+        traces = list(traces_upto(sig, depth))
+        label = {(t, u): naive_ta_may(system, t, u) for t in traces for u in sig.domains}
+
+        def offending(members, key, atom):
+            seen = {}
+            for t in members:
+                seen.setdefault(key(t), set()).add(atom[t])
+            return {t for t in members if len(seen[key(t)]) > 1}
+
+        masks = []
+        for u, v in itertools.combinations(sig.domains, 2):
+            kept, joint_offends = set(), False
+            for a, b in ((u, v), (v, u)):
+                atom = {t: permits(system, run(system, t), a, b) for t in traces}
+                live = offending(traces, lambda t: label[t, a], atom)
+                kept |= offending(live, lambda t: label[t, b], atom)
+                joint = offending(traces, lambda t: (label[t, a], label[t, b]), atom)
+                joint_offends |= bool(joint)
+            masks.append((len(kept), joint_offends))
+        return masks
+
+    def test_matches_the_oracle(self, monkeypatch):
+        # Plain locality sorts the joint keys of a pair met before the first
+        # violation only on the mask's nodes; the spy records those sorts.
+        sorted_lengths = []
+
+        def spy(keys, return_inverse=False):
+            if return_inverse:
+                sorted_lengths.append(len(keys))
+            return _sorted_unique(keys, return_inverse)
+
+        monkeypatch.setattr(nifcheck.checkers, "_sorted_unique", spy)
         # three or more domains, so that distinct unordered pairs exist
         rng = random.Random(1818)
         systems = [
@@ -497,8 +560,9 @@ class TestLocalityKnownTo:
                     edge_bias=r.choice((0.2, 0.35, 0.6)),
                 )
             )
+        systems.append(parity_edge_system())
         insecure = dict.fromkeys((None, "sender", "receiver", "isec", "gk"), 0)
-        bounded = 0
+        bounded = secure_kept = empty = 0
         for system in systems:
             admin = system.signature.domains[0]
             public = {(admin, v) for v in system.signature.domains if v != admin}
@@ -506,12 +570,23 @@ class TestLocalityKnownTo:
                 system, edges={s: system.edges[s] | public for s in system.states}
             )
             for depth in range(4):
+                sorted_lengths.clear()
                 for known_to in (None, "sender", "receiver"):
                     got = check_locality(system, depth, known_to=known_to)
                     want = python_locality(system, depth, known_to)
                     assert got.property == want.property
                     assert_same_verdict(got, want)
                     insecure[known_to] += got.outcome == INSECURE
+                # the pairs up to the first violating one group only their
+                # masks, and the one-endpoint variants sort nothing
+                unbounded = []
+                for kept, joint_offends in self.python_masks(system, depth):
+                    unbounded.append((kept, joint_offends))
+                    if joint_offends:
+                        break
+                assert sorted_lengths == [kept for kept, _ in unbounded]
+                secure_kept += any(kept and not bad for kept, bad in unbounded)
+                empty += any(not kept for kept, _ in unbounded)
                 got = check_i_security(system, depth)
                 assert_same_verdict(got, python_i_security(system, depth))
                 insecure["isec"] += got.outcome == INSECURE
@@ -521,6 +596,27 @@ class TestLocalityKnownTo:
                 bounded += self.later_pair_competes(system, depth)
         assert min(insecure.values()) >= 2, insecure
         assert bounded >= 10, bounded
+        # a secure pair whose single-label classes offend, and a pair whose
+        # mask is empty
+        assert secure_kept >= 4 and empty >= 10, (secure_kept, empty)
+
+    def test_secure_capability_system_sorts_almost_no_joint_keys(
+        self, corpus_dir, monkeypatch
+    ):
+        sorted_lengths = []
+
+        def spy(keys, return_inverse=False):
+            sorted_lengths.append(len(keys))
+            return _sorted_unique(keys, return_inverse)
+
+        monkeypatch.setattr(nifcheck.checkers, "_sorted_unique", spy)
+        config = parse_cap_config((corpus_dir / "twoproc.cap").read_text())
+        system = build_pes(config, 3)
+        assert check_locality(system, 3).outcome == BOUNDED_SECURE
+        n_nodes = sum(len(system.signature.actions) ** k for k in range(4))
+        assert n_nodes == 242_235
+        assert max(sorted_lengths, default=0) <= n_nodes // 100, sorted_lengths
+
 
 class TestRestrictToLocal:
     def test_never_grants_more_than_the_original(self):
@@ -769,6 +865,21 @@ class TestClassViolations:
                     # group of the least offending node
                     later_wins += len(pairs) > 0 and int(np.argmin(ys)) != 0
         assert later_wins >= 3
+
+    def test_node_subset_matches_the_whole(self):
+        # the nodes left out sit in singleton groups, which never offend
+        gen = np.random.default_rng(3232)
+        idx = TraceIndex(shaped_system(random.Random(3232), 5, 3, 2), 4)
+        n = idx.n_nodes
+        for groups in (1, 3, 10, 40, 200):
+            alone = gen.random(n) < 0.5
+            key = np.where(alone, groups + np.arange(n), gen.integers(0, groups, n))
+            values = gen.integers(0, 3, n)
+            nodes = np.flatnonzero(~alone | (gen.random(n) < 0.1))
+            ys = class_violations(idx, key, values)[:, 1]
+            for bound in [None] + list(range(-1, int(ys.max(initial=0)) + 2)):
+                want = _grouped_violation(idx, key, values, bound)
+                assert _grouped_violation(idx, key[nodes], values[nodes], bound, nodes) == want
 
     def test_least_violation_ties_on_y_go_to_the_least_x(self):
         gen = np.random.default_rng(3131)

@@ -111,6 +111,15 @@ class TestRunChecks:
         with pytest.raises(InputError, match="0 <= margin < depth"):
             run_checks(fig1, ("unwinding", "theorem-mustunwind"), 6, flags={"margin": 9})
 
+    @pytest.mark.parametrize("margin", [1.5, 1.7, True, "x", None])
+    def test_margin_must_be_an_int(self, fig1, margin, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("ran before the margin was checked")
+
+        monkeypatch.setattr(nifcheck.cli, "parse_document", refuse)
+        with pytest.raises(InputError, match="0 <= margin < depth"):
+            run_checks(fig1, ["theorem-mustunwind"], 3, flags={"margin": margin})
+
     def test_gk_with_domain_runs(self, fig1):
         report = run_checks(
             fig1, properties=("gk",), depth=3, flags={"gk_domain": "A"}

@@ -225,3 +225,8 @@ class TestTheoremAgreement:
         with pytest.raises(InputError):
             check_theorem_mustunwind(system, 3, margin=-1)
         assert check_theorem_mustunwind(system, 3, margin=0).depth == 3
+
+    @pytest.mark.parametrize("margin", [1.5, 1.7, True, "x", None])
+    def test_margin_must_be_an_int(self, margin):
+        with pytest.raises(InputError, match="0 <= margin < depth"):
+            check_theorem_mustunwind(downgrader_system(), 3, margin=margin)
