@@ -8,7 +8,7 @@ engine's unwinding-closure kernel over the reachable states.
 
 from __future__ import annotations
 
-from typing import Dict, List, Mapping, Optional, Tuple
+from typing import Dict, Iterator, List, Mapping, Optional, Tuple
 
 import numpy as np
 
@@ -586,26 +586,56 @@ def dipurge(
     return tuple(out)
 
 
-def _kept(idx: TraceIndex, acts: np.ndarray, at: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Which actions each row's purge keeps, shape like ``acts``.
+def _purge_nodes(idx: TraceIndex, start: int, advance: bool) -> Iterator[np.ndarray]:
+    """Node id of every trace's purge from state id ``start``, per observer,
+    level by level: yields shape [n_domains, level size] for levels 1 to
+    the depth.  ``advance`` gives ``lpurge``, whose state walks past deleted
+    actions; otherwise ``dipurge``, whose state stays.
 
-    Row r runs the actions ``acts[r]`` from state id ``at[r]`` and is purged
-    for observer ``u[r]``.  Sweeping back from the end with one bool column
-    per domain for the sources of the rest (at first the observer), an
-    action stays iff its domain may flow, at its state, to a source, and
-    then its domain is one."""
-    before = np.empty(acts.shape, dtype=np.int32)
-    for k in range(acts.shape[1]):
-        before[:, k] = at if k == 0 else idx.trans[before[:, k - 1], acts[:, k - 1]]
-    rows = np.arange(len(acts))
-    src = np.zeros((len(acts), idx.n_domains), dtype=bool)
-    src[rows, u] = True
-    keep = np.empty(acts.shape, dtype=bool)
-    for k in range(acts.shape[1] - 1, -1, -1):
-        d = idx.dom_of[acts[:, k]]
-        keep[:, k] = (idx.edge_bool[before[:, k], d] & src).any(axis=1)
-        src[rows, d] |= keep[:, k]
-    return keep
+    One backward sweep over suffixes.  Level k holds, for each trace t of
+    length k run from each state s within ``depth - k`` steps of ``start``
+    (a prefix of the discovery order), t's sources as a byte-packed
+    bitmask and its purge as a rank within its level plus a length.  For
+    ``a.t`` at s, with s' = trans[s, a]: a is kept iff its domain may flow
+    at s to a source of t at s', and then joins them; a kept a gives
+    ``a.purge(t, s')``, rank ``a * n_actions**len + rank``, and a dropped
+    one ``purge(t, s')`` or, without ``advance``, ``purge(t, s)``.  The
+    traces from ``start`` itself are the first entries of each level."""
+    nd, na = idx.n_domains, idx.n_actions
+    rings, seen = [np.array([start])], np.zeros(len(idx.trans), dtype=bool)
+    seen[start] = True
+    for _ in range(idx.depth):  # steps only from states short of the depth
+        hit = np.zeros_like(seen)
+        hit[idx.trans[rings[-1]]] = True
+        rings.append(np.flatnonzero(hit & ~seen))
+        seen |= hit
+    within = np.cumsum([len(r) for r in rings])  # states within j steps
+    order = np.concatenate(rings)
+    pos = np.zeros(len(seen), dtype=np.int32)
+    pos[order] = np.arange(len(order), dtype=np.int32)
+    one = np.packbits(np.eye(nd, dtype=bool), axis=1, bitorder="little")  # [nd, bytes]
+    acts = np.arange(na, dtype=np.int32)[:, None]
+    power = (na ** np.arange(idx.depth + 1, dtype=np.int64)).astype(np.int32)
+    offs = np.asarray(idx.offs, dtype=np.int32)
+
+    n = within[idx.depth]
+    src = np.broadcast_to(one[:, None, None], (nd, n, 1, one.shape[1]))
+    rank = np.zeros((nd, n, 1), dtype=np.int32)
+    length = np.zeros((nd, n, 1), dtype=np.min_scalar_type(idx.depth))
+    for k in range(1, idx.depth + 1):
+        n = within[idx.depth - k]
+        nxt = pos[idx.trans[order[:n]]]
+        flows = np.packbits(idx.edge_bool[order[:n]][:, idx.dom_of], axis=2, bitorder="little")
+        sub = src[:, nxt]  # [nd, n, na, na**(k-1), bytes]
+        kept = (sub & flows[:, :, None]).any(axis=4)
+        src = (sub | kept[..., None] * one[idx.dom_of, None]).reshape(nd, n, -1, one.shape[1])
+        r, l = rank[:, nxt], length[:, nxt]
+        grown, longer = acts * power[l] + r, l + 1
+        if not advance:
+            r, l = rank[:, :n, None], length[:, :n, None]
+        rank = np.where(kept, grown, r).reshape(nd, n, -1)
+        length = np.where(kept, longer, l).reshape(nd, n, -1)
+        yield offs[length[:, 0]] + rank[:, 0]
 
 
 def check_lpurge_security(system: PolicyEnhancedSystem, depth: int) -> Verdict:
@@ -613,52 +643,26 @@ def check_lpurge_security(system: PolicyEnhancedSystem, depth: int) -> Verdict:
 
     The witness is the shortlex-first trace (with the first domain in
     declaration order) whose observation differs from its purge's; the purged
-    trace rides along in the details.  A level is purged for all observers at
-    once, a block of rows each, into node ids: keeping action a extends node
-    p to its child ``p * n_actions + 1 + a``."""
+    trace rides along in the details.  Every trace is purged for every
+    observer by one suffix sweep from the initial state (``_purge_nodes``);
+    the check stops it at the first level with a violation."""
     system, notes = strip_inactive_edges(system)
     idx = TraceIndex(system, depth)
-    for l in range(1, depth + 1):
-        s, e = idx.offs[l], idx.offs[l + 1]
-        acts = np.tile(idx.level_actions(l), (idx.n_domains, 1))
-        observer = np.repeat(np.arange(idx.n_domains), e - s)
-        keep = _kept(idx, acts, np.full(len(acts), idx.states[0]), observer)
-        purged = np.zeros(len(acts), dtype=np.int64)
-        for k in range(l):
-            purged = np.where(keep[:, k], purged * idx.n_actions + 1 + acts[:, k], purged)
-        seen = idx.obs_ids[observer, idx.states[purged]].reshape(idx.n_domains, e - s)
-        bad = seen != idx.obs_ids[:, idx.states[s:e]]
+    for l, purged in enumerate(_purge_nodes(idx, idx.states[0], advance=True), 1):
+        seen = np.take_along_axis(idx.obs_ids, idx.states[purged], axis=1)
+        bad = seen != idx.obs_ids[:, idx.states[idx.offs[l] : idx.offs[l + 1]]]
         if bad.any():
             i = int(np.argmax(bad.any(axis=0)))  # least node, then least domain
             ui = int(np.argmax(bad[:, i]))
             return Verdict(
                 property="purge",
                 outcome=INSECURE,
-                witness=(idx.trace_of(s + i), idx.signature.domains[ui]),
+                witness=(idx.trace_of(idx.offs[l] + i), idx.signature.domains[ui]),
                 depth=depth,
                 notes=notes,
-                details={"purged": idx.trace_of(int(purged[ui * (e - s) + i]))},
+                details={"purged": idx.trace_of(int(purged[ui, i]))},
             )
     return Verdict(property="purge", outcome=BOUNDED_SECURE, depth=depth, notes=notes)
-
-
-def _dipurge_nodes(idx: TraceIndex, start: int) -> np.ndarray:
-    """Node id of every trace's ``dipurge`` from state id ``start``, per
-    observer: shape [n_domains, n_nodes].  At each position the rest of the
-    trace runs from the purge's own state, where its sources are taken."""
-    purged = np.zeros((idx.n_domains, idx.n_nodes), dtype=np.int64)
-    for l in range(1, idx.depth + 1):
-        s, e = idx.offs[l], idx.offs[l + 1]
-        acts = np.tile(idx.level_actions(l), (idx.n_domains, 1))
-        observer = np.repeat(np.arange(idx.n_domains), e - s)
-        p = np.zeros(len(acts), dtype=np.int64)
-        at = np.full(len(acts), start, dtype=np.int64)
-        for i in range(l):
-            keep = _kept(idx, acts[:, i:], at, observer)[:, 0]
-            p = np.where(keep, p * idx.n_actions + 1 + acts[:, i], p)
-            at = np.where(keep, idx.trans[at, acts[:, i]], at)
-        purged[:, s:e] = p.reshape(idx.n_domains, e - s)
-    return purged
 
 
 def check_i_security(system: PolicyEnhancedSystem, depth: int) -> Verdict:
@@ -667,6 +671,7 @@ def check_i_security(system: PolicyEnhancedSystem, depth: int) -> Verdict:
     Traces with the same source-filtered purge must look identical to the
     observer.  States are tried in discovery order and the first state with a
     violating pair wins; within a state the pair follows the witness rule.
+    Each start's purges come from one suffix sweep (``_purge_nodes``).
     Starts from which ``TraceIndex`` would refuse the depth, since a shorter
     trace ends on a truncated state, are skipped and counted in
     ``details["truncated_starts"]``."""
@@ -679,7 +684,9 @@ def check_i_security(system: PolicyEnhancedSystem, depth: int) -> Verdict:
     for start in starts:
         if idx.near_frontier[start]:
             continue
-        purged = _dipurge_nodes(idx, start)
+        purged = np.zeros((idx.n_domains, idx.n_nodes), dtype=np.int32)
+        for l, ids in enumerate(_purge_nodes(idx, start, advance=False), 1):
+            purged[:, idx.offs[l] : idx.offs[l + 1]] = ids
         best = _least_violation(idx, purged, idx.run_states(start))
         if best is not None:
             y, x, ui = best

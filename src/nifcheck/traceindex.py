@@ -260,13 +260,6 @@ class TraceIndex:
         out.reverse()
         return tuple(out)
 
-    def level_actions(self, l: int) -> np.ndarray:
-        """Action digits of the nodes at level l, shape [size, l]: column k
-        holds the index of each trace's k-th action."""
-        n, size = max(self.n_actions, 1), self.offs[l + 1] - self.offs[l]
-        digits = np.arange(size, dtype=np.int64)[:, None] // n ** np.arange(l - 1, -1, -1) % n
-        return digits.astype(np.int16)  # fits, as there are fewer than _MAX_ACTIONS
-
     def run_states(self, start: int) -> np.ndarray:
         """End state id of every node's trace, run from state id ``start``."""
         states = np.empty(self.n_nodes, dtype=np.int32)

@@ -13,6 +13,7 @@ import nifcheck.unwinding
 from nifcheck.checkers import (
     _grouped_violation,
     _least_violation,
+    _purge_nodes,
     class_violations,
     label_partitions,
 )
@@ -42,6 +43,7 @@ from nifcheck import (
     parse_cap_config,
     permits,
     policy_leq,
+    reachable_states,
     restrict_to_local,
     run,
     state_unwinding_check,
@@ -307,17 +309,87 @@ class TestPurgeChecks:
         }
 
     def test_one_action_at_depth_70(self):
+        for depth in (70, 200):
+            outcomes = set()
+            for seed in (1, 5):
+                system = shaped_system(random.Random(seed), 3, 1, 2, edge_bias=0.5)
+                for check, oracle in (
+                    (check_lpurge_security, python_lpurge_security),
+                    (check_i_security, python_i_security),
+                ):
+                    got = check(system, depth)
+                    assert_same_verdict(got, oracle(system, depth))
+                    outcomes.add(got.outcome)
+            assert outcomes == {BOUNDED_SECURE, INSECURE}
+
+    @staticmethod
+    def assert_purge_nodes_name_the_purges(system, depth):
+        """The kernel's node ids spell ``dipurge`` from every reachable start
+        that ``check_i_security`` does not skip, and ``lpurge`` from the
+        initial state, for every observer and nonempty trace."""
+        idx = TraceIndex(system, depth)
+        traces = [idx.trace_of(n) for n in range(idx.n_nodes)]
+        runs = [(False, idx.state_ids[s], dipurge) for s in reachable_states(system)]
+        runs.append((True, idx.states[0], lpurge))
+        checked = 0
+        for advance, start, purge in runs:
+            if idx.near_frontier[start]:
+                continue
+            levels = list(_purge_nodes(idx, start, advance))
+            assert len(levels) == depth
+            state = idx.state_names[start]
+            for l, got in enumerate(levels, 1):
+                level = traces[idx.offs[l] : idx.offs[l + 1]]
+                for ui, u in enumerate(system.signature.domains):
+                    want = [purge(system, t, u, state) for t in level]
+                    assert [traces[n] for n in got[ui]] == want
+            checked += 1
+        return checked
+
+    def test_purge_nodes_name_the_purges_on_random_systems(self):
+        rng = random.Random(1717)
+        for i in range(60):
+            if i % 2:
+                system = shaped_system(rng, rng.randint(2, 5), rng.randint(1, 3), rng.randint(2, 3))
+            else:
+                system = random_system(rng)
+            for depth in range(5):
+                assert self.assert_purge_nodes_name_the_purges(system, depth) >= 2
+
+    def test_purge_nodes_skip_no_truncated_transition(self, corpus_dir):
+        config = parse_cap_config((corpus_dir / "twoproc.cap").read_text())
+        system = build_pes(config, 3)
+        assert system.truncated
+        for depth, starts in ((1, 149), (2, 17)):
+            # the non-skipped starts, plus one lpurge sweep from the initial state
+            assert self.assert_purge_nodes_name_the_purges(system, depth) == starts + 1
+
+    @staticmethod
+    def wide_system(rng, n_domains):
+        """Four actions, owned by the first, last and two middle domains, so
+        that sources reach the top bits of a mask as wide as the domains."""
+        base = shaped_system(rng, 4, 4, n_domains, edge_bias=0.5)
+        sig = base.signature
+        owners = (0, n_domains - 1, n_domains // 2, n_domains - 2)
+        dom = {a: sig.domains[o] for a, o in zip(sig.actions, owners)}
+        return dataclasses.replace(base, signature=Signature(sig.domains, sig.actions, dom))
+
+    @pytest.mark.parametrize("n_domains", [9, 65])
+    def test_wide_domain_sets_match_the_oracles(self, n_domains):
+        rng = random.Random(n_domains)
         outcomes = set()
-        for seed in (1, 5):
-            system = shaped_system(random.Random(seed), 3, 1, 2, edge_bias=0.5)
-            for check, oracle in (
-                (check_lpurge_security, python_lpurge_security),
-                (check_i_security, python_i_security),
-            ):
-                got = check(system, 70)
-                assert_same_verdict(got, oracle(system, 70))
-                outcomes.add(got.outcome)
-        assert outcomes == {BOUNDED_SECURE, INSECURE}
+        for _ in range(3):
+            system = self.wide_system(rng, n_domains)
+            for depth in (1, 2):
+                for check, oracle in (
+                    (check_lpurge_security, python_lpurge_security),
+                    (check_i_security, python_i_security),
+                ):
+                    got = check(system, depth)
+                    assert_same_verdict(got, oracle(system, depth))
+                    outcomes.add(got.outcome)
+                self.assert_purge_nodes_name_the_purges(system, depth)
+        assert INSECURE in outcomes
 
     def test_no_materialization_limit(self, figure1, figure3, monkeypatch):
         monkeypatch.setattr(nifcheck.checkers, "MATERIALIZE_LIMIT", 2)
