@@ -77,20 +77,31 @@ class StructuredSystem:
             view = table.view()
             view.flags.writeable = False
             object.__setattr__(self, name, view)
-        at = [declared[self.osets[u]] for u in domains]
-        watched: Dict[bytes, frozenset] = {}
-        for si, s in enumerate(states):
-            for ui, u in enumerate(domains):
-                row = self.observe[ui, si]
-                if not row[at[ui]]:
-                    raise InputError(f"oset of {u!r} is not observable at {s!r}")
-                key = row.tobytes()
-                if key not in watched:
-                    watched[key] = frozenset(self.objects[o] for o in np.flatnonzero(row))
-                if self.contents[at[ui], si] != watched[key]:
-                    raise InputError(
-                        f"contents of oset({u!r}) at {s!r} do not equal the observe set"
-                    )
+        # Both laws over every (state, domain) pair at once, one row per
+        # pair in state-then-domain order; the first failing pair raises.
+        at = np.array([declared[self.osets[u]] for u in domains], dtype=np.intp)
+        hidden = ~self.observe[np.arange(len(domains)), :, at].T.ravel()
+        rows = self.observe.transpose(1, 0, 2).reshape(-1, n_objects)
+        wrong = np.zeros(len(rows), dtype=bool)
+        if len(rows):
+            # each distinct observe row's set is built once
+            packed = np.packbits(rows, axis=1)
+            order = np.lexsort(packed.T)
+            head = np.ones(len(rows), dtype=bool)
+            head[1:] = (packed[order[1:]] != packed[order[:-1]]).any(axis=1)
+            group = np.empty(len(rows), dtype=np.intp)
+            group[order] = np.cumsum(head) - 1
+            watched = np.empty(int(head.sum()), dtype=object)
+            for g, row in enumerate(rows[order[head]]):
+                watched[g] = frozenset(self.objects[o] for o in np.flatnonzero(row))
+            wrong = self.contents[at].T.ravel() != watched[group]
+        bad = np.flatnonzero(hidden | wrong)
+        if len(bad):
+            si, ui = divmod(int(bad[0]), len(domains))
+            s, u = states[si], domains[ui]
+            if hidden[bad[0]]:
+                raise InputError(f"oset of {u!r} is not observable at {s!r}")
+            raise InputError(f"contents of oset({u!r}) at {s!r} do not equal the observe set")
 
 
 def dynacrel(system: StructuredSystem, domain: str, state_a, state_b) -> bool:

@@ -12,6 +12,11 @@ parent's labels and its action, so the kernel interns one block of ids per
 distinct parent label pair and actor domain, one id per action of the
 actor, rather than one word per child.  Brute-force oracles in the test
 suite pin the semantics at small scale.
+
+Tree labels and closure roots are int32: labels stay below ``_MAX_LABELS``
+and node ids below ``_MAX_NODES``, both 2**27, so a wider type would only
+hold zeros.  Keys packed from them (arena words, signature keys, joint
+label pairs) are uint64.
 """
 
 from __future__ import annotations
@@ -141,14 +146,14 @@ class _PackedArena:
 
     def __init__(self) -> None:
         self.keys = np.empty(0, dtype=np.uint64)  # sorted
-        self.firsts = np.empty(0, dtype=np.int64)
+        self.firsts = np.empty(0, dtype=np.int32)
         self.count = 1
 
     def intern(self, keys: np.ndarray, widths: np.ndarray, grow: bool = True) -> np.ndarray:
         pos = np.searchsorted(self.keys, keys)
         known = pos < len(self.keys)
         known[known] = self.keys[pos[known]] == keys[known]
-        firsts = np.empty(len(keys), dtype=np.int64)
+        firsts = np.empty(len(keys), dtype=np.int32)
         firsts[known] = self.firsts[pos[known]]
         fresh = np.flatnonzero(~known)
         if len(fresh):
@@ -319,10 +324,13 @@ class TraceIndex:
         block's first id plus i.  One arena call per (level, u) interns the
         blocks; its fresh ids rise in (L_u(p), L_d(p), k, i) order, which is
         (L_u(p), L_d(p), a) order where each domain's actions are
-        contiguous in the alphabet and ascend with the domain."""
+        contiguous in the alphabet and ascend with the domain.
+
+        The labels are int32: the arena raises ``InputError`` before its
+        ids reach ``_MAX_LABELS`` (2**27)."""
         if allowed is None:
             allowed = self.edge_bool[self.states[: self.interior_end]]
-        labels = np.zeros((self.n_domains, self.n_nodes), dtype=np.int64)
+        labels = np.zeros((self.n_domains, self.n_nodes), dtype=np.int32)
         arena = _PackedArena()
         # Row k of the lists below is the k-th domain that owns actions.
         doms = sorted(set(self.dom_of.tolist()))
@@ -388,7 +396,7 @@ class TraceIndex:
         Returns (roots[n_domains, n_nodes], rule application counts)."""
         # Shortlex ids number the tree like a heap: the child of node n on
         # action j is n * n_actions + 1 + j.
-        first_child = np.arange(self.interior_end, dtype=np.int64) * self.n_actions + 1
+        first_child = np.arange(self.interior_end, dtype=np.int32) * self.n_actions + 1
         return unwinding_closure(
             self.n_nodes,
             lambda j: first_child + j,
@@ -408,7 +416,7 @@ def unwinding_closure(
     under the two unwinding rules.
 
     The stepping nodes are ``0..m-1`` with ``m = len(allowed)``:
-    ``child(j)`` is each one's successor on action j (int64, length m), and
+    ``child(j)`` is each one's successor on action j (length m), and
     ``allowed[node, d, u]`` says whether an action of domain d taken there
     may reach u.  For every action j of domain d:
 
@@ -434,7 +442,10 @@ def unwinding_closure(
     "wsc" stepping links made, the child pairs that joint stepping found
     in different classes, "sweeps" rounds and "regrouped" the (node, u, d)
     key lookups of all rounds.  The benchmark reads "sweeps" and "wsc" as
-    ``closure_sweeps`` and ``rule_wsc``."""
+    ``closure_sweeps`` and ``rule_wsc``.
+
+    The roots are int32, as are the forests and the signature table's
+    nodes: ``InputError`` refuses more than ``_MAX_NODES`` (2**27) nodes."""
     n_domains = allowed.shape[1]
     m = len(allowed)
     # Row k of the arrays below is the k-th domain that owns actions.
@@ -442,7 +453,9 @@ def unwinding_closure(
     acts = [np.flatnonzero(dom_of == d) for d in doms]
     if n_domains * len(doms) * m * m >= 1 << 64:
         raise InputError("too many domains and nodes for the closure's signature keys")
-    parents = np.tile(np.arange(n_nodes, dtype=np.int64), (n_domains, 1))
+    if n_nodes > _MAX_NODES:
+        raise InputError(f"{n_nodes} nodes exceed the closure's limit")
+    parents = np.tile(np.arange(n_nodes, dtype=np.int32), (n_domains, 1))
     counts = {"dlr": 0, "wsc": 0, "sweeps": 0, "regrouped": 0}
     if m == 0 or len(dom_of) == 0:
         return parents, counts
@@ -469,8 +482,8 @@ def unwinding_closure(
 
     # A stepping node's chain stays among the stepping nodes, since links
     # go to smaller ids, so the rounds compress only that prefix.
-    old = np.full((n_domains, m), -1, dtype=np.int64)
-    keys, reps = np.empty(0, dtype=np.uint64), np.empty(0, dtype=np.int64)
+    old = np.full((n_domains, m), -1, dtype=np.int32)
+    keys, reps = np.empty(0, dtype=np.uint64), np.empty(0, dtype=np.int32)
     radix = np.uint64(m)
     while True:
         for row in parents:
@@ -488,9 +501,11 @@ def unwinding_closure(
         flat = old.reshape(-1)
         key = (u * len(doms) + k).astype(np.uint64) * radix + flat[u * m + at].astype(np.uint64)
         key = key * radix + flat[doms[k] * m + at].astype(np.uint64)
-        # a fresh key's representative is its least node
+        # a fresh key's representative is its least node; ``rep`` has the
+        # dtype of ``at``, as np.minimum.at is many times slower when the two
+        # differ
         uniq, group = _sorted_unique(key, return_inverse=True)
-        rep = np.full(len(uniq), m, dtype=np.int64)
+        rep = np.full(len(uniq), m, dtype=at.dtype)
         np.minimum.at(rep, group, at)
         pos = np.searchsorted(keys, uniq)
         known = pos < len(keys)

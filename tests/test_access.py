@@ -198,6 +198,35 @@ class TestTableValidation:
         observe[1, 0, good.objects.index("x")] = True
         rebuild(good, osets=shared, observe=observe)
 
+    def test_the_first_broken_pair_in_state_then_domain_order_raises(self):
+        """With several pairs broken at once, the error is the per-pair
+        scan's: the least state, then the least domain, and at one pair a
+        hidden oset before wrong contents."""
+        good = build_case(n_states=3)
+        osets = [good.objects.index(OSET_U), good.objects.index(OSET_V)]
+        breaks = [(si, di, kind) for si in range(3) for di in range(2) for kind in "hc"]
+        rng = random.Random(6262)
+        for _ in range(60):
+            observe, contents = good.observe.copy(), good.contents.copy()
+            for si, di, kind in rng.sample(breaks, rng.randint(2, 4)):
+                if kind == "h":
+                    observe[di, si, osets[di]] = False
+                else:
+                    contents[osets[di], si] = frozenset({"undeclared"})
+            fields = dict(
+                base=good.base,
+                objects=good.objects,
+                osets=good.osets,
+                contents=contents,
+                observe=observe,
+                alter=good.alter,
+            )
+            with pytest.raises(InputError) as want:
+                _validate_structured(**fields)
+            with pytest.raises(InputError) as got:
+                StructuredSystem(**fields)
+            assert str(got.value) == str(want.value)
+
     def test_negative_depth_rejected(self):
         with pytest.raises(InputError):
             check_drm(build_case(), -1)

@@ -123,7 +123,7 @@ def allowed_tables(idx):
 def assert_child_level_labels(idx, tables=None):
     for allowed in tables or allowed_tables(idx):
         got = idx.ta_labels(allowed)
-        assert got.dtype == np.int64
+        assert got.dtype == np.int32
         assert np.array_equal(got, child_level_ta_labels(idx, allowed))
 
 
@@ -246,6 +246,7 @@ def test_closure_roots_at_a_larger_shape():
     system = shaped_system(random.Random(3434), 8, 4, 3)
     idx = TraceIndex(system, depth)
     roots, counts = idx.unwinding_roots()
+    assert roots.dtype == np.int32
     assert counts["wsc"] and counts["sweeps"] > 2  # joint stepping is exercised
     closure = naive_closure(system, depth)
     for ui, u in enumerate(system.signature.domains):
@@ -263,13 +264,14 @@ def test_closure_roots_at_a_larger_shape():
 @pytest.fixture
 def closures(monkeypatch):
     """Checks every call of the closure kernel against the full-sweep
-    oracle: the roots must be bit-identical, and every root is its own root
-    and no larger than its node, leaves included.  Records the counts of
-    each call."""
+    oracle: the roots must be bit-identical int32, and every root is its own
+    root and no larger than its node, leaves included.  Records the counts
+    of each call."""
     seen = []
 
     def checked(n_nodes, child, allowed, dom_of, diamond=False):
         roots, counts = unwinding_closure(n_nodes, child, allowed, dom_of, diamond)
+        assert roots.dtype == np.int32
         want, _ = full_sweep_closure(n_nodes, child, allowed, dom_of, diamond)
         assert np.array_equal(roots, want)
         assert np.array_equal(np.take_along_axis(roots, roots, axis=1), roots)
@@ -347,6 +349,25 @@ def test_closure_refuses_keys_that_would_overflow():
     allowed = np.broadcast_to(np.ones((1, 1, 1), dtype=bool), (m, n_domains, n_domains))
     with pytest.raises(InputError, match="signature keys"):
         unwinding_closure(m + 1, None, allowed, np.zeros(1, dtype=np.int32))
+
+
+def test_node_and_label_limits_fit_int32():
+    """Labels, roots and the closure's forests are int32 because every
+    label and node id stays below these limits."""
+    assert nifcheck.traceindex._MAX_NODES < 1 << 31
+    assert nifcheck.traceindex._MAX_LABELS < 1 << 31
+
+
+def test_engine_refuses_more_nodes_than_the_limit(monkeypatch):
+    system = shaped_system(random.Random(4343), 3, 2, 2)
+    n_nodes = TraceIndex(system, 3).n_nodes
+    monkeypatch.setattr(nifcheck.traceindex, "_MAX_NODES", n_nodes)
+    idx = TraceIndex(system, 3)  # at the limit
+    idx.unwinding_roots()
+    with pytest.raises(InputError, match="exceed the bulk engine limit"):
+        TraceIndex(system, 4)
+    with pytest.raises(InputError, match="exceed the closure's limit"):
+        unwinding_closure(n_nodes + 1, None, np.ones((1, 2, 2), dtype=bool), idx.dom_of)
 
 
 def test_depth_past_the_truncated_frontier_is_rejected():
