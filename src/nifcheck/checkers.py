@@ -23,7 +23,14 @@ from .model import (
     step,
     unfold,
 )
-from .traceindex import MATERIALIZE_LIMIT, TraceIndex, _sorted_unique, unwinding_closure
+from .traceindex import (
+    MATERIALIZE_LIMIT,
+    TraceIndex,
+    _chunks,
+    _gather,
+    _sorted_unique,
+    unwinding_closure,
+)
 from .trees import TracePartition
 from .verdicts import (
     BOUNDED_SECURE,
@@ -41,13 +48,23 @@ from .verdicts import (
 def _offending(key: np.ndarray, values: np.ndarray) -> np.ndarray:
     """Bool table over the ids of ``key``: which groups hold two values.  A
     group offends iff a member differs from the value written for it, which
-    does not depend on which member's write won."""
+    does not depend on which member's write won.  Writes and compares go
+    chunk by chunk (``_chunks``)."""
     n_ids = int(key.max(initial=-1)) + 1
     rep = np.zeros(n_ids, dtype=values.dtype)
-    rep[key] = values
+    for start, ids in _chunks(key):
+        rep[ids] = values[start : start + len(ids)]
     bad = np.zeros(n_ids, dtype=bool)
-    bad[key[values != rep[key]]] = True
+    for start, ids in _chunks(key):
+        bad[ids[values[start : start + len(ids)] != rep[ids]]] = True
     return bad
+
+
+def _shares_id(key: np.ndarray, end: int) -> np.ndarray:
+    """Which entries of ``key`` have the id of one of its first ``end``."""
+    low = np.zeros(int(key.max(initial=-1)) + 1, dtype=bool)
+    low[key[:end]] = True
+    return _gather(low, key)
 
 
 def _group_pairs(
@@ -67,7 +84,7 @@ def _group_pairs(
     * ``x``: least node with a value other than ``y``'s and a lex rank
       below ``y``'s.
     """
-    nodes = np.flatnonzero(groups[key])  # members, ascending
+    nodes = np.flatnonzero(_gather(groups, key))  # members, ascending
     ids = np.flatnonzero(groups)
     g = np.searchsorted(ids, key[nodes])  # groups renumbered 0..len(ids)-1
     big = np.iinfo(np.int64).max
@@ -125,17 +142,28 @@ def _grouped_violation(
     """The rule-minimal pair (x, y) of ``class_violations`` with y at most
     ``bound``: least y, then least x; groups are disjoint, so y is distinct.
     Given ``nodes``, ascending node ids, ``key`` and ``values`` hold only
-    those nodes' entries, and no group of the other nodes may offend.
+    those nodes' entries.  Every group with a member at or below ``bound``
+    must lie wholly inside them, and with no bound no group of the other
+    nodes may offend.
 
     A group's y is one of its members, so only a group with a member at or
-    below the best y so far can win.  The group of the least node of any
-    offending group gives a first y, and the witness steps then run only on
-    the offending groups with a member at or below it and ``bound``."""
-    bad = _offending(key, values)
+    below the best y so far can win.  With a bound, the steps below read
+    only the groups with a member at or below it, found by one gather of a
+    mark over the ids; the groups of the other nodes are never read.  The
+    group of the least node of any offending group gives a first y, and the
+    witness steps then run only on the offending groups with a member at or
+    below it and ``bound``."""
     end = len(key)  # entries [0, end) are the nodes at or below the bound
     if bound is not None:
         end = min(bound + 1, end) if nodes is None else int(np.searchsorted(nodes, bound, "right"))
-    hit = bad[key[:end]]
+        if end <= 0:
+            return None
+        # the entries at or below the bound stay first, so ``end`` holds
+        sub = np.flatnonzero(_shares_id(key, end))
+        key, values = key[sub], values[sub]
+        nodes = sub if nodes is None else nodes[sub]
+    bad = _offending(key, values)
+    hit = _gather(bad, key[:end])
     if not hit.any():
         return None
     lex_all = idx.lex_ranks() if nodes is None else idx.lex_ranks()[nodes]
@@ -165,7 +193,7 @@ def _least_violation(
     best = None
     for ui in range(idx.n_domains):
         bound = None if best is None else best[0]
-        pair = _grouped_violation(idx, labels[ui], idx.obs_ids[ui][states], bound)
+        pair = _grouped_violation(idx, labels[ui], _gather(idx.obs_ids[ui], states), bound)
         if pair is not None and (best is None or (pair[1], pair[0], ui) < best):
             best = (pair[1], pair[0], ui)
     return best
@@ -343,7 +371,9 @@ def _locality_verdict(
     best = None
     for ui in range(n):
         for vi in range(ui + 1, n):
-            atoms = {(a, b): idx.edge_bool[idx.states, a, b] for a, b in ((ui, vi), (vi, ui))}
+            atoms = {
+                (a, b): _gather(idx.edge_bool[:, a, b], idx.states) for a, b in ((ui, vi), (vi, ui))
+            }
             nodes = None
             # one grouping of the joint labels serves both directed edges
             if known_to is None and best is None:
@@ -354,17 +384,21 @@ def _locality_verdict(
                 # every offending joint class.
                 mask = np.zeros(idx.n_nodes, dtype=bool)
                 for (a, b), atom in atoms.items():
-                    live = np.flatnonzero(_offending(labels[a], atom)[labels[a]])
+                    live = np.flatnonzero(_gather(_offending(labels[a], atom), labels[a]))
                     lb = labels[b][live]
-                    mask[live[_offending(lb, atom[live])[lb]]] = True
+                    mask[live[_gather(_offending(lb, atom[live]), lb)]] = True
                 nodes = np.flatnonzero(mask)
                 ids = _sorted_unique(_joint_keys(labels, ui, vi, nodes), return_inverse=True)[1]
             elif known_to is None:
-                # Only groups with a node at or below the best y can win:
-                # number the joint keys of those nodes and put every other
-                # node under one id past them (the sentinel's).
-                joint = _joint_keys(labels, ui, vi)
-                head = np.append(_sorted_unique(joint[: best[0][0] + 1]), _NO_KEY)
+                # Only joint classes with a node at or below the best y can
+                # win, and their members' labels at both endpoints occur at
+                # or below it.  Of those nodes alone, number the joint keys
+                # of the nodes up to the best y and put the rest under one
+                # id past them (the sentinel's).
+                end = best[0][0] + 1
+                nodes = np.flatnonzero(_shares_id(labels[ui], end) & _shares_id(labels[vi], end))
+                joint = _joint_keys(labels, ui, vi, nodes)
+                head = np.append(_sorted_unique(joint[:end]), _NO_KEY)
                 ids = np.searchsorted(head, joint)
                 ids[head[ids] != joint] = len(head) - 1
             for (a, b), atom in atoms.items():
@@ -428,7 +462,9 @@ def check_globally_known(
     edge_set = np.array(
         [ids.setdefault(system.edges[s], len(ids)) for s in idx.state_names], dtype=np.int32
     )
-    pair = _grouped_violation(idx, proj[sig.domain_index(policy_domain)], edge_set[idx.states])
+    pair = _grouped_violation(
+        idx, proj[sig.domain_index(policy_domain)], _gather(edge_set, idx.states)
+    )
     if pair is not None:
         return Verdict(
             property="globally-known",

@@ -16,13 +16,16 @@ suite pin the semantics at small scale.
 Tree labels and closure roots are int32: labels stay below ``_MAX_LABELS``
 and node ids below ``_MAX_NODES``, both 2**27, so a wider type would only
 hold zeros.  Keys packed from them (arena words, signature keys, joint
-label pairs) are uint64.
+label pairs) are uint64.  numpy indexes by an int32 array through a
+buffered cast, about twice as slow as by an intp one, so int32 ids are
+gathered chunk by chunk: a full-length gather casts ``_CHUNK`` ids at a
+time to intp (``_gather``) and never makes a full-length intp copy.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -38,12 +41,35 @@ _MAX_LABELS = 1 << 27  # and 27 bits for each child id
 # ``unwinding_partition``.  Verdicts run on arrays well past this.
 MATERIALIZE_LIMIT = 2_000_000
 
+_CHUNK = 1 << 16  # ids cast to intp at a time by ``_chunks``
+
+
+def _chunks(ids: np.ndarray) -> Iterator[Tuple[int, np.ndarray]]:
+    """(start, ``ids[start:start + len(chunk)]`` as intp) over the 1-d
+    ``ids`` in order; intp ids come whole, as one chunk."""
+    if ids.dtype == np.intp:
+        yield 0, ids
+        return
+    for start in range(0, len(ids), _CHUNK):
+        yield start, ids[start : start + _CHUNK].astype(np.intp)
+
+
+def _gather(table: np.ndarray, ids: np.ndarray) -> np.ndarray:
+    """``table[ids]`` for a 1-d ``table`` and 1-d ``ids``, chunk by chunk.
+    Ids that fit one chunk are cast whole, without the loop's overhead."""
+    if ids.dtype == np.intp or len(ids) <= _CHUNK:
+        return table[ids.astype(np.intp, copy=False)]
+    out = np.empty(len(ids), dtype=table.dtype)
+    for start, chunk in _chunks(ids):
+        out[start : start + len(chunk)] = table[chunk]
+    return out
+
 
 def _compress(parent: np.ndarray) -> np.ndarray:
     """Full path compression by pointer jumping.  Links always point to
     strictly smaller ids, so this terminates."""
     while True:
-        hop = parent[parent]
+        hop = _gather(parent, parent)
         if np.array_equal(hop, parent):
             return hop
         parent = hop
@@ -382,7 +408,7 @@ class TraceIndex:
                 )
                 uniq, ginv = _sorted_unique(key, return_inverse=True)
                 denied = np.zeros(len(uniq), dtype=bool)
-                denied[ginv[~self.edge_bool[self.states, d, u]]] = True
+                denied[ginv[~_gather(self.edge_bool[:, d, u], self.states)]] = True
                 known[:, d, u] = ~denied[ginv]
         return known
 

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import nifcheck.checkers
+import nifcheck.traceindex
 import nifcheck.unwinding
 from nifcheck.checkers import (
     _grouped_violation,
@@ -557,25 +558,36 @@ class TestLocalityKnownTo:
 
 
     @staticmethod
-    def later_pair_competes(system, depth):
+    def pair_minima(system, depth):
+        """Per unordered pair of domains, in check order: the least (y, x)
+        of plain locality's violations on either edge between them, or
+        None.  Read off ``class_violations``, which builds the pair of every
+        group."""
+        idx = TraceIndex(strip_inactive_edges(system)[0], depth)
+        labels = idx.ta_labels().astype(np.int64)
+        minima = []
+        for ui, vi in itertools.combinations(range(idx.n_domains), 2):
+            ids = _sorted_unique(labels[ui] * (int(labels.max()) + 1) + labels[vi], True)[1]
+            rows = [
+                (y, x)
+                for a, b in ((ui, vi), (vi, ui))
+                for x, y in class_violations(idx, ids, idx.edge_bool[idx.states, a, b]).tolist()
+            ]
+            minima.append(min(rows, default=None))
+        return minima
+
+    @classmethod
+    def later_pair_competes(cls, system, depth):
         """Does an unordered pair of domains after the first violating one
         have a violation whose y is at or below the least y so far?  Then
         plain locality groups that pair on its bounded joint-key path, and
-        the bound decides the verdict.  Read off ``class_violations``, which
-        builds the pair of every group."""
-        idx = TraceIndex(strip_inactive_edges(system)[0], depth)
-        labels = idx.ta_labels()
+        the bound decides the verdict."""
         best = None
-        for ui, vi in itertools.combinations(range(idx.n_domains), 2):
-            ids = _sorted_unique(labels[ui] * (int(labels.max()) + 1) + labels[vi], True)[1]
-            ys = [
-                int(y)
-                for a, b in ((ui, vi), (vi, ui))
-                for y in class_violations(idx, ids, idx.edge_bool[idx.states, a, b])[:, 1]
-            ]
-            if ys and best is not None and min(ys) <= best:
+        for least in cls.pair_minima(system, depth):
+            if least is not None and best is not None and least[0] <= best:
                 return True
-            best = min(ys + ([] if best is None else [best]), default=None)
+            if least is not None:
+                best = least[0] if best is None else min(best, least[0])
         return False
 
     @staticmethod
@@ -671,6 +683,32 @@ class TestLocalityKnownTo:
         # a secure pair whose single-label classes offend, and a pair whose
         # mask is empty
         assert secure_kept >= 4 and empty >= 10, (secure_kept, empty)
+
+    def test_a_later_pair_wins_after_the_first(self):
+        # After the first violating pair of domains, plain locality numbers
+        # the joint labels only of the nodes whose labels at both endpoints
+        # occur up to the best y.  Here a later pair wins, on a smaller y or
+        # on the same y with a smaller x.
+        wins = {"smaller y": 0, "same y": 0}
+        for seed in list(range(12)) + [79, 232, 243, 633]:
+            r = random.Random(seed)
+            system = shaped_system(
+                r, r.randint(2, 5), r.randint(3, 5), r.choice((3, 4)),
+                edge_bias=r.choice((0.2, 0.35, 0.6)),
+            )
+            for depth in (2, 3):
+                got = check_locality(system, depth)
+                assert_same_verdict(got, python_locality(system, depth))
+                minima = self.pair_minima(system, depth)
+                found = [least for least in minima if least is not None]
+                if not found or min(found) == found[0]:
+                    continue
+                assert got.outcome == INSECURE
+                y, x = min(found)
+                wins["smaller y" if y < found[0][0] else "same y"] += 1
+                idx = TraceIndex(system, depth)
+                assert got.witness[:2] == (idx.trace_of(x), idx.trace_of(y))
+        assert wins["smaller y"] >= 10 and wins["same y"] >= 4, wins
 
     def test_secure_capability_system_sorts_almost_no_joint_keys(
         self, corpus_dir, monkeypatch
@@ -916,17 +954,30 @@ class TestClassViolations:
         key = np.where(gen.random(n) < 0.5, np.arange(n) + 10, gen.integers(0, 10, n))
         assert self.agree(idx, key, gen.integers(0, 3, n))
 
-    def test_bounded_search_matches_all_pairs(self):
+    @staticmethod
+    def under_key_dtypes(monkeypatch, cases):
+        """(dtype, case) for each of ``cases`` under each key dtype: int32,
+        as tree labels and closure roots are, then intp, then int32 with
+        gathers cut into chunks of 7 ids, so that every gather takes many
+        chunks.  The chunk length holds while the caller runs the case."""
+        for dtype, chunk in ((np.int32, None), (np.intp, None), (np.int32, 7)):
+            with monkeypatch.context() as patch:
+                if chunk is not None:
+                    patch.setattr(nifcheck.traceindex, "_CHUNK", chunk)
+                for case in cases:
+                    yield dtype, case
+
+    def test_bounded_search_matches_all_pairs(self, monkeypatch):
         # the least pair with y <= bound is the least-y row of all pairs
         gen = np.random.default_rng(3030)
         idx = TraceIndex(shaped_system(random.Random(3030), 5, 3, 2), 4)
         n = idx.n_nodes
         later_wins = 0
-        for groups in (1, 3, 10, 40, 200):
+        for dtype, groups in self.under_key_dtypes(monkeypatch, (1, 3, 10, 40, 200)):
             for _ in range(3):
                 dense = gen.integers(0, groups, n)
                 values = gen.integers(0, 3, n)
-                for key in (dense, dense * 1009 + 3):
+                for key in (dense.astype(dtype), (dense * 1009 + 3).astype(dtype)):
                     pairs = class_violations(idx, key, values)
                     ys = pairs[:, 1]
                     for bound in [None] + list(range(-1, int(ys.max(initial=0)) + 2)):
@@ -938,14 +989,14 @@ class TestClassViolations:
                     later_wins += len(pairs) > 0 and int(np.argmin(ys)) != 0
         assert later_wins >= 3
 
-    def test_node_subset_matches_the_whole(self):
+    def test_node_subset_matches_the_whole(self, monkeypatch):
         # the nodes left out sit in singleton groups, which never offend
         gen = np.random.default_rng(3232)
         idx = TraceIndex(shaped_system(random.Random(3232), 5, 3, 2), 4)
         n = idx.n_nodes
-        for groups in (1, 3, 10, 40, 200):
+        for dtype, groups in self.under_key_dtypes(monkeypatch, (1, 3, 10, 40, 200)):
             alone = gen.random(n) < 0.5
-            key = np.where(alone, groups + np.arange(n), gen.integers(0, groups, n))
+            key = np.where(alone, groups + np.arange(n), gen.integers(0, groups, n)).astype(dtype)
             values = gen.integers(0, 3, n)
             nodes = np.flatnonzero(~alone | (gen.random(n) < 0.1))
             ys = class_violations(idx, key, values)[:, 1]

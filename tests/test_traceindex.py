@@ -23,7 +23,15 @@ from nifcheck import (
 )
 import nifcheck.checkers
 import nifcheck.traceindex
-from nifcheck.traceindex import TraceIndex, _PackedArena, _sorted_unique, unwinding_closure
+from nifcheck.traceindex import (
+    TraceIndex,
+    _PackedArena,
+    _chunks,
+    _compress,
+    _gather,
+    _sorted_unique,
+    unwinding_closure,
+)
 
 from oracles import (
     child_level_ta_labels,
@@ -409,6 +417,47 @@ def test_sorted_unique_matches_numpy():
         assert np.array_equal(got_inv, want_inv.ravel())
         assert np.array_equal(got[got_inv], keys)
 
+
+
+def test_gather_by_int32_ids_matches_fancy_indexing():
+    rng = np.random.default_rng(3636)
+    chunk = nifcheck.traceindex._CHUNK
+    tables = [
+        rng.integers(-9, 9, 500).astype(np.int32),
+        rng.integers(0, 1 << 62, 500, dtype=np.int64),
+        rng.integers(0, 1 << 64, 500, dtype=np.uint64),
+        rng.random(500) < 0.5,
+        (rng.random((500, 3, 3)) < 0.5)[:, 2, 1],  # a strided view
+    ]
+    for n in (0, 1, chunk, chunk + 1, 2 * chunk + 5):
+        ids = rng.integers(0, 500, n).astype(np.int32)
+        pieces = list(_chunks(ids))
+        assert [start for start, _ in pieces] == list(range(0, n, chunk))
+        assert all(part.dtype == np.intp for _, part in pieces)
+        assert np.array_equal(np.concatenate([part for _, part in pieces] or [ids]), ids)
+        for table in tables:
+            got = _gather(table, ids)
+            assert got.dtype == table.dtype and got.shape == (n,)
+            assert np.array_equal(got, table[ids])
+    # intp ids come through whole, as one chunk
+    ids = rng.integers(0, 500, chunk + 1).astype(np.intp)
+    ((start, part),) = _chunks(ids)
+    assert start == 0 and part is ids
+    assert np.array_equal(_gather(tables[0], ids), tables[0][ids])
+
+
+def test_compress_in_chunks_matches_one_chunk(monkeypatch):
+    rng = np.random.default_rng(3737)
+    for n in (1, 2, 50, 700):
+        parent = np.zeros(n, dtype=np.int32)
+        parent[1:] = rng.integers(0, np.arange(1, n), n - 1)  # links go down
+        want = _compress(parent.astype(np.intp))
+        monkeypatch.setattr(nifcheck.traceindex, "_CHUNK", 3)
+        got = _compress(parent)
+        monkeypatch.undo()
+        assert got.dtype == np.int32
+        assert np.array_equal(got, want)
+        assert np.array_equal(got[got], got) and not got[0]
 
 def test_arena_matches_a_dict_oracle():
     rng = np.random.default_rng(3636)
