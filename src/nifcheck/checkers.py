@@ -25,6 +25,7 @@ from .model import (
 )
 from .traceindex import (
     MATERIALIZE_LIMIT,
+    _NO_KEY,
     TraceIndex,
     _chunks,
     _gather,
@@ -138,13 +139,16 @@ def _grouped_violation(
     values: np.ndarray,
     bound: Optional[int] = None,
     nodes: Optional[np.ndarray] = None,
+    states: Optional[np.ndarray] = None,
 ) -> Optional[Tuple[int, int]]:
     """The rule-minimal pair (x, y) of ``class_violations`` with y at most
     ``bound``: least y, then least x; groups are disjoint, so y is distinct.
     Given ``nodes``, ascending node ids, ``key`` and ``values`` hold only
     those nodes' entries.  Every group with a member at or below ``bound``
     must lie wholly inside them, and with no bound no group of the other
-    nodes may offend.
+    nodes may offend.  Given ``states``, one state id per entry of ``key``,
+    ``values`` is a table over state ids, and only the entries searched
+    gather their values from it.
 
     A group's y is one of its members, so only a group with a member at or
     below the best y so far can win.  With a bound, the steps below read
@@ -160,8 +164,14 @@ def _grouped_violation(
             return None
         # the entries at or below the bound stay first, so ``end`` holds
         sub = np.flatnonzero(_shares_id(key, end))
-        key, values = key[sub], values[sub]
+        key = key[sub]
+        if states is None:
+            values = values[sub]
+        else:
+            states = states[sub]
         nodes = sub if nodes is None else nodes[sub]
+    if states is not None:
+        values = _gather(values, states)
     bad = _offending(key, values)
     hit = _gather(bad, key[:end])
     if not hit.any():
@@ -193,7 +203,7 @@ def _least_violation(
     best = None
     for ui in range(idx.n_domains):
         bound = None if best is None else best[0]
-        pair = _grouped_violation(idx, labels[ui], _gather(idx.obs_ids[ui], states), bound)
+        pair = _grouped_violation(idx, labels[ui], idx.obs_ids[ui], bound, states=states)
         if pair is not None and (best is None or (pair[1], pair[0], ui) < best):
             best = (pair[1], pair[0], ui)
     return best
@@ -335,7 +345,6 @@ def check_ta_static_security(system: PolicyEnhancedSystem, depth: int) -> Verdic
 
 
 _KNOWN_TO = (None, "sender", "receiver")
-_NO_KEY = np.uint64(np.iinfo(np.uint64).max)  # above every joint label key
 
 
 def check_locality(

@@ -20,6 +20,13 @@ label pairs) are uint64.  numpy indexes by an int32 array through a
 buffered cast, about twice as slow as by an intp one, so int32 ids are
 gathered chunk by chunk: a full-length gather casts ``_CHUNK`` ids at a
 time to intp (``_gather``) and never makes a full-length intp copy.
+
+The unwinding closure keeps one signature table per (observer, actor)
+block and works one block at a time, so its temporaries hold one block's
+nodes, and it compresses its forests in place.  Observation ids take the
+narrowest unsigned dtype that holds the largest (``np.min_scalar_type``):
+one byte per state where no domain has more than 256 observations, so the
+witness search's tables over them take one byte per node.
 """
 
 from __future__ import annotations
@@ -41,6 +48,7 @@ _MAX_LABELS = 1 << 27  # and 27 bits for each child id
 # ``unwinding_partition``.  Verdicts run on arrays well past this.
 MATERIALIZE_LIMIT = 2_000_000
 
+_NO_KEY = np.uint64(np.iinfo(np.uint64).max)  # above every packed key in use
 _CHUNK = 1 << 16  # ids cast to intp at a time by ``_chunks``
 
 
@@ -65,14 +73,19 @@ def _gather(table: np.ndarray, ids: np.ndarray) -> np.ndarray:
     return out
 
 
-def _compress(parent: np.ndarray) -> np.ndarray:
-    """Full path compression by pointer jumping.  Links always point to
-    strictly smaller ids, so this terminates."""
-    while True:
-        hop = _gather(parent, parent)
-        if np.array_equal(hop, parent):
-            return hop
-        parent = hop
+def _compress(parent: np.ndarray) -> None:
+    """Full path compression of the 1-d forest ``parent`` in place, by
+    pointer jumping one ``_CHUNK`` of ids at a time in ascending order.
+    Links always point to strictly smaller ids, so a chunk's links below it
+    already point at roots, and the chunk hops only until its own chains
+    end; no full-length copy is made."""
+    for start in range(0, len(parent), _CHUNK):
+        part = parent[start : start + _CHUNK]
+        while True:
+            hop = _gather(parent, part)
+            if np.array_equal(hop, part):
+                break
+            part[:] = hop
 
 
 def _find(parent: np.ndarray, ids: np.ndarray) -> np.ndarray:
@@ -241,12 +254,17 @@ class TraceIndex:
                 for j, a in enumerate(sig.actions):
                     self.trans[i, j] = self.state_ids[system.transitions[(s, a)]]
 
-        self.obs_ids = np.empty((self.n_domains, n_states), dtype=np.int32)
-        for ui, u in enumerate(sig.domains):
+        # one id per distinct observation of each domain, in the narrowest
+        # unsigned dtype that holds the largest
+        obs_ids = []
+        for u in sig.domains:
             intern: Dict[object, int] = {}
-            for i, s in enumerate(self.state_names):
-                tok = system.obs[(u, s)]
-                self.obs_ids[ui, i] = intern.setdefault(tok, len(intern))
+            tokens = (system.obs[(u, s)] for s in self.state_names)
+            obs_ids.append([intern.setdefault(tok, len(intern)) for tok in tokens])
+        top = max((max(row) for row in obs_ids), default=0)
+        self.obs_ids = np.array(obs_ids, dtype=np.min_scalar_type(top)).reshape(
+            self.n_domains, n_states
+        )
 
         self.edge_bool = np.zeros((n_states, self.n_domains, self.n_domains), dtype=bool)
         dom_index = {u: i for i, u in enumerate(sig.domains)}
@@ -386,7 +404,9 @@ class TraceIndex:
                         grow,
                     )
                     for at, group, a, key in runs:
-                        child[at[:, None], a] = firsts[: len(key)][group, None] + np.arange(len(a))
+                        # int32 steps keep the [parents, actions] block int32
+                        steps = np.arange(len(a), dtype=np.int32)
+                        child[at[:, None], a] = firsts[: len(key)][group, None] + steps
                         firsts = firsts[len(key) :]
         return labels
 
@@ -456,13 +476,17 @@ def unwinding_closure(
     its least node.  The trace tree (``TraceIndex.unwinding_roots``) and the
     reachable states (``checkers.state_unwinding_check``) share this kernel.
 
-    Joint stepping runs in rounds over a signature table that maps the
-    (u, d, root_u, root_d) key of a stepping node to the node that first
-    had it.  A round looks up only the nodes whose root_u or root_d moved in
-    the last round (every node in the first) and pairs each with the node
-    its key maps to, so the cost of a round follows what changed.  A key
-    whose roots have since merged is stale, but no node can have it again.
-    The rounds end when no stepping node's root moved.
+    Joint stepping runs in rounds over one signature table per block of
+    observer u and actor row k (the k-th domain d that owns actions), which
+    maps the (root_u, root_d) key of a stepping node, packed as
+    ``root_u * m + root_d``, to the node that first had it.  A round looks
+    up only the nodes whose root_u or root_d moved in the last round (every
+    node in the first) and pairs each with the node its key maps to, so the
+    cost of a round follows what changed.  It works one block at a time, so
+    its temporaries hold one block's nodes, and joins the pairs of all
+    blocks in (u, k, node) order.  A key whose roots have since merged is
+    stale, but no node can have it again.  The rounds end when no stepping
+    node's root moved; the other nodes are then compressed in place.
 
     Returns (roots[n_domains, n_nodes], counts): "dlr" deletion pairs,
     "wsc" stepping links made, the child pairs that joint stepping found
@@ -470,79 +494,87 @@ def unwinding_closure(
     key lookups of all rounds.  The benchmark reads "sweeps" and "wsc" as
     ``closure_sweeps`` and ``rule_wsc``.
 
-    The roots are int32, as are the forests and the signature table's
-    nodes: ``InputError`` refuses more than ``_MAX_NODES`` (2**27) nodes."""
+    The roots are int32, as are the forests and the signature tables'
+    nodes: ``InputError`` refuses more than ``_MAX_NODES`` (2**27) nodes,
+    which also keeps every key below m**2 < 2**54."""
     n_domains = allowed.shape[1]
     m = len(allowed)
-    # Row k of the arrays below is the k-th domain that owns actions.
-    doms = np.array(sorted(set(dom_of.tolist())), dtype=np.intp)
+    # Row k of the lists below is the k-th domain that owns actions.
+    doms = sorted(set(dom_of.tolist()))
     acts = [np.flatnonzero(dom_of == d) for d in doms]
-    if n_domains * len(doms) * m * m >= 1 << 64:
-        raise InputError("too many domains and nodes for the closure's signature keys")
     if n_nodes > _MAX_NODES:
         raise InputError(f"{n_nodes} nodes exceed the closure's limit")
-    parents = np.tile(np.arange(n_nodes, dtype=np.int32), (n_domains, 1))
+    parents = np.empty((n_domains, n_nodes), dtype=np.int32)
+    for start in range(0, n_nodes, _CHUNK):
+        end = min(start + _CHUNK, n_nodes)
+        parents[:, start:end] = np.arange(start, end, dtype=np.int32)
     counts = {"dlr": 0, "wsc": 0, "sweeps": 0, "regrouped": 0}
     if m == 0 or len(dom_of) == 0:
         return parents, counts
     counts["dlr"] = m * len(dom_of) * n_domains - int(allowed.sum(axis=0)[dom_of].sum())
     permitted = allowed[:, doms, :].transpose(2, 1, 0)  # [u, k, node]
+    blocks = [(u, k) for u in range(n_domains) for k in range(len(doms))]
 
-    def unions(u, k, nodes, pairs_of):
-        """Joins, in each domain v, the pairs ``pairs_of(child(j), x)`` of
-        the nodes x with u == v, for each action j of their row k; (u, k)
-        ascends, as ``np.nonzero`` lists them.  Returns the pairs found in
-        different classes."""
-        edges = np.searchsorted(u * len(doms) + k, np.arange(n_domains * len(doms) + 1))
-        spans = np.stack([edges[:-1], edges[1:]], axis=1).reshape(n_domains, len(doms), 2)
+    def unions(found, pairs_of):
+        """Joins, in each domain u, the pairs ``pairs_of(child(j), nodes)``
+        of every (u, k, nodes) in ``found``, for each action j of row k.
+        One ``_union`` per domain takes its pairs in (k, j, node) order.
+        Returns the pairs found in different classes."""
         parts: List[List[np.ndarray]] = [[] for _ in range(n_domains)]
-        for row, js in enumerate(acts):
-            takers = [(v, lo, hi) for v, (lo, hi) in enumerate(spans[:, row].tolist()) if lo < hi]
+        for k, js in enumerate(acts):
+            takers = [(u, nodes) for u, row, nodes in found if row == k]
             for j in js if takers else ():
                 succ = child(j)
-                for v, lo, hi in takers:
-                    parts[v].append(pairs_of(succ, nodes[..., lo:hi]))
-        return sum(_union(parents[v], np.concatenate(p, axis=1)) for v, p in enumerate(parts) if p)
+                for u, nodes in takers:
+                    parts[u].append(pairs_of(succ, nodes))
+        return sum(_union(parents[u], np.concatenate(p, axis=1)) for u, p in enumerate(parts) if p)
 
-    unions(*np.nonzero(~permitted), lambda succ, x: np.stack([x, succ[x]]))
+    deleted = ((u, k, np.flatnonzero(~permitted[u, k]).astype(np.int32)) for u, k in blocks)
+    unions([b for b in deleted if len(b[2])], lambda succ, x: np.stack([x, succ[x]]))
 
     # A stepping node's chain stays among the stepping nodes, since links
     # go to smaller ids, so the rounds compress only that prefix.
     old = np.full((n_domains, m), -1, dtype=np.int32)
-    keys, reps = np.empty(0, dtype=np.uint64), np.empty(0, dtype=np.int32)
+    # (u, k): sorted keys and their nodes, closed by a key above all others
+    tables = dict.fromkeys(blocks, (np.full(1, _NO_KEY), np.full(1, m, dtype=np.int32)))
     radix = np.uint64(m)
     while True:
         for row in parents:
-            row[:m] = _compress(row[:m])
+            _compress(row[:m])
         moved = parents[:, :m] != old
         if not moved.any():
             break
         old = parents[:, :m].copy()
         counts["sweeps"] += 1
-        sel = moved[:, None, :] | moved[None, doms, :]
-        if diamond:
-            sel &= permitted
-        u, k, at = np.nonzero(sel)
-        counts["regrouped"] += len(at)
-        flat = old.reshape(-1)
-        key = (u * len(doms) + k).astype(np.uint64) * radix + flat[u * m + at].astype(np.uint64)
-        key = key * radix + flat[doms[k] * m + at].astype(np.uint64)
-        # a fresh key's representative is its least node; ``rep`` has the
-        # dtype of ``at``, as np.minimum.at is many times slower when the two
-        # differ
-        uniq, group = _sorted_unique(key, return_inverse=True)
-        rep = np.full(len(uniq), m, dtype=at.dtype)
-        np.minimum.at(rep, group, at)
-        pos = np.searchsorted(keys, uniq)
-        known = pos < len(keys)
-        known[known] = keys[pos[known]] == uniq[known]
-        fresh = ~known
-        rep[known] = reps[pos[known]]
-        keys, reps = _insert_sorted(keys, reps, pos[fresh], uniq[fresh], rep[fresh])
-        rep = rep[group]
-        pair = at != rep
-        xy = np.stack([at[pair], rep[pair]])
-        counts["wsc"] += unions(u[pair], k[pair], xy, lambda succ, nodes: succ[nodes])
+        found = []
+        wide = old.astype(np.uint64)
+        for u, k in blocks:
+            sel = moved[u] | moved[doms[k]]
+            if diamond:
+                sel &= permitted[u, k]
+            at = sel.nonzero()[0]
+            if not len(at):
+                continue
+            counts["regrouped"] += len(at)
+            key = wide[u, at] * radix + wide[doms[k], at]
+            uniq, group = _sorted_unique(key, return_inverse=True)
+            keys, reps = tables[u, k]
+            pos = keys.searchsorted(uniq)
+            rep = reps[pos]
+            fresh = keys[pos] != uniq
+            if fresh.any():
+                # a fresh key's representative is its least node; ``least``
+                # has the dtype of ``at``, as np.minimum.at is many times
+                # slower when the two differ
+                least = np.full(len(uniq), m, dtype=at.dtype)
+                np.minimum.at(least, group, at)
+                rep[fresh] = least[fresh]
+                tables[u, k] = _insert_sorted(keys, reps, pos[fresh], uniq[fresh], rep[fresh])
+            rep = rep[group]
+            pair = at != rep
+            if pair.any():
+                found.append((u, k, np.stack([at[pair], rep[pair]])))
+        counts["wsc"] += unions(found, lambda succ, nodes: succ[nodes])
     for row in parents:
-        row[:] = _compress(row)
+        _compress(row)
     return parents, counts

@@ -52,7 +52,7 @@ from nifcheck.capability import (
 )
 from nifcheck.access import STRONG_FIVE, ConditionResult, DrmReport, StructuredSystem
 from nifcheck import traceindex
-from nifcheck.traceindex import _compress, _insert_sorted, _sorted_unique
+from nifcheck.traceindex import _insert_sorted, _sorted_unique
 from nifcheck.trees import select_violation_seq
 
 Trace = Tuple[str, ...]
@@ -141,6 +141,15 @@ def naive_closure(system, depth: int) -> Dict[str, Dict[Trace, Trace]]:
     return {u: {t: uf[u].find(t) for t in traces} for u in sig.domains}
 
 
+def roots_by_hops(parent: np.ndarray) -> np.ndarray:
+    """Each node's root in a forest whose links point to smaller ids."""
+    while True:
+        hop = parent[parent]
+        if np.array_equal(hop, parent):
+            return hop
+        parent = hop
+
+
 def full_sweep_closure(
     n_nodes: int,
     child: Callable[[int], np.ndarray],
@@ -182,7 +191,7 @@ def full_sweep_closure(
                     lo, hi = np.minimum(ra, rb)[differ], np.maximum(ra, rb)[differ]
                     np.minimum.at(parents[u], hi, lo)
         for u in range(n_domains):
-            parents[u] = _compress(parents[u])
+            parents[u] = roots_by_hops(parents[u])
 
     actions_by_domain: Dict[int, List[int]] = {}
     for j, d in enumerate(dom_of.tolist()):
@@ -190,7 +199,7 @@ def full_sweep_closure(
     while True:
         counts["sweeps"] += 1
         for u in range(n_domains):
-            parents[u] = _compress(parents[u])
+            parents[u] = roots_by_hops(parents[u])
         changed = 0
         for u in range(n_domains):
             for d, action_list in actions_by_domain.items():
@@ -323,6 +332,19 @@ def python_ta_must_verdict(system, depth: int):
     return check_f_security(
         parts, system, depth, mode="final-obs", property_name="ta-prohibitive"
     )
+
+
+def python_label_verdict(system, depth: int, label_of, property_name: str):
+    """An observation-consistency verdict along the per-trace route:
+    partitions by ``label_of(trace, domain)``, then a class-by-class
+    comparison of final observations."""
+    sig = system.signature
+    traces = list(traces_upto(sig, depth))
+    parts = {
+        u: partition_by(sig, {t: label_of(t, u) for t in traces}, depth, domain=u)
+        for u in sig.domains
+    }
+    return check_f_security(parts, system, depth, mode="final-obs", property_name=property_name)
 
 
 def python_class_violations(idx, key, values) -> List[Tuple[Trace, Trace]]:

@@ -55,13 +55,16 @@ from nifcheck import (
 )
 
 from oracles import (
+    naive_closure,
     naive_dipurge,
     naive_dsrc,
     naive_lpurge,
     naive_ta_may,
+    naive_ta_static,
     python_class_violations,
     python_globally_known,
     python_i_security,
+    python_label_verdict,
     python_locality,
     python_lpurge_security,
     python_state_unwinding,
@@ -825,6 +828,77 @@ class TestStateCertifier:
             diamond = state_unwinding_check(system, mode="diamond")
             if diamond.outcome == CERTIFIED_SECURE:
                 assert check_ta_may_security(system, 4).outcome == BOUNDED_SECURE
+
+
+def wide_observation_system(rng, n_values: int) -> PolicyEnhancedSystem:
+    """A random five-state core under which domain "l" has ``n_values``
+    distinct observations: one fresh value per unreachable filler state,
+    then the core's three, so the reachable states carry the largest
+    observation ids."""
+    actions = ("a", "b", "c")
+    dom = {"a": "h", "b": "l", "c": "h"}
+    core = tuple(f"s{i}" for i in range(5))
+    fillers = tuple(f"f{i}" for i in range(n_values - 3))
+    transitions = {(s, x): rng.choice(core) for s in core for x in actions}
+    transitions.update({(f, x): f for f in fillers for x in actions})
+    looks = rng.sample(range(3), 3) + [rng.randrange(3) for _ in range(2)]
+    obs = {("l", s): ("core", v) for s, v in zip(core, looks)}
+    obs.update({("l", f): ("filler", i) for i, f in enumerate(fillers)})
+    obs.update({("h", s): rng.randrange(2) for s in core + fillers})
+    pairs = (("h", "l"), ("l", "h"))
+    edges = {s: frozenset(p for p in pairs if rng.random() < 0.5) for s in core}
+    return PolicyEnhancedSystem(
+        signature=Signature(domains=("h", "l"), actions=actions, dom=dom),
+        states=fillers + core,
+        initial=core[0],
+        transitions=transitions,
+        obs=obs,
+        edges=edges,
+    )
+
+
+class TestWideObservations:
+    """Observation ids take the narrowest unsigned dtype; every check that
+    reads them agrees with its oracle at each width.  256 values still fit
+    one byte (ids 0 to 255), so 257 is the first that needs two."""
+
+    @pytest.mark.parametrize(
+        "n_values, dtype, count",
+        [(256, np.uint8, 8), (257, np.uint16, 8), (70_000, np.uint32, 2)],
+    )
+    def test_checks_match_the_oracles(self, n_values, dtype, count):
+        rng = random.Random(n_values)
+        depth = 3
+        outcomes = set()
+        for _ in range(count):
+            system = wide_observation_system(rng, n_values)
+            idx = TraceIndex(system, depth)
+            assert idx.obs_ids.dtype == dtype
+            assert int(idx.obs_ids[1].max()) == n_values - 1
+            assert int(idx.obs_ids[1, idx.states].min()) >= n_values - 3
+            closure = naive_closure(system, depth)
+            static_edges = system.edges[system.initial]
+            for got, label_of in (
+                (
+                    check_ta_static_security(system, depth),
+                    lambda t, u: naive_ta_static(system, static_edges, t, u),
+                ),
+                (check_ta_may_security(system, depth), lambda t, u: naive_ta_may(system, t, u)),
+                (check_unwinding_security(system, depth), lambda t, u: closure[u][t]),
+            ):
+                want = python_label_verdict(system, depth, label_of, got.property)
+                assert (got.outcome, got.witness) == (want.outcome, want.witness)
+                outcomes.add(got.outcome)
+            assert_same_verdict(check_i_security(system, depth), python_i_security(system, depth))
+            assert_same_verdict(
+                check_lpurge_security(system, depth), python_lpurge_security(system, depth)
+            )
+            for mode in ("box", "diamond"):
+                assert_same_verdict(
+                    state_unwinding_check(system, mode=mode),
+                    python_state_unwinding(system, mode=mode),
+                )
+        assert INSECURE in outcomes  # witnesses are read at the widest ids
 
 
 class TestInactiveEdges:

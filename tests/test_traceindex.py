@@ -41,6 +41,7 @@ from oracles import (
     naive_ta_must,
     naive_ta_static,
     random_systems,
+    roots_by_hops,
     shaped_system,
 )
 
@@ -292,7 +293,8 @@ def closures(monkeypatch):
     return seen
 
 
-def test_closure_is_bit_identical_to_full_sweeps(closures):
+def tree_closures():
+    """Closure calls over trace trees of many shapes."""
     rng = random.Random(4040)
     for depth in range(6):
         for _ in range(4):
@@ -308,11 +310,11 @@ def test_closure_is_bit_identical_to_full_sweeps(closures):
         (shaped_system(random.Random(3434), 8, 4, 3), 5),
     ):
         TraceIndex(system, depth).unwinding_roots()
-    assert closures[-1]["sweeps"] >= 4
 
 
-def test_state_graph_closure_is_bit_identical_to_full_sweeps(closures):
-    """The reachable-state graphs of the state-certifier tests."""
+def state_graph_closures():
+    """Closure calls over the reachable-state graphs of the state-certifier
+    tests, in both modes; returns how many systems they cover."""
     rng = random.Random(6464)
     systems = [
         shaped_system(
@@ -330,8 +332,29 @@ def test_state_graph_closure_is_bit_identical_to_full_sweeps(closures):
     for system in systems:
         for mode in ("box", "diamond"):
             state_unwinding_check(system, mode=mode)
-    assert len(closures) == 2 * len(systems)
+    return len(systems)
+
+
+def test_closure_is_bit_identical_to_full_sweeps(closures):
+    tree_closures()
+    assert closures[-1]["sweeps"] >= 4
+
+
+def test_state_graph_closure_is_bit_identical_to_full_sweeps(closures):
+    n_systems = state_graph_closures()
+    assert len(closures) == 2 * n_systems
     assert max(counts["sweeps"] for counts in closures) >= 2
+
+
+def test_closure_compresses_in_place_across_chunks(closures, monkeypatch):
+    """With chunks of 7 ids, the in-place compression of the rounds and of
+    the other nodes crosses many chunks and follows chains inside one."""
+    monkeypatch.setattr(nifcheck.traceindex, "_CHUNK", 7)
+    tree_closures()
+    n_trees = len(closures)
+    assert closures[-1]["sweeps"] >= 4
+    n_systems = state_graph_closures()
+    assert len(closures) - n_trees == 2 * n_systems
 
 
 def test_regrouped_counts_the_key_lookups_of_moved_nodes():
@@ -352,10 +375,13 @@ def test_regrouped_counts_the_key_lookups_of_moved_nodes():
 
 
 def test_closure_refuses_keys_that_would_overflow():
+    """A block's signature key packs two roots below the node limit, so it
+    fits uint64 whenever the node guard passes."""
+    assert nifcheck.traceindex._MAX_NODES ** 2 < 2**64
     # zero-stride views: nothing of this size is allocated
     m, n_domains = 1 << 27, 1 << 11
     allowed = np.broadcast_to(np.ones((1, 1, 1), dtype=bool), (m, n_domains, n_domains))
-    with pytest.raises(InputError, match="signature keys"):
+    with pytest.raises(InputError, match="exceed the closure's limit"):
         unwinding_closure(m + 1, None, allowed, np.zeros(1, dtype=np.int32))
 
 
@@ -451,13 +477,15 @@ def test_compress_in_chunks_matches_one_chunk(monkeypatch):
     for n in (1, 2, 50, 700):
         parent = np.zeros(n, dtype=np.int32)
         parent[1:] = rng.integers(0, np.arange(1, n), n - 1)  # links go down
-        want = _compress(parent.astype(np.intp))
-        monkeypatch.setattr(nifcheck.traceindex, "_CHUNK", 3)
-        got = _compress(parent)
-        monkeypatch.undo()
-        assert got.dtype == np.int32
-        assert np.array_equal(got, want)
-        assert np.array_equal(got[got], got) and not got[0]
+        want = roots_by_hops(parent)
+        assert not want[0]
+        for chunk in (nifcheck.traceindex._CHUNK, 3):
+            monkeypatch.setattr(nifcheck.traceindex, "_CHUNK", chunk)
+            got = parent.copy()
+            _compress(got)  # in place, across many chunks with 3
+            assert got.dtype == np.int32
+            assert np.array_equal(got, want)
+
 
 def test_arena_matches_a_dict_oracle():
     rng = np.random.default_rng(3636)
