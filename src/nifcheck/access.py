@@ -20,7 +20,7 @@ import numpy as np
 
 from .checkers import _observation_consistency
 from .model import InputError, PolicyEnhancedSystem, check_depth, unfold
-from .traceindex import MATERIALIZE_LIMIT, TraceIndex, _sorted_unique
+from .traceindex import MATERIALIZE_LIMIT, TraceIndex, _first_of_group, _sorted_unique
 from .verdicts import CERTIFIED_SECURE, INCONCLUSIVE, Verdict
 
 BASE_CONDITIONS = ("DRM-1", "DRM-2", "DRM-3", "DRM-4", "DRM-5", "DRM-6")
@@ -172,14 +172,6 @@ class DrmReport:
         }
 
 
-def _first_of_group(keys: np.ndarray) -> np.ndarray:
-    """For each position, the position of the first equal key."""
-    _, group = _sorted_unique(keys, return_inverse=True)
-    first = np.full(len(keys), len(keys), dtype=np.intp)
-    np.minimum.at(first, group, np.arange(len(keys)))
-    return first[group]
-
-
 def _first_clash(buckets: np.ndarray, values: np.ndarray) -> Optional[Tuple[int, int]]:
     """Exemplar-first scan over members in scan order: the least member whose
     value differs from its bucket's first member is the minimal offender.
@@ -191,22 +183,6 @@ def _first_clash(buckets: np.ndarray, values: np.ndarray) -> Optional[Tuple[int,
         differs = differs.any(axis=1)
     bad = np.flatnonzero(differs)
     return None if not len(bad) else (int(exemplar[bad[0]]), int(bad[0]))
-
-
-def _discovery(trans: np.ndarray, start: int) -> Tuple[np.ndarray, np.ndarray]:
-    """Reachable state ids in breadth-first discovery order (each frontier
-    state's successors in action order), and their distances from start."""
-    seen = np.zeros(len(trans), dtype=bool)
-    seen[start] = True
-    levels = [np.array([start], dtype=np.intp)]
-    while len(levels[-1]):
-        reached = trans[levels[-1]].ravel()
-        reached = reached[~seen[reached]]
-        fresh = reached[_first_of_group(reached) == np.arange(len(reached))]
-        seen[fresh] = True
-        levels.append(fresh)
-    dist = np.repeat(np.arange(len(levels)), [len(level) for level in levels])
-    return np.concatenate(levels), dist
 
 
 def _view_ids(cont: np.ndarray, seen: np.ndarray) -> np.ndarray:
@@ -241,16 +217,16 @@ def check_drm(
     Each result line records the scope it was checked under.
 
     The conditions run on the tables' columns for the reachable states,
-    taken in breadth-first discovery order with each object's values
-    interned to ids, and each failure reports its least candidate in that
-    order (the README states the witness rule).
+    taken in discovery order (``TraceIndex.reachable``) with each object's
+    values interned to ids, and each failure reports its least candidate in
+    that order (the README states the witness rule).
     """
     check_depth(depth)
     base = system.base
     sig = base.signature
     domains, objects = sig.domains, system.objects
     idx = TraceIndex(base, 0)
-    sid, dist = _discovery(idx.trans, idx.state_ids[base.initial])
+    sid, dist, succ = idx.reachable(idx.state_ids[base.initial])
     order = [idx.state_names[i] for i in sid.tolist()]
     n = len(order)
     # Content ids stay below n, as DRM-2's packed keys * n + cont needs.
@@ -259,13 +235,8 @@ def check_drm(
         ids: Dict[Hashable, int] = {}
         cont[oi] = [ids.setdefault(v, len(ids)) for v in row]
     observe, alter = system.observe[:, sid], system.alter[:, sid]
-    pos = np.full(len(idx.state_names), -1, dtype=np.intp)
-    pos[sid] = np.arange(n)
-    succ = pos[idx.trans[sid]]
     edge = idx.edge_bool[sid]  # edge[s, u, v]: u may flow to v at s
-    truncated = np.zeros(len(idx.state_names), dtype=bool)
-    truncated[[idx.state_ids[s] for s in base.truncated]] = True
-    stepping = np.flatnonzero(~truncated[sid])
+    stepping = np.flatnonzero(~idx.truncated[sid])
     within = np.flatnonzero(dist <= depth)
     keys = [_view_ids(cont, observe[ui]) for ui in range(len(domains))]
 

@@ -139,16 +139,13 @@ def _grouped_violation(
     values: np.ndarray,
     bound: Optional[int] = None,
     nodes: Optional[np.ndarray] = None,
-    states: Optional[np.ndarray] = None,
 ) -> Optional[Tuple[int, int]]:
     """The rule-minimal pair (x, y) of ``class_violations`` with y at most
     ``bound``: least y, then least x; groups are disjoint, so y is distinct.
     Given ``nodes``, ascending node ids, ``key`` and ``values`` hold only
     those nodes' entries.  Every group with a member at or below ``bound``
     must lie wholly inside them, and with no bound no group of the other
-    nodes may offend.  Given ``states``, one state id per entry of ``key``,
-    ``values`` is a table over state ids, and only the entries searched
-    gather their values from it.
+    nodes may offend.
 
     A group's y is one of its members, so only a group with a member at or
     below the best y so far can win.  With a bound, the steps below read
@@ -164,14 +161,8 @@ def _grouped_violation(
             return None
         # the entries at or below the bound stay first, so ``end`` holds
         sub = np.flatnonzero(_shares_id(key, end))
-        key = key[sub]
-        if states is None:
-            values = values[sub]
-        else:
-            states = states[sub]
+        key, values = key[sub], values[sub]
         nodes = sub if nodes is None else nodes[sub]
-    if states is not None:
-        values = _gather(values, states)
     bad = _offending(key, values)
     hit = _gather(bad, key[:end])
     if not hit.any():
@@ -203,7 +194,7 @@ def _least_violation(
     best = None
     for ui in range(idx.n_domains):
         bound = None if best is None else best[0]
-        pair = _grouped_violation(idx, labels[ui], idx.obs_ids[ui], bound, states=states)
+        pair = _grouped_violation(idx, labels[ui], _gather(idx.obs_ids[ui], states), bound)
         if pair is not None and (best is None or (pair[1], pair[0], ui) < best):
             best = (pair[1], pair[0], ui)
     return best
@@ -639,7 +630,7 @@ def _purge_nodes(idx: TraceIndex, start: int, advance: bool) -> Iterator[np.ndar
 
     One backward sweep over suffixes.  Level k holds, for each trace t of
     length k run from each state s within ``depth - k`` steps of ``start``
-    (a prefix of the discovery order), t's sources as a byte-packed
+    (a prefix of ``TraceIndex.reachable``'s order), t's sources as a byte-packed
     bitmask and its purge as a rank within its level plus a length.  For
     ``a.t`` at s, with s' = trans[s, a]: a is kept iff its domain may flow
     at s to a source of t at s', and then joins them; a kept a gives
@@ -647,17 +638,8 @@ def _purge_nodes(idx: TraceIndex, start: int, advance: bool) -> Iterator[np.ndar
     one ``purge(t, s')`` or, without ``advance``, ``purge(t, s)``.  The
     traces from ``start`` itself are the first entries of each level."""
     nd, na = idx.n_domains, idx.n_actions
-    rings, seen = [np.array([start])], np.zeros(len(idx.trans), dtype=bool)
-    seen[start] = True
-    for _ in range(idx.depth):  # steps only from states short of the depth
-        hit = np.zeros_like(seen)
-        hit[idx.trans[rings[-1]]] = True
-        rings.append(np.flatnonzero(hit & ~seen))
-        seen |= hit
-    within = np.cumsum([len(r) for r in rings])  # states within j steps
-    order = np.concatenate(rings)
-    pos = np.zeros(len(seen), dtype=np.int32)
-    pos[order] = np.arange(len(order), dtype=np.int32)
+    order, dist, succ = idx.reachable(start, idx.depth)
+    within = np.searchsorted(dist, np.arange(idx.depth + 1), "right")  # states within j steps
     one = np.packbits(np.eye(nd, dtype=bool), axis=1, bitorder="little")  # [nd, bytes]
     acts = np.arange(na, dtype=np.int32)[:, None]
     power = (na ** np.arange(idx.depth + 1, dtype=np.int64)).astype(np.int32)
@@ -669,7 +651,7 @@ def _purge_nodes(idx: TraceIndex, start: int, advance: bool) -> Iterator[np.ndar
     length = np.zeros((nd, n, 1), dtype=np.min_scalar_type(idx.depth))
     for k in range(1, idx.depth + 1):
         n = within[idx.depth - k]
-        nxt = pos[idx.trans[order[:n]]]
+        nxt = succ[:n]
         flows = np.packbits(idx.edge_bool[order[:n]][:, idx.dom_of], axis=2, bitorder="little")
         sub = src[:, nxt]  # [nd, n, na, na**(k-1), bytes]
         kept = (sub & flows[:, :, None]).any(axis=4)
@@ -714,8 +696,9 @@ def check_i_security(system: PolicyEnhancedSystem, depth: int) -> Verdict:
     """Purge-based security from every reachable start state.
 
     Traces with the same source-filtered purge must look identical to the
-    observer.  States are tried in discovery order and the first state with a
-    violating pair wins; within a state the pair follows the witness rule.
+    observer.  States are tried in discovery order (``TraceIndex.reachable``)
+    and the first state with a violating pair wins; within a state the pair
+    follows the witness rule.
     Each start's purges come from one suffix sweep (``_purge_nodes``).
     Starts from which ``TraceIndex`` would refuse the depth, since a shorter
     trace ends on a truncated state, are skipped and counted in
@@ -723,12 +706,10 @@ def check_i_security(system: PolicyEnhancedSystem, depth: int) -> Verdict:
     system, stripped = strip_inactive_edges(system)
     idx = TraceIndex(system, depth)
     notes = stripped + ("quantified over every reachable start state",)
-    starts = [idx.state_ids[s] for s in reachable_states(system)]
+    starts = idx.reachable(idx.states[0])[0]
     skipped = int(idx.near_frontier[starts].sum())
     details = {"truncated_starts": skipped}
-    for start in starts:
-        if idx.near_frontier[start]:
-            continue
+    for start in starts[~idx.near_frontier[starts]].tolist():
         purged = np.zeros((idx.n_domains, idx.n_nodes), dtype=np.int32)
         for l, ids in enumerate(_purge_nodes(idx, start, advance=False), 1):
             purged[:, idx.offs[l] : idx.offs[l + 1]] = ids
@@ -775,14 +756,11 @@ def state_unwinding_check(system: PolicyEnhancedSystem, mode: str = "box") -> Ve
         raise InputError(f"unknown mode {mode!r}")
     system, stripped = strip_inactive_edges(system)
     sig = system.signature
-    reach = list(reachable_states(system))
     tables = TraceIndex(system, 0)  # depth 0: only the per-state tables
-    order = np.array([tables.state_ids[s] for s in reach], dtype=np.int64)
-    position = np.empty(len(tables.state_names), dtype=np.int64)
-    position[order] = np.arange(len(reach))
-    succ = position[tables.trans[order]]
+    order, _, succ = tables.reachable(tables.states[0])
+    n = len(order)
     roots, _ = unwinding_closure(
-        len(reach),
+        n,
         lambda j: succ[:, j],
         tables.edge_bool[order],
         tables.dom_of,
@@ -801,20 +779,21 @@ def state_unwinding_check(system: PolicyEnhancedSystem, mode: str = "box") -> Ve
         ),
         default=None,
     )
-    counts = dict(zip(sig.domains, (roots == np.arange(len(reach))).sum(axis=1).tolist()))
-    truncated = sum(1 for s in reach if s in system.truncated)
+    counts = dict(zip(sig.domains, (roots == np.arange(n)).sum(axis=1).tolist()))
+    truncated = int(tables.truncated[order].sum())
     name = f"state-unwinding-{mode}"
     details = {
         "class_counts": counts,
-        "states_checked": len(reach),
+        "states_checked": n,
         "truncated_states": truncated,
     }
     if best is not None:
         si, xi, ui = best
+        root, state = (tables.state_names[i] for i in order[[xi, si]].tolist())
         return Verdict(
             property=name,
             outcome=INCONCLUSIVE,
-            witness=(reach[xi], reach[si], sig.domains[ui]),
+            witness=(root, state, sig.domains[ui]),
             notes=stripped
             + (
                 "state-level rules are sound but incomplete; "
@@ -830,7 +809,7 @@ def state_unwinding_check(system: PolicyEnhancedSystem, mode: str = "box") -> Ve
             outcome=INCONCLUSIVE,
             notes=stripped
             + (
-                f"{truncated} of {len(reach)} reachable states are truncated; "
+                f"{truncated} of {n} reachable states are truncated; "
                 "the rules hold, but not on a complete state graph",
             ),
             details=details,

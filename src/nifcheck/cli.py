@@ -42,19 +42,23 @@ from .model import InputError, PolicyEnhancedSystem, check_depth, check_margin
 from .unwinding import check_theorem_mustunwind
 from .verdicts import BOUNDED_SECURE, CERTIFIED_SECURE, INCONCLUSIVE, Verdict
 
-PROPERTIES = (
-    "ta",
-    "mayta",
-    "mustta",
-    "unwinding",
-    "locality",
-    "static",
-    "gk",
-    "lpurge",
-    "isec",
-    "drm",
-    "theorem-mustunwind",
-)
+# Property name -> its check, called with (system, depth, source, flags).
+# Each check looks its checker up among this module's globals when called,
+# so a wrapper set on ``nifcheck.cli.<checker>`` is the one that runs.
+_CHECKS = {
+    "ta": lambda s, d, src, f: check_ta_static_security(s, d),
+    "mayta": lambda s, d, src, f: check_ta_may_security(s, d),
+    "mustta": lambda s, d, src, f: check_ta_must_security(s, d),
+    "unwinding": lambda s, d, src, f: check_unwinding_security(s, d),
+    "locality": lambda s, d, src, f: check_locality(s, d),
+    "static": lambda s, d, src, f: _static_verdict(s, d),
+    "gk": lambda s, d, src, f: check_globally_known(s, str(f["gk_domain"]), d),
+    "lpurge": lambda s, d, src, f: check_lpurge_security(s, d),
+    "isec": lambda s, d, src, f: check_i_security(s, d),
+    "drm": lambda s, d, src, f: _drm_verdict(src, s, d),
+    "theorem-mustunwind": lambda s, d, src, f: _theorem_verdict(s, d, f["margin"]),
+}
+PROPERTIES = tuple(_CHECKS)
 
 DEFAULT_DEPTH = 6
 _NIF_DEFAULT = ("mayta", "unwinding", "lpurge")
@@ -181,8 +185,8 @@ def run_checks(
     """Parse one input file and evaluate the requested properties in order.
     The property names, the depth and the flags are checked before the file
     is read."""
-    flags = dict(flags or {})
-    margin = flags.get("margin", 1)
+    flags = {"margin": 1, **(flags or {})}
+    margin = flags["margin"]
     variant = flags.get("variant")
     gk_domain = flags.get("gk_domain")
     asked = tuple(properties or ())
@@ -225,30 +229,8 @@ def run_checks(
     total0 = time.perf_counter()
     for p in requested:
         t0 = time.perf_counter()
-        if p == "ta":
-            v = check_ta_static_security(system, depth)
-        elif p == "mayta":
-            v = check_ta_may_security(system, depth)
-        elif p == "mustta":
-            v = check_ta_must_security(system, depth)
-        elif p == "unwinding":
-            v = check_unwinding_security(system, depth)
-        elif p == "locality":
-            v = check_locality(system, depth)
-        elif p == "static":
-            v = _static_verdict(system, depth)
-        elif p == "gk":
-            v = check_globally_known(system, str(gk_domain), depth)
-        elif p == "lpurge":
-            v = check_lpurge_security(system, depth)
-        elif p == "isec":
-            v = check_i_security(system, depth)
-        elif p == "drm":
-            v = _drm_verdict(source, system, depth)
-        else:
-            v = _theorem_verdict(system, depth, margin)
+        verdicts.append(_CHECKS[p](system, depth, source, flags))
         timing[p] = time.perf_counter() - t0
-        verdicts.append(v)
     timing["total"] = time.perf_counter() - total0
 
     return Report(

@@ -27,6 +27,11 @@ nodes, and it compresses its forests in place.  Observation ids take the
 narrowest unsigned dtype that holds the largest (``np.min_scalar_type``):
 one byte per state where no domain has more than 256 observations, so the
 witness search's tables over them take one byte per node.
+
+``TraceIndex.reachable`` walks the state graph breadth first.  Its
+discovery order ranks the witnesses of the state-level checks (state
+certification, the monitor conditions and the start states of ``isec``),
+and the purge sweep reads the states near its start from it.
 """
 
 from __future__ import annotations
@@ -130,11 +135,7 @@ def _sorted_unique(keys: np.ndarray, return_inverse: bool = False):
     it beats the default kind on keys that arrive in long ascending runs,
     loses on random ones, and whole passes got no faster without it.  Keys
     that already are non-negative ids, such as tree labels or closure
-    roots, group without a sort (``checkers.class_violations``).
-    Until a first violating pair, ``locality`` sorts the joint labels of
-    only the nodes that could offend, those in an offending class of one
-    endpoint's labels and, among them, of the other's; after that, only
-    those of the nodes up to the best y."""
+    roots, group without a sort (``checkers.class_violations``)."""
     if return_inverse:
         order = np.argsort(keys, kind="stable")
         ordered = keys[order]
@@ -147,6 +148,14 @@ def _sorted_unique(keys: np.ndarray, return_inverse: bool = False):
     inverse = np.empty(len(keys), dtype=np.intp)
     inverse[order] = np.cumsum(head) - 1
     return ordered[head], inverse
+
+
+def _first_of_group(keys: np.ndarray) -> np.ndarray:
+    """For each position, the position of the first equal key."""
+    _, group = _sorted_unique(keys, return_inverse=True)
+    first = np.full(len(keys), len(keys), dtype=np.intp)
+    np.minimum.at(first, group, np.arange(len(keys)))
+    return first[group]
 
 
 def _insert_sorted(
@@ -278,13 +287,14 @@ class TraceIndex:
             [dom_index[sig.domain_of(a)] for a in sig.actions], dtype=np.int32
         )
 
+        # truncated[s]: s's transitions are synthetic self-loops.
         # near_frontier[s]: a trace shorter than the depth, run from s, ends on
-        # a truncated state, whose transitions are synthetic self-loops.
-        self.near_frontier = np.zeros(n_states, dtype=bool)
-        if depth and system.truncated:
-            self.near_frontier[[self.state_ids[s] for s in system.truncated]] = True
-            for _ in range(depth - 1):
-                self.near_frontier |= self.near_frontier[self.trans].any(axis=1)
+        # a truncated state.
+        self.truncated = np.zeros(n_states, dtype=bool)
+        self.truncated[[self.state_ids[s] for s in system.truncated]] = True
+        self.near_frontier = self.truncated & (depth > 0)
+        for _ in range(depth - 1 if system.truncated else 0):
+            self.near_frontier |= self.near_frontier[self.trans].any(axis=1)
         if self.near_frontier[self.state_ids[system.initial]]:
             raise InputError(
                 f"depth {depth} steps past the truncated frontier of the system"
@@ -317,6 +327,30 @@ class TraceIndex:
             s, e = self.offs[l], self.offs[l + 1]
             states[s:e] = self.trans[states[self.offs[l - 1] : s]].ravel()
         return states
+
+    def reachable(
+        self, start: int, depth: Optional[int] = None
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The states reachable from state id ``start``, within ``depth``
+        steps if given, in breadth-first discovery order: each state's
+        successors in action order, as ``model.reachable_states`` lists
+        them.  Returns (order, dist, succ): the state ids in that order,
+        their distances from ``start``, and the successor table renumbered
+        to positions in ``order``, -1 where a successor lies past ``depth``."""
+        seen = np.zeros(len(self.trans), dtype=bool)
+        seen[start] = True
+        levels = [np.array([start], dtype=np.intp)]
+        while len(levels[-1]) and (depth is None or len(levels) <= depth):
+            reached = self.trans[levels[-1]].ravel()
+            reached = reached[~seen[reached]]
+            fresh = reached[_first_of_group(reached) == np.arange(len(reached))]
+            seen[fresh] = True
+            levels.append(fresh)
+        order = np.concatenate(levels)
+        dist = np.repeat(np.arange(len(levels)), [len(level) for level in levels])
+        pos = np.full(len(seen), -1, dtype=np.intp)
+        pos[order] = np.arange(len(order))
+        return order, dist, pos[self.trans[order]]
 
     @property
     def interior_end(self) -> int:

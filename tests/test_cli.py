@@ -66,6 +66,26 @@ class TestRunChecks:
         assert report.verdicts[0].property == "access-control"
         assert calls == [1]
 
+    def test_checkers_are_looked_up_when_called(self, cap, monkeypatch):
+        # A wrapper set on a checker's name in nifcheck.cli, as the
+        # benchmark's tracer sets one, is what run_checks calls.
+        calls = []
+
+        def recording(name):
+            fn = getattr(nifcheck.cli, name)
+
+            def wrapper(*args):
+                calls.append(name)
+                return fn(*args)
+
+            return wrapper
+
+        for name in ("check_locality", "_drm_verdict"):
+            monkeypatch.setattr(nifcheck.cli, name, recording(name))
+        report = run_checks(cap, properties=("locality", "drm"), depth=1)
+        assert calls == ["check_locality", "_drm_verdict"]
+        assert [v.property for v in report.verdicts] == ["locality", "access-control"]
+
     def test_default_properties_for_capability_files(self, cap):
         report = run_checks(cap, depth=2)
         assert [v.property for v in report.verdicts] == [

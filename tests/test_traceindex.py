@@ -6,6 +6,7 @@ the partitions they induce, since ids are arena-specific.
 """
 
 import random
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from nifcheck import (
     Signature,
     lex_key,
     parse_cap_config,
+    reachable_states,
     state_unwinding_check,
     traces_upto,
 )
@@ -410,6 +412,31 @@ def test_depth_past_the_truncated_frontier_is_rejected():
     assert TraceIndex(system, 1).n_nodes == 1 + len(system.signature.actions)
     with pytest.raises(InputError, match="truncated frontier"):
         TraceIndex(system, 2)
+
+
+def test_reachable_follows_the_reference_walk():
+    """``TraceIndex.reachable`` lists the states and distances of
+    ``reachable_states`` in its order, from several starts, with no bound
+    and with each bound up to 3, and renumbers the successor table to those
+    positions (-1 past the bound)."""
+    config = parse_cap_config(read_corpus("twoproc.cap"))
+    systems = random_systems(4141, 12) + [build_pes(config, depth) for depth in (2, 3)]
+    for system in systems:
+        idx = TraceIndex(system, 0)
+        names = idx.state_names
+        assert {names[i] for i in np.flatnonzero(idx.truncated)} == system.truncated
+        for start in system.states[:3]:
+            started = replace(system, initial=start)
+            for depth in (None, 0, 1, 2, 3):
+                order, dist, succ = idx.reachable(idx.state_ids[start], depth)
+                want = reachable_states(started, depth)
+                assert [names[i] for i in order.tolist()] == list(want)
+                assert dist.tolist() == list(want.values())
+                pos = {s: i for i, s in enumerate(want)}
+                assert succ.tolist() == [
+                    [pos.get(system.transitions[(names[i], a)], -1) for a in idx.signature.actions]
+                    for i in order.tolist()
+                ]
 
 
 def unique_cases():
