@@ -28,6 +28,15 @@ narrowest unsigned dtype that holds the largest (``np.min_scalar_type``):
 one byte per state where no domain has more than 256 observations, so the
 witness search's tables over them take one byte per node.
 
+On the trace tree about (|A| - 1)/|A| of the nodes are leaves, which
+never step, so the closure's forests, deletion pairs and rounds cover the
+interior nodes only.  The deepest interior level is the kernel's frontier:
+its children are the leaves, and a frontier node takes part in a block's
+lookups only where the actor's edge to the observer fails there.  After
+the fixpoint ``unwinding_roots`` gives each leaf its root from its parent's
+joint class, one grouping per block and then the leaves in row chunks of
+at most ``_CHUNK`` ids, where each frontier node's children are contiguous.
+
 ``TraceIndex.reachable`` walks the state graph breadth first.  Its
 discovery order ranks the witnesses of the state-level checks (state
 certification, the monitor conditions and the start states of ``isec``),
@@ -473,32 +482,73 @@ class TraceIndex:
         actions and joint stepping, as root node ids (the root is always the
         shortlex-least member of its class).
 
-        Returns (roots[n_domains, n_nodes], rule application counts)."""
+        Returns (roots[n_domains, n_nodes], rule application counts).
+
+        The closure runs over the interior nodes, with the deepest interior
+        level as its frontier (``unwinding_closure``); the leaves then get
+        their roots from their parents' joint classes.  Take the leaf p·a
+        for observer u, a of domain d, and let J be the interior nodes with
+        p's (root_u, root_d) key and q the least of them.  Joint stepping
+        puts the children of J on a in one u-class.  If some member h of J
+        is hidden in (u, d), the edge from d to u failing at h, deletion
+        adds h, so the leaf takes p's root.  Otherwise the class reaches
+        the interior only through q·a, where q is below the frontier: the
+        leaf takes q·a's root, or else q·a itself, the least leaf of a
+        class that holds only leaves."""
+        m, n_actions = self.interior_end, self.n_actions
+        frontier = self.offs[self.depth - 1] if self.depth else 0
         # Shortlex ids number the tree like a heap: the child of node n on
         # action j is n * n_actions + 1 + j.
-        first_child = np.arange(self.interior_end, dtype=np.int32) * self.n_actions + 1
-        return unwinding_closure(
-            self.n_nodes,
-            lambda j: first_child + j,
-            self.edge_bool[self.states[: self.interior_end]],
-            self.dom_of,
-        )
+        first_child = np.arange(frontier, dtype=np.int32) * n_actions + 1
+        allowed = self.edge_bool[self.states[:m]]
+        inner, counts = unwinding_closure(frontier, lambda j: first_child + j, allowed, self.dom_of)
+        # depth 0 has one node and no frontier: its root is the 0 it starts with
+        roots = np.zeros((self.n_domains, self.n_nodes), dtype=np.int32)
+        roots[:, :m] = inner
+        doms = sorted(set(self.dom_of.tolist()))
+        row_of = np.searchsorted(doms, self.dom_of)  # each action's actor row
+        steps = np.arange(1, n_actions + 1, dtype=np.int32)
+        width = max(1, _CHUNK // max(n_actions, 1))  # frontier nodes per chunk
+        wide = inner.astype(np.uint64)
+        for u, ru in enumerate(inner):
+            # per frontier node p and actor row: q * n_actions, and whether
+            # J has a hidden member
+            base = np.empty((m - frontier, len(doms)), dtype=np.int32)
+            hidden = np.empty((m - frontier, len(doms)), dtype=bool)
+            for k, d in enumerate(doms):
+                least = _first_of_group(wide[u] * np.uint64(m) + wide[d])
+                marked = np.zeros(m, dtype=bool)
+                marked[least[~allowed[:, d, u]]] = True
+                base[:, k] = least[frontier:] * n_actions
+                hidden[:, k] = marked[least[frontier:]]
+            # each frontier node's row of leaves, filled a chunk of rows at
+            # a time
+            leaves = roots[u, m : m + (m - frontier) * n_actions].reshape(m - frontier, n_actions)
+            for r in range(0, m - frontier, width):
+                rows = slice(r, r + width)
+                out = leaves[rows]
+                np.add(base[rows][:, row_of], steps, out=out)  # q·a
+                inside = out < m
+                out[inside] = ru[out[inside]]
+                parent = ru[frontier + r : frontier + r + width, None]
+                np.copyto(out, parent, where=hidden[rows][:, row_of])
+        return roots, counts
 
 
 def unwinding_closure(
-    n_nodes: int,
+    n_stepping: int,
     child: Callable[[int], np.ndarray],
     allowed: np.ndarray,
     dom_of: np.ndarray,
     diamond: bool = False,
 ) -> Tuple[np.ndarray, Dict[str, int]]:
-    """Least per-domain equivalences on the nodes ``0..n_nodes-1`` closed
-    under the two unwinding rules.
+    """Least per-domain equivalences on the nodes ``0..m-1``, with
+    ``m = len(allowed)``, closed under the two unwinding rules.
 
-    The stepping nodes are ``0..m-1`` with ``m = len(allowed)``:
-    ``child(j)`` is each one's successor on action j (length m), and
-    ``allowed[node, d, u]`` says whether an action of domain d taken there
-    may reach u.  For every action j of domain d:
+    ``allowed[node, d, u]`` says whether an action of domain d taken at a
+    node may reach u.  The nodes below ``n_stepping`` step: ``child(j)`` is
+    each one's successor on action j (length ``n_stepping``, ids below m).
+    For every action j of domain d:
 
     * deletion: ``node ~u child(j)[node]`` wherever ``allowed[node, d, u]``
       fails;
@@ -506,27 +556,41 @@ def unwinding_closure(
       ``child(j)[x] ~u child(j)[y]``; with ``diamond`` only nodes where
       ``allowed[node, d, u]`` holds take part.
 
+    The nodes from ``n_stepping`` up are the frontier: their successors lie
+    outside the closure and never step.  A frontier node f is *hidden* in
+    (u, d) where ``allowed[f, d, u]`` fails; there deletion puts each of
+    its successors in f's u-class, so in that block f stands for its own
+    successors.  Hence the bridge rule: where a hidden f and a stepping
+    node q share their (root_u, root_d) key, f ~u child(j)[q].  That is
+    the one way a chain through the outside nodes can join two classes of
+    the closure, so the equivalences on ``0..m-1`` are those of the
+    closure over all nodes.  In diamond mode a frontier node never takes
+    part.  The trace tree (``TraceIndex.unwinding_roots``) closes its
+    interior nodes here, with the deepest interior level as the frontier,
+    and then fills the leaves; the reachable states
+    (``checkers.state_unwinding_check``) have no frontier.
+
     Links go from the larger id to the smaller, so every class's root is
-    its least node.  The trace tree (``TraceIndex.unwinding_roots``) and the
-    reachable states (``checkers.state_unwinding_check``) share this kernel.
+    its least node.
 
     Joint stepping runs in rounds over one signature table per block of
     observer u and actor row k (the k-th domain d that owns actions), which
-    maps the (root_u, root_d) key of a stepping node, packed as
-    ``root_u * m + root_d``, to the node that first had it.  A round looks
-    up only the nodes whose root_u or root_d moved in the last round (every
-    node in the first) and pairs each with the node its key maps to, so the
-    cost of a round follows what changed.  It works one block at a time, so
-    its temporaries hold one block's nodes, and joins the pairs of all
-    blocks in (u, k, node) order.  A key whose roots have since merged is
-    stale, but no node can have it again.  The rounds end when no stepping
-    node's root moved; the other nodes are then compressed in place.
+    maps the (root_u, root_d) key of a node, packed as
+    ``root_u * m + root_d``, to the node that first had it.  The stepping
+    nodes and the frontier nodes hidden in the block take part.  A round
+    looks up only the nodes whose root_u or root_d moved in the last round
+    (every node in the first) and pairs each with the node its key maps
+    to, so the cost of a round follows what changed.  It works one block at
+    a time, so its temporaries hold one block's nodes, and joins the pairs
+    of all blocks in (u, k, node) order.  A key whose roots have since
+    merged is stale, but no node can have it again.  The rounds end when no
+    root moved.
 
-    Returns (roots[n_domains, n_nodes], counts): "dlr" deletion pairs,
-    "wsc" stepping links made, the child pairs that joint stepping found
-    in different classes, "sweeps" rounds and "regrouped" the (node, u, d)
-    key lookups of all rounds.  The benchmark reads "sweeps" and "wsc" as
-    ``closure_sweeps`` and ``rule_wsc``.
+    Returns (roots[n_domains, m], counts): "dlr" the deletion facts, frontier
+    included, "wsc" stepping links made, the pairs that joint stepping and
+    the bridge rule found in different classes, "sweeps" rounds and
+    "regrouped" the (node, u, d) key lookups of all rounds.  The benchmark
+    reads "sweeps" and "wsc" as ``closure_sweeps`` and ``rule_wsc``.
 
     The roots are int32, as are the forests and the signature tables'
     nodes: ``InputError`` refuses more than ``_MAX_NODES`` (2**27) nodes,
@@ -536,11 +600,11 @@ def unwinding_closure(
     # Row k of the lists below is the k-th domain that owns actions.
     doms = sorted(set(dom_of.tolist()))
     acts = [np.flatnonzero(dom_of == d) for d in doms]
-    if n_nodes > _MAX_NODES:
-        raise InputError(f"{n_nodes} nodes exceed the closure's limit")
-    parents = np.empty((n_domains, n_nodes), dtype=np.int32)
-    for start in range(0, n_nodes, _CHUNK):
-        end = min(start + _CHUNK, n_nodes)
+    if max(n_stepping, m) > _MAX_NODES:
+        raise InputError(f"{max(n_stepping, m)} nodes exceed the closure's limit")
+    parents = np.empty((n_domains, m), dtype=np.int32)
+    for start in range(0, m, _CHUNK):
+        end = min(start + _CHUNK, m)
         parents[:, start:end] = np.arange(start, end, dtype=np.int32)
     counts = {"dlr": 0, "wsc": 0, "sweeps": 0, "regrouped": 0}
     if m == 0 or len(dom_of) == 0:
@@ -548,44 +612,51 @@ def unwinding_closure(
     counts["dlr"] = m * len(dom_of) * n_domains - int(allowed.sum(axis=0)[dom_of].sum())
     permitted = allowed[:, doms, :].transpose(2, 1, 0)  # [u, k, node]
     blocks = [(u, k) for u in range(n_domains) for k in range(len(doms))]
+    # the nodes each block looks up: the stepping nodes and the frontier
+    # nodes hidden there, and with diamond only those where the edge holds
+    takes = np.ones(permitted.shape, dtype=bool)
+    takes[:, :, n_stepping:] = ~permitted[:, :, n_stepping:]
+    if diamond:
+        takes &= permitted
+    outside = np.arange(n_stepping, m, dtype=np.int32)
 
     def unions(found, pairs_of):
-        """Joins, in each domain u, the pairs ``pairs_of(child(j), nodes)``
-        of every (u, k, nodes) in ``found``, for each action j of row k.
-        One ``_union`` per domain takes its pairs in (k, j, node) order.
-        Returns the pairs found in different classes."""
+        """Joins, in each domain u, the pairs ``pairs_of(succ, nodes)`` of
+        every (u, k, nodes) in ``found``, for each action j of row k, where
+        ``succ`` is ``child(j)`` with each frontier node as its own
+        successor.  One ``_union`` per domain takes its pairs in (k, j,
+        node) order.  Returns the pairs found in different classes."""
         parts: List[List[np.ndarray]] = [[] for _ in range(n_domains)]
         for k, js in enumerate(acts):
             takers = [(u, nodes) for u, row, nodes in found if row == k]
             for j in js if takers else ():
-                succ = child(j)
+                succ = np.concatenate([child(j), outside])
                 for u, nodes in takers:
                     parts[u].append(pairs_of(succ, nodes))
         return sum(_union(parents[u], np.concatenate(p, axis=1)) for u, p in enumerate(parts) if p)
 
-    deleted = ((u, k, np.flatnonzero(~permitted[u, k]).astype(np.int32)) for u, k in blocks)
+    deleted = (
+        (u, k, np.flatnonzero(~permitted[u, k, :n_stepping]).astype(np.int32)) for u, k in blocks
+    )
     unions([b for b in deleted if len(b[2])], lambda succ, x: np.stack([x, succ[x]]))
 
-    # A stepping node's chain stays among the stepping nodes, since links
-    # go to smaller ids, so the rounds compress only that prefix.
     old = np.full((n_domains, m), -1, dtype=np.int32)
     # (u, k): sorted keys and their nodes, closed by a key above all others
     tables = dict.fromkeys(blocks, (np.full(1, _NO_KEY), np.full(1, m, dtype=np.int32)))
     radix = np.uint64(m)
     while True:
         for row in parents:
-            _compress(row[:m])
-        moved = parents[:, :m] != old
+            _compress(row)
+        moved = parents != old
         if not moved.any():
             break
-        old = parents[:, :m].copy()
+        old = parents.copy()
         counts["sweeps"] += 1
         found = []
         wide = old.astype(np.uint64)
         for u, k in blocks:
             sel = moved[u] | moved[doms[k]]
-            if diamond:
-                sel &= permitted[u, k]
+            sel &= takes[u, k]
             at = sel.nonzero()[0]
             if not len(at):
                 continue
@@ -609,6 +680,4 @@ def unwinding_closure(
             if pair.any():
                 found.append((u, k, np.stack([at[pair], rep[pair]])))
         counts["wsc"] += unions(found, lambda succ, nodes: succ[nodes])
-    for row in parents:
-        _compress(row)
     return parents, counts

@@ -157,10 +157,13 @@ def full_sweep_closure(
     dom_of: np.ndarray,
     diamond: bool = False,
 ) -> Tuple[np.ndarray, Dict[str, int]]:
-    """``traceindex.unwinding_closure`` by full sweeps: every sweep
-    compresses all nodes and regroups every stepping node on its
-    (root_u, root_d) key for each (u, d), until one fires no rule.  The
-    roots must be bit-identical.
+    """The unwinding closure on the nodes ``0..n_nodes-1`` by full sweeps,
+    where the first ``m = len(allowed)`` nodes step to ``child(j)`` and the
+    rest never step: every sweep compresses all nodes and regroups every
+    stepping node on its (root_u, root_d) key for each (u, d), until one
+    fires no rule.  ``traceindex.unwinding_closure`` on a state graph (no
+    frontier) and ``TraceIndex.unwinding_roots`` on the whole trace tree,
+    leaves included, must give bit-identical roots.
 
     Returns (roots[n_domains, n_nodes], counts): "dlr" deletion pairs,
     "wsc" every child whose root differed from its group's least, summed

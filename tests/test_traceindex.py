@@ -272,26 +272,46 @@ def test_closure_roots_at_a_larger_shape():
         assert all(root == node for root, node in least.items())
 
 
+def tree_oracle(idx):
+    """``TraceIndex.unwinding_roots`` by full sweeps over every node of the
+    tree, leaves included."""
+    first_child = np.arange(idx.interior_end) * idx.n_actions + 1
+    return full_sweep_closure(
+        idx.n_nodes,
+        lambda j: first_child + j,
+        idx.edge_bool[idx.states[: idx.interior_end]],
+        idx.dom_of,
+    )
+
+
 @pytest.fixture
 def closures(monkeypatch):
-    """Checks every call of the closure kernel against the full-sweep
-    oracle: the roots must be bit-identical int32, and every root is its own
-    root and no larger than its node, leaves included.  Records the counts
-    of each call."""
+    """Checks every closure against the full-sweep oracle: each trace tree's
+    roots from ``TraceIndex.unwinding_roots``, which closes the interior
+    nodes in the kernel and fills the leaves itself, and each state graph's
+    from the kernel.  The roots must be bit-identical int32, and every root
+    is its own root and no larger than its node, leaves included.  Records
+    the counts of each call."""
     seen = []
+    tree_roots = TraceIndex.unwinding_roots
 
-    def checked(n_nodes, child, allowed, dom_of, diamond=False):
-        roots, counts = unwinding_closure(n_nodes, child, allowed, dom_of, diamond)
+    def checked(roots, counts, want):
         assert roots.dtype == np.int32
-        want, _ = full_sweep_closure(n_nodes, child, allowed, dom_of, diamond)
         assert np.array_equal(roots, want)
         assert np.array_equal(np.take_along_axis(roots, roots, axis=1), roots)
-        assert (roots <= np.arange(n_nodes)).all()
+        assert (roots <= np.arange(roots.shape[1])).all()
         seen.append(counts)
         return roots, counts
 
-    monkeypatch.setattr(nifcheck.traceindex, "unwinding_closure", checked)
-    monkeypatch.setattr(nifcheck.checkers, "unwinding_closure", checked)
+    def tree(idx):
+        return checked(*tree_roots(idx), tree_oracle(idx)[0])
+
+    def graph(n_nodes, child, allowed, dom_of, diamond=False):
+        want, _ = full_sweep_closure(n_nodes, child, allowed, dom_of, diamond)
+        return checked(*unwinding_closure(n_nodes, child, allowed, dom_of, diamond), want)
+
+    monkeypatch.setattr(TraceIndex, "unwinding_roots", tree)
+    monkeypatch.setattr(nifcheck.checkers, "unwinding_closure", graph)
     return seen
 
 
@@ -309,6 +329,7 @@ def tree_closures():
         (shaped_system(rng, 4, 3, 1), 5),  # one domain
         (shaped_system(rng, 4, 2, 3), 4),  # u2 owns no action
         (shaped_system(rng, 5, 1, 2), 40),  # one action
+        (shaped_system(rng, 3, 0, 2), 1),  # no action: the root is the frontier
         (shaped_system(random.Random(3434), 8, 4, 3), 5),
     ):
         TraceIndex(system, depth).unwinding_roots()
@@ -360,20 +381,78 @@ def test_closure_compresses_in_place_across_chunks(closures, monkeypatch):
 
 
 def test_regrouped_counts_the_key_lookups_of_moved_nodes():
-    def shape_of(idx):
-        return idx.interior_end * idx.n_domains * len(set(idx.dom_of.tolist()))
+    def first_round(idx):
+        """The lookups of the first round: in every (observer, actor) block,
+        each node below the frontier and each frontier node where the edge
+        from the actor to the observer fails."""
+        frontier = idx.offs[idx.depth - 1]
+        doms = sorted(set(idx.dom_of.tolist()))
+        allowed = idx.edge_bool[idx.states[frontier : idx.interior_end]]
+        return frontier * idx.n_domains * len(doms) + int((~allowed[:, doms, :]).sum())
 
     # later rounds look up only the nodes whose roots moved
     idx = TraceIndex(shaped_system(random.Random(3434), 8, 4, 3), 5)
     _, counts = idx.unwinding_roots()
     assert counts["sweeps"] >= 4
-    assert shape_of(idx) < counts["regrouped"] < counts["sweeps"] * shape_of(idx)
-    # with every edge at every state nothing is deleted, no two nodes share
-    # a key, and the first round links nothing
+    assert first_round(idx) < counts["regrouped"] < counts["sweeps"] * first_round(idx)
+    # with every edge at every state nothing is deleted, no frontier node
+    # is looked up, no two nodes share a key, and the first round links
+    # nothing
     idx = TraceIndex(shaped_system(random.Random(4141), 4, 3, 3, edge_bias=1.0), 4)
     _, counts = idx.unwinding_roots()
     assert (counts["dlr"], counts["wsc"], counts["sweeps"]) == (0, 0, 1)
-    assert counts["regrouped"] == shape_of(idx)
+    assert counts["regrouped"] == first_round(idx) == idx.offs[3] * 9
+
+
+def leaf_fill_cases(idx, roots):
+    """Which cases of the leaf fill the tree of ``idx`` takes, read off the
+    oracle's ``roots`` over every node:
+
+    * "bridge": a chain through leaves joins two interior classes, so
+      closing the interior nodes alone, with the frontier not stepping,
+      gives other interior roots;
+    * "only-leaves": a class of two or more nodes holds only leaves;
+    * "hidden-below": a frontier node's joint class J, in some (observer,
+      actor) block, has a member hidden below the frontier and none hidden
+      on it."""
+    m, frontier = idx.interior_end, idx.offs[idx.depth - 1]
+    allowed = idx.edge_bool[idx.states[:m]]
+    first_child = np.arange(frontier) * idx.n_actions + 1
+    cut, _ = full_sweep_closure(m, lambda j: first_child + j, allowed[:frontier], idx.dom_of)
+    leaves = roots[:, m:]
+    cases = set()
+    if not np.array_equal(roots[:, :m], cut):
+        cases.add("bridge")
+    if ((leaves >= m) & (leaves != np.arange(m, idx.n_nodes))).any():
+        cases.add("only-leaves")
+    for u in range(idx.n_domains):
+        for d in set(idx.dom_of.tolist()):
+            key = roots[u, :m] * m + roots[d, :m]
+            hidden = ~allowed[:, d, u]
+            for p in range(frontier, m):
+                joint = np.flatnonzero(key == key[p])
+                on = joint >= frontier
+                if hidden[joint[~on]].any() and not hidden[joint[on]].any():
+                    cases.add("hidden-below")
+    return cases
+
+
+@pytest.mark.parametrize(
+    ("case", "seed", "n_states", "n_domains", "depth"),
+    [
+        ("bridge", 492, 6, 3, 2),
+        ("only-leaves", 720, 3, 2, 3),
+        ("hidden-below", 874, 6, 3, 2),
+    ],
+)
+def test_leaf_fill_cases(case, seed, n_states, n_domains, depth):
+    """Small trees, found by a seeded search, that each take one case of
+    the leaf fill; the roots, leaves included, are the oracle's."""
+    idx = TraceIndex(shaped_system(random.Random(seed), n_states, 2, n_domains), depth)
+    want, _ = tree_oracle(idx)
+    assert case in leaf_fill_cases(idx, want)
+    roots, _ = idx.unwinding_roots()
+    assert np.array_equal(roots, want)
 
 
 def test_closure_refuses_keys_that_would_overflow():
