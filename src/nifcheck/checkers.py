@@ -8,6 +8,7 @@ engine's unwinding-closure kernel over the reachable states.
 
 from __future__ import annotations
 
+import dataclasses
 from typing import Dict, Iterator, List, Mapping, Optional, Tuple
 
 import numpy as np
@@ -25,7 +26,6 @@ from .model import (
 )
 from .traceindex import (
     MATERIALIZE_LIMIT,
-    _NO_KEY,
     TraceIndex,
     _chunks,
     _gather,
@@ -143,9 +143,10 @@ def _grouped_violation(
     """The rule-minimal pair (x, y) of ``class_violations`` with y at most
     ``bound``: least y, then least x; groups are disjoint, so y is distinct.
     Given ``nodes``, ascending node ids, ``key`` and ``values`` hold only
-    those nodes' entries.  Every group with a member at or below ``bound``
-    must lie wholly inside them, and with no bound no group of the other
-    nodes may offend.
+    those nodes' entries.  Each group must lie wholly inside or wholly
+    outside them, and every offending group with a member at or below
+    ``bound`` (with no bound, every offending group) inside; a group that
+    does not offend may be left out, as locality's masks leave out most.
 
     A group's y is one of its members, so only a group with a member at or
     below the best y so far can win.  With a bound, the steps below read
@@ -236,35 +237,33 @@ def strip_inactive_edges(
     An edge from a domain with no actions can never transmit anything, so
     removing it changes no security verdict; it does make locality-style
     judgements about that domain vacuous instead of spurious.  Returns the
-    system unchanged (and no notes) when there is nothing to strip.
+    system unchanged, and no notes, when no actionless domain carries an
+    edge; otherwise one note names those domains in declaration order.
     """
     sig = system.signature
     active = {sig.domain_of(a) for a in sig.actions}
-    idle = [u for u in sig.domains if u not in active]
+    if active.issuperset(sig.domains):
+        return system, ()
+    idle = {u for e in system.edges.values() for (u, _v) in e} - active
     if not idle:
         return system, ()
-    idle_set = set(idle)
-    hit = sorted(
-        {u for s in system.states for (u, _v) in system.edges[s] if u in idle_set},
-        key=sig.domain_index,
+    edges = {s: frozenset(p for p in e if p[0] not in idle) for s, e in system.edges.items()}
+    note = "stripped policy edges from inactive domains: " + ", ".join(
+        u for u in sig.domains if u in idle
     )
-    if not hit:
-        return system, ()
-    hit_set = set(hit)
-    edges = {
-        s: frozenset(p for p in system.edges[s] if p[0] not in hit_set)
-        for s in system.states
-    }
-    normalized = PolicyEnhancedSystem(
-        signature=sig,
-        states=system.states,
-        initial=system.initial,
-        transitions=system.transitions,
-        obs=system.obs,
-        edges=edges,
-        truncated=system.truncated,
-    )
-    return normalized, ("stripped policy edges from inactive domains: " + ", ".join(hit),)
+    return dataclasses.replace(system, edges=edges), (note,)
+
+
+def _stripped_index(
+    system: PolicyEnhancedSystem, depth: int
+) -> Tuple[TraceIndex, Tuple[str, ...]]:
+    """The index every trace check runs on, with the notes of
+    ``strip_inactive_edges``: it is built over ``system`` without the
+    edges of actionless domains, and ``idx.system`` is that stripped
+    system.  ``access.ac_complete_construct`` builds its own index over the
+    edges as given, because they are the alter rights it writes."""
+    system, notes = strip_inactive_edges(system)
+    return TraceIndex(system, depth), notes
 
 
 # ---------------------------------------------------------------------------
@@ -275,8 +274,7 @@ def check_ta_may_security(system: PolicyEnhancedSystem, depth: int) -> Verdict:
     """Permissive reading: actions are transmitted whenever the policy edge
     holds at the state where they happen; equal transmission trees must look
     identical to the observer."""
-    system, notes = strip_inactive_edges(system)
-    idx = TraceIndex(system, depth)
+    idx, notes = _stripped_index(system, depth)
     labels = idx.ta_labels()
     return _observation_consistency(idx, labels, "ta-permissive", notes=notes)
 
@@ -284,8 +282,7 @@ def check_ta_may_security(system: PolicyEnhancedSystem, depth: int) -> Verdict:
 def check_unwinding_security(system: PolicyEnhancedSystem, depth: int) -> Verdict:
     """Prohibitive reading via the unwinding closure: traces merged by
     deletion of disallowed actions and joint stepping must look identical."""
-    system, notes = strip_inactive_edges(system)
-    idx = TraceIndex(system, depth)
+    idx, notes = _stripped_index(system, depth)
     roots, counts = idx.unwinding_roots()
     return _observation_consistency(
         idx,
@@ -305,8 +302,7 @@ def check_ta_must_security(system: PolicyEnhancedSystem, depth: int) -> Verdict:
     property as ``check_unwinding_security`` by the coincidence theorem,
     computed along the tree route; keeping both is deliberate.
     """
-    system, notes = strip_inactive_edges(system)
-    idx = TraceIndex(system, depth)
+    idx, notes = _stripped_index(system, depth)
     roots, _ = idx.unwinding_roots()
     labels = idx.ta_labels(idx.jointly_known(roots)[: idx.interior_end])
     return _observation_consistency(idx, labels, "ta-prohibitive", notes=notes)
@@ -324,11 +320,10 @@ def check_ta_static_security(system: PolicyEnhancedSystem, depth: int) -> Verdic
     For systems whose policy actually changes this is a different property
     from the dynamic readings; a note marks that case.
     """
-    system, notes = strip_inactive_edges(system)
-    idx = TraceIndex(system, depth)
+    idx, notes = _stripped_index(system, depth)
     e0 = idx.edge_bool[idx.states[0]]
     labels = idx.ta_labels(np.broadcast_to(e0, (idx.interior_end,) + e0.shape))
-    if not check_static(system):
+    if not check_static(idx.system):
         notes = notes + (
             "policy is state-dependent; the static reading fixes the initial state's edges",
         )
@@ -351,8 +346,8 @@ def check_locality(
     """
     if known_to not in _KNOWN_TO:
         raise InputError(f"known_to must be one of {_KNOWN_TO}")
-    system, notes = strip_inactive_edges(system)
-    return _locality_verdict(TraceIndex(system, depth), known_to, notes)
+    idx, notes = _stripped_index(system, depth)
+    return _locality_verdict(idx, known_to, notes)
 
 
 def _joint_keys(labels: np.ndarray, ui: int, vi: int, nodes=slice(None)) -> np.ndarray:
@@ -376,31 +371,28 @@ def _locality_verdict(
             }
             nodes = None
             # one grouping of the joint labels serves both directed edges
-            if known_to is None and best is None:
+            if known_to is None:
                 # A joint class lies inside one class of each endpoint, so on
                 # the edge a to b it can offend only inside an offending L_a
                 # class, where its L_b class must offend too.  The mask is
                 # constant on joint classes: grouping its nodes alone finds
-                # every offending joint class.
-                mask = np.zeros(idx.n_nodes, dtype=bool)
+                # every offending joint class.  Past the first violation only
+                # joint classes with a node at or below the best y can win,
+                # and their members' labels at both endpoints occur at or
+                # below it, so the mask is taken over those candidates alone.
+                if best is None:
+                    cand = slice(None)
+                else:
+                    end = best[0][0] + 1
+                    cand = np.flatnonzero(_shares_id(labels[ui], end) & _shares_id(labels[vi], end))
+                keep = np.zeros(idx.n_nodes if best is None else len(cand), dtype=bool)
                 for (a, b), atom in atoms.items():
-                    live = np.flatnonzero(_gather(_offending(labels[a], atom), labels[a]))
-                    lb = labels[b][live]
-                    mask[live[_gather(_offending(lb, atom[live]), lb)]] = True
-                nodes = np.flatnonzero(mask)
+                    la, at = labels[a][cand], atom[cand]
+                    live = np.flatnonzero(_gather(_offending(la, at), la))
+                    lb = labels[b][cand][live]
+                    keep[live[_gather(_offending(lb, at[live]), lb)]] = True
+                nodes = np.flatnonzero(keep) if best is None else cand[keep]
                 ids = _sorted_unique(_joint_keys(labels, ui, vi, nodes), return_inverse=True)[1]
-            elif known_to is None:
-                # Only joint classes with a node at or below the best y can
-                # win, and their members' labels at both endpoints occur at
-                # or below it.  Of those nodes alone, number the joint keys
-                # of the nodes up to the best y and put the rest under one
-                # id past them (the sentinel's).
-                end = best[0][0] + 1
-                nodes = np.flatnonzero(_shares_id(labels[ui], end) & _shares_id(labels[vi], end))
-                joint = _joint_keys(labels, ui, vi, nodes)
-                head = np.append(_sorted_unique(joint[:end]), _NO_KEY)
-                ids = np.searchsorted(head, joint)
-                ids[head[ids] != joint] = len(head) - 1
             for (a, b), atom in atoms.items():
                 key = ids if known_to is None else labels[a if known_to == "sender" else b]
                 values = atom if nodes is None else atom[nodes]
@@ -452,7 +444,7 @@ def check_globally_known(
                 )
     # The edges are read from ``system`` below; the index over the stripped
     # system also serves the locality cross-check.
-    idx = TraceIndex(strip_inactive_edges(system)[0], depth)
+    idx, _ = _stripped_index(system, depth)
     # Passing only a domain's own actions to itself labels each trace with
     # its projection onto the administering domain's actions.
     own = np.eye(idx.n_domains, dtype=bool)
@@ -535,13 +527,12 @@ def restrict_to_local(system: PolicyEnhancedSystem, depth: int) -> PolicyEnhance
     {u, v} jointly cannot distinguish.  Granted edges never exceed the
     original ones, and the result's policy is local by construction.
     """
-    system, _ = strip_inactive_edges(system)
-    idx = TraceIndex(system, depth)
+    idx, _ = _stripped_index(system, depth)
     if idx.n_nodes > MATERIALIZE_LIMIT:
         raise InputError("too many traces to materialize the localized system")
     roots, _ = idx.unwinding_roots()
     sig = idx.signature
-    tree = unfold(system, depth)
+    tree = unfold(idx.system, depth)
     known = idx.jointly_known(roots)
     diag = np.arange(idx.n_domains)
     known[:, diag, diag] = False  # reflexive edges are implicit
@@ -673,8 +664,7 @@ def check_lpurge_security(system: PolicyEnhancedSystem, depth: int) -> Verdict:
     trace rides along in the details.  Every trace is purged for every
     observer by one suffix sweep from the initial state (``_purge_nodes``);
     the check stops it at the first level with a violation."""
-    system, notes = strip_inactive_edges(system)
-    idx = TraceIndex(system, depth)
+    idx, notes = _stripped_index(system, depth)
     for l, purged in enumerate(_purge_nodes(idx, idx.states[0], advance=True), 1):
         seen = np.take_along_axis(idx.obs_ids, idx.states[purged], axis=1)
         bad = seen != idx.obs_ids[:, idx.states[idx.offs[l] : idx.offs[l + 1]]]
@@ -703,8 +693,7 @@ def check_i_security(system: PolicyEnhancedSystem, depth: int) -> Verdict:
     Starts from which ``TraceIndex`` would refuse the depth, since a shorter
     trace ends on a truncated state, are skipped and counted in
     ``details["truncated_starts"]``."""
-    system, stripped = strip_inactive_edges(system)
-    idx = TraceIndex(system, depth)
+    idx, stripped = _stripped_index(system, depth)
     notes = stripped + ("quantified over every reachable start state",)
     starts = idx.reachable(idx.states[0])[0]
     skipped = int(idx.near_frontier[starts].sum())
@@ -754,9 +743,8 @@ def state_unwinding_check(system: PolicyEnhancedSystem, mode: str = "box") -> Ve
     """
     if mode not in ("box", "diamond"):
         raise InputError(f"unknown mode {mode!r}")
-    system, stripped = strip_inactive_edges(system)
-    sig = system.signature
-    tables = TraceIndex(system, 0)  # depth 0: only the per-state tables
+    tables, stripped = _stripped_index(system, 0)  # depth 0: only the per-state tables
+    sig = tables.signature
     order, _, succ = tables.reachable(tables.states[0])
     n = len(order)
     roots, _ = unwinding_closure(

@@ -9,8 +9,10 @@ self-loops before construction.
 from __future__ import annotations
 
 from collections.abc import Mapping as _MappingABC
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Hashable, Iterator, Mapping, Optional, Tuple
+
+import numpy as np
 
 State = Hashable
 Trace = Tuple[str, ...]
@@ -306,43 +308,34 @@ def encode(machine: System, policy: DynamicPolicyAutomaton) -> PolicyEnhancedSys
 def unfold(system: PolicyEnhancedSystem, depth: int) -> PolicyEnhancedSystem:
     """Tree-shaped system over all traces of length <= depth.
 
-    States are the traces themselves.  Length-``depth`` states self-loop and
-    are flagged truncated.  Observations and edges are inherited from the run
-    of each trace in the original system.
+    States are the traces themselves, in shortlex order, so the child of the
+    i-th on the j-th action is the ``i * |A| + 1 + j``-th: the transitions are
+    a ``DenseTransitions`` table.  Length-``depth`` states self-loop and are
+    flagged truncated.  Observations and edges are inherited from the run of
+    each trace in the original system.
     """
     check_depth(depth)
     sig = system.signature
-    states = []
-    transitions = {}
-    obs = {}
-    edges = {}
-    ends = {EMPTY_TRACE: system.initial}
-    level = [EMPTY_TRACE]
-    states.append(EMPTY_TRACE)
+    states = [EMPTY_TRACE]
+    ends = [system.initial]
+    level = 0  # the deepest level so far is states[level:]
     for _ in range(depth):
-        nxt = []
-        for t in level:
+        start, level = level, len(states)
+        for t, s in zip(states[start:level], ends[start:level]):
             for a in sig.actions:
-                ta = t + (a,)
-                ends[ta] = step(system, ends[t], a)
-                states.append(ta)
-                transitions[(t, a)] = ta
-                nxt.append(ta)
-        level = nxt
-    for t in level:  # frontier: synthetic self-loops, flagged below
-        for a in sig.actions:
-            transitions[(t, a)] = t
-    for t in states:
-        s = ends[t]
-        edges[t] = system.edges[s]
-        for u in sig.domains:
-            obs[(u, t)] = system.obs[(u, s)]
+                states.append(t + (a,))
+                ends.append(step(system, s, a))
+    na = len(sig.actions)
+    table = np.empty((len(states), na), dtype=np.int32)
+    table[:level] = np.arange(level)[:, None] * na + 1 + np.arange(na)
+    table[level:] = np.arange(level, len(states))[:, None]  # frontier: synthetic self-loops
+    states = tuple(states)
     return PolicyEnhancedSystem(
         signature=sig,
-        states=tuple(states),
+        states=states,
         initial=EMPTY_TRACE,
-        transitions=transitions,
-        obs=obs,
-        edges=edges,
-        truncated=frozenset(level),
+        transitions=DenseTransitions(table, states, sig.actions),
+        obs={(u, t): system.obs[(u, s)] for t, s in zip(states, ends) for u in sig.domains},
+        edges={t: system.edges[s] for t, s in zip(states, ends)},
+        truncated=frozenset(states[level:]),
     )

@@ -16,7 +16,7 @@ from typing import Dict, Iterable, List, Mapping, Optional, Tuple
 
 import numpy as np
 
-from .checkers import class_violations, label_partitions
+from .checkers import _stripped_index, class_violations, label_partitions
 from .model import InputError, PolicyEnhancedSystem, Trace, check_depth, check_margin, permits, run
 from .traceindex import MATERIALIZE_LIMIT, TraceIndex
 from .trees import LEAF, SHARED_ARENA, TracePartition, TreeArena, _tree_step
@@ -188,7 +188,7 @@ def check_theorem_mustunwind(
     """
     check_depth(depth)
     check_margin(margin, depth)
-    idx = TraceIndex(system, depth)
+    idx, _ = _stripped_index(system, depth)
     roots, _ = idx.unwinding_roots()
     must = idx.ta_labels(idx.jointly_known(roots)[: idx.interior_end])
     cut = depth - margin

@@ -37,6 +37,7 @@ from nifcheck import (
     check_ta_may_security,
     check_ta_must_security,
     check_ta_static_security,
+    check_theorem_mustunwind,
     check_unwinding_security,
     dipurge,
     dsrc,
@@ -593,17 +594,33 @@ class TestLocalityKnownTo:
                 best = least[0] if best is None else min(best, least[0])
         return False
 
+    @classmethod
+    def best_y_before(cls, system, depth):
+        """Per unordered pair of domains, in check order: the least y of
+        plain locality's violations over the pairs before it, or None."""
+        bounds, best = [], None
+        for least in cls.pair_minima(system, depth):
+            bounds.append(best)
+            if least is not None:
+                best = least[0] if best is None else min(best, least[0])
+        return bounds
+
     @staticmethod
-    def python_masks(system, depth):
+    def python_masks(system, depth, bounds=None):
         """Per unordered pair of domains, in check order: the number of
         traces that plain locality's mask keeps, read off materialized
         traces, and whether a joint class of the pair offends.  A trace is
         kept if, for the edge a to b either way, its L_a class offends and
-        its L_b class offends among the traces of offending L_a classes."""
+        its L_b class offends among the traces of offending L_a classes.
+        Given ``bounds``, one per pair, a pair with a bound y takes its
+        classes over the candidates alone: the traces whose labels at both
+        endpoints occur among the traces up to the y-th."""
         system, _ = strip_inactive_edges(system)
         sig = system.signature
         traces = list(traces_upto(sig, depth))
         label = {(t, u): naive_ta_may(system, t, u) for t in traces for u in sig.domains}
+        pairs = list(itertools.combinations(sig.domains, 2))
+        bounds = [None] * len(pairs) if bounds is None else bounds
 
         def offending(members, key, atom):
             seen = {}
@@ -612,11 +629,15 @@ class TestLocalityKnownTo:
             return {t for t in members if len(seen[key(t)]) > 1}
 
         masks = []
-        for u, v in itertools.combinations(sig.domains, 2):
+        for (u, v), bound in zip(pairs, bounds):
+            cand = traces
+            if bound is not None:
+                low = {(label[t, w], w) for t in traces[: bound + 1] for w in (u, v)}
+                cand = [t for t in traces if {(label[t, u], u), (label[t, v], v)} <= low]
             kept, joint_offends = set(), False
             for a, b in ((u, v), (v, u)):
                 atom = {t: permits(system, run(system, t), a, b) for t in traces}
-                live = offending(traces, lambda t: label[t, a], atom)
+                live = offending(cand, lambda t: label[t, a], atom)
                 kept |= offending(live, lambda t: label[t, b], atom)
                 joint = offending(traces, lambda t: (label[t, a], label[t, b]), atom)
                 joint_offends |= bool(joint)
@@ -624,8 +645,8 @@ class TestLocalityKnownTo:
         return masks
 
     def test_matches_the_oracle(self, monkeypatch):
-        # Plain locality sorts the joint keys of a pair met before the first
-        # violation only on the mask's nodes; the spy records those sorts.
+        # Plain locality sorts the joint keys of each pair only on the mask's
+        # nodes; the spy records those sorts.
         sorted_lengths = []
 
         def spy(keys, return_inverse=False):
@@ -649,7 +670,7 @@ class TestLocalityKnownTo:
             )
         systems.append(parity_edge_system())
         insecure = dict.fromkeys((None, "sender", "receiver", "isec", "gk"), 0)
-        bounded = secure_kept = empty = 0
+        bounded = secure_kept = empty = later_kept = 0
         for system in systems:
             admin = system.signature.domains[0]
             public = {(admin, v) for v in system.signature.domains if v != admin}
@@ -664,14 +685,17 @@ class TestLocalityKnownTo:
                     assert got.property == want.property
                     assert_same_verdict(got, want)
                     insecure[known_to] += got.outcome == INSECURE
-                # the pairs up to the first violating one group only their
-                # masks, and the one-endpoint variants sort nothing
-                unbounded = []
-                for kept, joint_offends in self.python_masks(system, depth):
-                    unbounded.append((kept, joint_offends))
-                    if joint_offends:
-                        break
-                assert sorted_lengths == [kept for kept, _ in unbounded]
+                # The pairs up to the first violating one group their masks;
+                # each later pair its mask over the nodes whose labels at
+                # both endpoints occur up to the best y; the one-endpoint
+                # variants sort nothing.
+                bounds = self.best_y_before(system, depth)
+                first = bounds.count(None)  # the pairs up to the first violating one
+                masks = self.python_masks(system, depth, bounds)
+                unbounded, later = masks[:first], masks[first:]
+                assert sorted_lengths[:first] == [kept for kept, _ in unbounded]
+                assert sorted_lengths[first:] == [kept for kept, _ in later]
+                later_kept += any(kept for kept, _ in later)
                 secure_kept += any(kept and not bad for kept, bad in unbounded)
                 empty += any(not kept for kept, _ in unbounded)
                 got = check_i_security(system, depth)
@@ -686,6 +710,8 @@ class TestLocalityKnownTo:
         # a secure pair whose single-label classes offend, and a pair whose
         # mask is empty
         assert secure_kept >= 4 and empty >= 10, (secure_kept, empty)
+        # a later pair whose bounded mask keeps nodes
+        assert later_kept >= 30, later_kept
 
     def test_a_later_pair_wins_after_the_first(self):
         # After the first violating pair of domains, plain locality numbers
@@ -931,6 +957,60 @@ class TestInactiveEdges:
         v = check_ta_may_security(self.build(), 3)
         assert v.outcome == BOUNDED_SECURE
         assert any("inactive" in n for n in v.notes)
+
+    def test_edges_of_actionless_domains_change_no_check(self):
+        # Every trace check strips those edges first, so adding random ones
+        # moves no outcome, witness or detail, and only adds the note.
+        # ``check_globally_known`` is left out: its obligations read the
+        # policy as given, idle edges included.
+        checks = [
+            check_ta_static_security,
+            check_ta_may_security,
+            check_ta_must_security,
+            check_unwinding_security,
+            check_lpurge_security,
+            check_i_security,
+        ] + [
+            lambda system, depth, known_to=known_to: check_locality(system, depth, known_to)
+            for known_to in (None, "sender", "receiver")
+        ]
+        rng = random.Random(2424)
+        outcomes = set()
+        for _ in range(24):
+            n_domains = rng.randint(3, 4)
+            system = shaped_system(
+                rng, rng.randint(2, 4), rng.randint(1, n_domains - 1), n_domains,
+                edge_bias=rng.choice((0.2, 0.35, 0.6)),
+            )
+            sig = system.signature
+            clean, _ = strip_inactive_edges(system)
+            idle = [u for u in sig.domains if u not in sig.dom.values()]
+            extra = {
+                s: {(u, v) for u in idle for v in sig.domains if u != v and rng.random() < 0.5}
+                for s in system.states
+            }
+            extra[system.initial].add((idle[0], sig.domains[0]))  # one edge to strip at least
+            noisy = dataclasses.replace(
+                clean, edges={s: clean.edges[s] | extra[s] for s in system.states}
+            )
+            note = strip_inactive_edges(noisy)[1]
+            runs = [(check, (depth,)) for check in checks for depth in (2, 3)] + [
+                (state_unwinding_check, (mode,)) for mode in ("box", "diamond")
+            ]
+            for check, args in runs:
+                got, want = check(noisy, *args), check(clean, *args)
+                assert (got.outcome, got.witness, got.details) == (
+                    want.outcome, want.witness, want.details,
+                )
+                assert got.notes == note + want.notes
+                outcomes.add(got.outcome)
+            for depth in (2, 3):
+                granted = restrict_to_local(noisy, depth).edges
+                assert granted == restrict_to_local(clean, depth).edges
+                assert check_theorem_mustunwind(noisy, depth) == check_theorem_mustunwind(
+                    clean, depth
+                )
+        assert outcomes == {INSECURE, BOUNDED_SECURE, INCONCLUSIVE, CERTIFIED_SECURE}, outcomes
 
 
 class TestBulkPartitions:

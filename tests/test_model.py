@@ -177,6 +177,18 @@ class TestUnfold:
         t = unfold(m, 1)
         assert step(t, ("x",), "y") == ("x",)
 
+    def test_transitions_are_a_dense_table(self):
+        m = tiny()
+        for depth in (0, 1, 3):
+            t = unfold(m, depth)
+            assert isinstance(t.transitions, DenseTransitions)
+            assert t.transitions.state_order == t.states
+            assert t.transitions.table.shape == (len(t.states), len(m.signature.actions))
+            for tr in t.states:
+                for a in m.signature.actions:
+                    want = tr if len(tr) == depth else tr + (a,)
+                    assert t.transitions[(tr, a)] == want
+
     def test_unfold_preserves_obs_and_edges(self):
         m = tiny()
         t = unfold(m, 3)
