@@ -304,7 +304,9 @@ def check_ta_must_security(system: PolicyEnhancedSystem, depth: int) -> Verdict:
     """
     idx, notes = _stripped_index(system, depth)
     roots, _ = idx.unwinding_roots()
-    labels = idx.ta_labels(idx.jointly_known(roots)[: idx.interior_end])
+    known = idx.jointly_known(roots, idx.interior_end)
+    del roots  # the labelling needs only the interior rows of the table
+    labels = idx.ta_labels(known)
     return _observation_consistency(idx, labels, "ta-prohibitive", notes=notes)
 
 

@@ -21,9 +21,15 @@ buffered cast, about twice as slow as by an intp one, so int32 ids are
 gathered chunk by chunk: a full-length gather casts ``_CHUNK`` ids at a
 time to intp (``_gather``) and never makes a full-length intp copy.
 
-The unwinding closure keeps one signature table per (observer, actor)
-block and works one block at a time, so its temporaries hold one block's
-nodes, and it compresses its forests in place.  Observation ids take the
+Both kernels split their work into blocks, one per (level, observer,
+actor) in the labelling and one per (round, observer, actor) in the
+closure, and take them in batches by one rule (``_batches``): consecutive
+blocks go into one batch while their elements number at most ``_CHUNK``,
+and a larger block is a batch of its own.  A batch makes one sort, one
+table lookup and one write for all of its blocks, so on small systems a
+level or a round costs a few numpy calls rather than a few per block,
+while temporaries stay within one batch, so on large systems they hold one
+block's elements.  The closure compresses its forests in place.  Observation ids take the
 narrowest unsigned dtype that holds the largest (``np.min_scalar_type``):
 one byte per state where no domain has more than 256 observations, so the
 witness search's tables over them take one byte per node.
@@ -34,8 +40,9 @@ interior nodes only.  The deepest interior level is the kernel's frontier:
 its children are the leaves, and a frontier node takes part in a block's
 lookups only where the actor's edge to the observer fails there.  After
 the fixpoint ``unwinding_roots`` gives each leaf its root from its parent's
-joint class, one grouping per block and then the leaves in row chunks of
-at most ``_CHUNK`` ids, where each frontier node's children are contiguous.
+joint class, one grouping per batch of blocks and then the leaves in row
+chunks of at most ``_CHUNK`` ids, where each frontier node's children are
+contiguous.
 
 ``TraceIndex.reachable`` walks the state graph breadth first.  Its
 discovery order ranks the witnesses of the state-level checks (state
@@ -88,82 +95,118 @@ def _gather(table: np.ndarray, ids: np.ndarray) -> np.ndarray:
 
 
 def _compress(parent: np.ndarray) -> None:
-    """Full path compression of the 1-d forest ``parent`` in place, by
-    pointer jumping one ``_CHUNK`` of ids at a time in ascending order.
-    Links always point to strictly smaller ids, so a chunk's links below it
-    already point at roots, and the chunk hops only until its own chains
-    end; no full-length copy is made."""
-    for start in range(0, len(parent), _CHUNK):
-        part = parent[start : start + _CHUNK]
+    """Full path compression in place of the forests ``parent``, one per
+    row of a C-contiguous 2-d array (or one 1-d forest), by pointer jumping
+    over the columns in ascending order, at most ``_CHUNK`` entries at a
+    time.  Links always point to strictly smaller ids of their own row, so
+    a chunk's links below it already point at roots, and the chunk hops
+    only until its own chains end; no full-length copy is made."""
+    forests = parent if parent.ndim == 2 else parent[None]
+    flat = parent.reshape(-1)
+    n_rows, n = forests.shape
+    width = max(1, _CHUNK // max(n_rows, 1))
+    row_start = np.arange(0, n_rows * n, n, dtype=np.intp)[:, None]
+    for start in range(0, n, width):
+        part = forests[:, start : start + width]
         while True:
-            hop = _gather(parent, part)
-            if np.array_equal(hop, part):
+            hop = flat[part + row_start]
+            if not (hop != part).any():
                 break
             part[:] = hop
 
 
-def _find(parent: np.ndarray, ids: np.ndarray) -> np.ndarray:
-    """Roots of ``ids`` by pointer jumping on the gathered ids alone.  Each
-    hop points every id at its grandparent, so the ids end up pointing at
-    their roots, and a chain through other gathered ids halves per hop."""
+def _find(parent: np.ndarray, ids: np.ndarray, start: np.ndarray) -> np.ndarray:
+    """Roots of the nodes at positions ``ids`` of the 1-d ``parent``, which
+    lays forests end to end, each node's forest starting at ``start`` and
+    holding its ids from there, by pointer jumping on the gathered ids
+    alone.  Each hop points every id at its grandparent, so the ids end up
+    pointing at their roots, and a chain through other gathered ids halves
+    per hop."""
     up = parent[ids]
     while True:
-        top = parent[up]
+        top = parent[up + start]
         if not (up != top).any():
             return up
         parent[ids] = up = top
 
 
-def _union(parent: np.ndarray, pairs: np.ndarray) -> int:
-    """Join the classes of ``pairs[0, i]`` and ``pairs[1, i]`` for every i,
-    hooking the larger root under the smaller; returns how many pairs were
-    in different classes.  One ``np.minimum.at`` keeps only the least of
-    the links that hit the same root, so the pairs whose link lost are
-    found and linked again until none is left."""
-    split = None
+def _union(parent: np.ndarray, start: np.ndarray, pairs: np.ndarray) -> None:
+    """Join the classes of ``pairs[0, i]`` and ``pairs[1, i]`` in the forest
+    of the 1-d ``parent`` that starts at ``start[i]`` (``_find``), for every
+    i, hooking the larger root under the smaller.  One ``np.minimum.at``
+    keeps only the least of the links that hit the same root, so the pairs
+    whose link lost are found and linked again until none is left."""
     while True:
-        roots = _find(parent, pairs)
-        pairs = roots[:, roots[0] != roots[1]]
-        split = pairs.shape[1] if split is None else split
-        if not pairs.shape[1]:
-            return split
+        roots = _find(parent, pairs + start, start)
+        keep = roots[0] != roots[1]
+        if not keep.any():
+            return
+        pairs, start = roots[:, keep], start[keep]
         lo, hi = np.minimum(*pairs), np.maximum(*pairs)
-        np.minimum.at(parent, hi, lo)
-        pairs = pairs[:, parent[hi] != lo]
+        np.minimum.at(parent, hi + start, lo)
+        keep = parent[hi + start] != lo
+        if not keep.any():
+            return
+        pairs, start = pairs[:, keep], start[keep]
 
 
-def _sorted_unique(keys: np.ndarray, return_inverse: bool = False):
-    """The distinct keys of a 1-d array in ascending order, and with
-    ``return_inverse`` each key's index into them.
+def _sorted_unique(keys: np.ndarray, return_inverse: bool = False, return_index: bool = False):
+    """The distinct keys of a 1-d array in ascending order; with
+    ``return_index`` also the position of each one's first occurrence, and
+    with ``return_inverse`` each key's index into them, in that order.
 
     Every group-by on a composite key goes through here (packed label
     pairs, pairs of class ids): one sort and an adjacent diff, with the
-    inverse taken from a stable argsort.  So how the package deduplicates
+    positions taken from a stable argsort.  So how the package deduplicates
     never depends on which algorithm the installed numpy picks for its own
     unique.  The stable kind (timsort on these keys) stays on measurement:
     it beats the default kind on keys that arrive in long ascending runs,
     loses on random ones, and whole passes got no faster without it.  Keys
     that already are non-negative ids, such as tree labels or closure
     roots, group without a sort (``checkers.class_violations``)."""
-    if return_inverse:
-        order = np.argsort(keys, kind="stable")
-        ordered = keys[order]
-    else:
+    if not (return_inverse or return_index):
         ordered = np.sort(keys)
+        head = np.ones(len(ordered), dtype=bool)
+        head[1:] = ordered[1:] != ordered[:-1]
+        return ordered[head]
+    order = np.argsort(keys, kind="stable")
+    ordered = keys[order]
     head = np.ones(len(ordered), dtype=bool)
     head[1:] = ordered[1:] != ordered[:-1]
-    if not return_inverse:
-        return ordered[head]
-    inverse = np.empty(len(keys), dtype=np.intp)
-    inverse[order] = np.cumsum(head) - 1
-    return ordered[head], inverse
+    out = [ordered[head]]
+    if return_index:
+        out.append(order[head])
+    if return_inverse:
+        inverse = np.empty(len(keys), dtype=np.intp)
+        inverse[order] = np.cumsum(head) - 1
+        out.append(inverse)
+    return tuple(out)
+
+
+def _batches(sizes: List[int], room: Optional[int] = None) -> Iterator[Tuple[int, int]]:
+    """Ranges [lo, hi) of consecutive items with a non-zero size, taken
+    greedily while their sizes sum to at most ``_CHUNK`` and the range spans
+    at most ``room`` items; an item larger than ``_CHUNK`` forms a range of
+    its own.  Every range starts and ends on an item with a non-zero size,
+    and items of size zero belong to no range unless one spans them."""
+    lo = last = total = 0
+    for i, size in enumerate(sizes):
+        if not size:
+            continue
+        if total and (total + size > _CHUNK or (room is not None and i - lo >= room)):
+            yield lo, last + 1
+            total = 0
+        if not total:
+            lo = i
+        total += size
+        last = i
+    if total:
+        yield lo, last + 1
 
 
 def _first_of_group(keys: np.ndarray) -> np.ndarray:
     """For each position, the position of the first equal key."""
-    _, group = _sorted_unique(keys, return_inverse=True)
-    first = np.full(len(keys), len(keys), dtype=np.intp)
-    np.minimum.at(first, group, np.arange(len(keys)))
+    _, first, group = _sorted_unique(keys, return_inverse=True, return_index=True)
     return first[group]
 
 
@@ -195,28 +238,35 @@ class _PackedArena:
     first id.  Ids are dense, start at 1 (0 is the leaf), and are stable
     across levels: the same key always maps to the same block, so label
     equality is structural tree equality.  Fresh blocks of one call take
-    their ids in ascending key order, ``widths[i]`` ids for key i.  A
-    call's keys must be distinct.  With ``grow`` false the fresh blocks get
-    their ids but stay out of the table, for a last call after which
-    nothing looks them up.
+    their ids in ascending (``rank``, key) order, ``widths[i]`` ids for
+    key i; without ``rank``, in ascending key order.  A call's keys must be
+    distinct and below ``_NO_KEY``, which closes the table so that every
+    key's ``searchsorted`` position holds an entry.  With ``grow`` false the
+    fresh blocks get their ids but stay out of the table, for a last call
+    after which nothing looks them up.
     """
 
     def __init__(self) -> None:
-        self.keys = np.empty(0, dtype=np.uint64)  # sorted
-        self.firsts = np.empty(0, dtype=np.int32)
+        self.keys = np.full(1, _NO_KEY)  # sorted
+        self.firsts = np.zeros(1, dtype=np.int32)
         self.count = 1
 
-    def intern(self, keys: np.ndarray, widths: np.ndarray, grow: bool = True) -> np.ndarray:
+    def intern(
+        self,
+        keys: np.ndarray,
+        widths: np.ndarray,
+        grow: bool = True,
+        rank: Optional[np.ndarray] = None,
+    ) -> np.ndarray:
         pos = np.searchsorted(self.keys, keys)
-        known = pos < len(self.keys)
-        known[known] = self.keys[pos[known]] == keys[known]
-        firsts = np.empty(len(keys), dtype=np.int32)
-        firsts[known] = self.firsts[pos[known]]
-        fresh = np.flatnonzero(~known)
+        firsts = self.firsts[pos]
+        fresh = np.flatnonzero(self.keys[pos] != keys)
         if len(fresh):
             fresh = fresh[np.argsort(keys[fresh], kind="stable")]
-            ends = self.count + np.cumsum(widths[fresh])
-            firsts[fresh] = ends - widths[fresh]
+            # ids go out in (rank, key) order; the table takes keys in order
+            given = fresh if rank is None else fresh[np.argsort(rank[fresh], kind="stable")]
+            ends = self.count + np.cumsum(widths[given])
+            firsts[given] = ends - widths[given]
             self.count = int(ends[-1])
             if self.count >= _MAX_LABELS:
                 raise InputError("tree label space exhausted; reduce the depth bound")
@@ -225,6 +275,13 @@ class _PackedArena:
                     self.keys, self.firsts, pos[fresh], keys[fresh], firsts[fresh]
                 )
         return firsts
+
+
+def _actor_rows(dom_of: np.ndarray) -> Tuple[List[int], List[np.ndarray]]:
+    """The domains that own actions, ascending (row k is the k-th), and
+    each row's actions in alphabet order."""
+    doms = sorted(set(dom_of.tolist()))
+    return doms, [np.flatnonzero(dom_of == d) for d in doms]
 
 
 class TraceIndex:
@@ -284,13 +341,16 @@ class TraceIndex:
             self.n_domains, n_states
         )
 
-        self.edge_bool = np.zeros((n_states, self.n_domains, self.n_domains), dtype=bool)
+        # one row per distinct edge set, written to all of its states at once
         dom_index = {u: i for i, u in enumerate(sig.domains)}
-        for i in range(self.n_domains):
-            self.edge_bool[:, i, i] = True
-        for i, s in enumerate(self.state_names):
-            for (u, v) in system.edges[s]:
-                self.edge_bool[i, dom_index[u], dom_index[v]] = True
+        sets: Dict[frozenset, int] = {}
+        set_of = [sets.setdefault(system.edges[s], len(sets)) for s in self.state_names]
+        rows = np.zeros((len(sets), self.n_domains, self.n_domains), dtype=bool)
+        rows[:, np.arange(self.n_domains), np.arange(self.n_domains)] = True
+        for r, edges in enumerate(sets):
+            for (u, v) in edges:
+                rows[r, dom_index[u], dom_index[v]] = True
+        self.edge_bool = rows[np.array(set_of, dtype=np.intp)]
 
         self.dom_of = np.array(
             [dom_index[sig.domain_of(a)] for a in sig.actions], dtype=np.int32
@@ -404,14 +464,24 @@ class TraceIndex:
         label is the word (L_u(p), L_d(p), a); elsewhere it keeps L_u(p).
         The word depends on the child only through a, and every parent that
         passes d to u passes all of d's actions, so each (level, u, d)
-        dedups the label pairs of the passing parents and interns one block
-        per distinct pair, keyed by (L_u(p), L_d(p), k) with k the rank of d
-        among the domains that own actions.  A block holds one id per action
-        of d, in alphabet order, so the child on d's i-th action gets its
-        block's first id plus i.  One arena call per (level, u) interns the
-        blocks; its fresh ids rise in (L_u(p), L_d(p), k, i) order, which is
-        (L_u(p), L_d(p), a) order where each domain's actions are
-        contiguous in the alphabet and ascend with the domain.
+        interns one block per distinct label pair of the passing parents,
+        keyed by the word (L_u(p), L_d(p), k) with k the rank of d among the
+        domains that own actions.  A block holds one id per action of d, in
+        alphabet order, so the child on d's i-th action gets its block's
+        first id plus i.
+
+        Each level works in batches of consecutive whole observers whose
+        passing parents, over all actors, number at most ``_CHUNK``
+        (``_batches``): one ``_sorted_unique`` call groups a batch's words
+        and one arena call interns them.  A word two observers share is one
+        block, and fresh ids rise in (first observer, word) order, which is
+        the order one arena call per observer would give them.  An
+        observer with more passing parents than ``_CHUNK`` forms a batch of
+        its own that sorts one actor at a time, so its temporaries hold one
+        actor's parents; the blocks are written at most ``_CHUNK`` ids at a
+        time.  Within one observer fresh ids rise in (L_u(p), L_d(p), k, i)
+        order, which is (L_u(p), L_d(p), a) order where each domain's
+        actions are contiguous in the alphabet and ascend with the domain.
 
         The labels are int32: the arena raises ``InputError`` before its
         ids reach ``_MAX_LABELS`` (2**27)."""
@@ -419,60 +489,111 @@ class TraceIndex:
             allowed = self.edge_bool[self.states[: self.interior_end]]
         labels = np.zeros((self.n_domains, self.n_nodes), dtype=np.int32)
         arena = _PackedArena()
-        # Row k of the lists below is the k-th domain that owns actions.
-        doms = sorted(set(self.dom_of.tolist()))
-        acts = [np.flatnonzero(self.dom_of == d) for d in doms]
+        doms, acts = _actor_rows(self.dom_of)
+        widths = np.array([len(a) for a in acts])
+        # int32 steps keep the [parents, actions] blocks int32
+        steps = [np.arange(len(a), dtype=np.int32) for a in acts]
+
         for l in range(1, self.depth + 1):
             p, s, e = self.offs[l - 1], self.offs[l], self.offs[l + 1]
             if s == e:
                 break
-            parent = labels[:, p:s].astype(np.uint64)
-            for u in range(self.n_domains):
-                child = labels[u, s:e].reshape(s - p, self.n_actions)
-                child[:] = labels[u, p:s, None]  # what u is not passed keeps its label
-                runs = []
-                for k, (d, a) in enumerate(zip(doms, acts)):
-                    at = np.flatnonzero(allowed[p:s, d, u])
-                    if len(at):
-                        pairs, group = _sorted_unique(
-                            (parent[u, at] << np.uint64(27)) | parent[d, at], return_inverse=True
-                        )
-                        runs.append((at, group, a, (pairs << np.uint64(10)) | np.uint64(k)))
-                if runs:
-                    # no lookup follows the deepest level's last observer
-                    grow = l < self.depth or u < self.n_domains - 1
-                    firsts = arena.intern(
-                        np.concatenate([key for *_, key in runs]),
-                        np.repeat([len(a) for _, _, a, _ in runs], [len(key) for *_, key in runs]),
-                        grow,
-                    )
-                    for at, group, a, key in runs:
-                        # int32 steps keep the [parents, actions] block int32
-                        steps = np.arange(len(a), dtype=np.int32)
-                        child[at[:, None], a] = firsts[: len(key)][group, None] + steps
-                        firsts = firsts[len(key) :]
+            n = s - p
+            parent = labels[:, p:s].copy()  # [u, i]: L_u of the level's i-th parent
+            child = labels[:, s:e].reshape(self.n_domains, n, self.n_actions)
+            # passing[k, u, i]: the i-th parent passes actor row k to u
+            passing = np.ascontiguousarray(allowed[p:s].transpose(1, 2, 0)[doms])
+            sizes = np.count_nonzero(passing, axis=(0, 2)).tolist()
+            done = 0
+            for lo, hi in _batches(sizes):
+                # what u is not passed keeps its label; each batch writes its
+                # own observers' rows just before it works on them, so the
+                # rows of later observers are still untouched at its peak
+                child[done:hi] = parent[done:hi, :, None]
+                done = hi
+                # runs (k, at): at = (u - lo) * n + i for each parent i that
+                # passes actor row k to an observer u of the batch
+                runs = [(k, np.flatnonzero(passing[k, lo:hi])) for k in range(len(doms))]
+                runs = [(k, at) for k, at in runs if len(at)]
+                # words (L_u(p), L_d(p), k): at + lo * n indexes the batch's
+                # rows of ``parent``, and at wraps to i in the actor's row
+                words = []
+                for k, at in runs:
+                    word = parent.reshape(-1)[at + lo * n].astype(np.uint64) << np.uint64(37)
+                    word |= parent[doms[k]].take(at, mode="wrap").astype(np.uint64) << np.uint64(10)
+                    word |= np.uint64(k)
+                    words.append(word)
+                rank = None
+                if sizes[lo] > _CHUNK:
+                    # an observer past the bound sorts one actor at a time
+                    grouped = [_sorted_unique(word, return_inverse=True) for word in words]
+                    keys = np.concatenate([key for key, _ in grouped])
+                    starts = np.cumsum([0] + [len(key) for key, _ in grouped]).tolist()
+                    groups = [(start, group) for start, (_, group) in zip(starts, grouped)]
+                else:
+                    keys, group = _sorted_unique(np.concatenate(words), return_inverse=True)
+                    if hi - lo > 1:
+                        # each word's first observer in the batch
+                        rank = np.full(len(keys), hi - lo, dtype=np.intp)
+                        np.minimum.at(rank, group, np.concatenate([at for _, at in runs]) // n)
+                    cut = np.cumsum([0] + [len(at) for _, at in runs]).tolist()
+                    groups = [(0, group[i:j]) for i, j in zip(cut, cut[1:])]
+                del words
+                # no lookup follows the deepest level's last batch
+                grow = l < self.depth or hi < self.n_domains
+                widths_of = widths[(keys & np.uint64(1023)).astype(np.intp)]
+                firsts = arena.intern(keys, widths_of, grow, rank)
+                # the [parents, actions] blocks, at most _CHUNK ids at a time
+                view = child[lo] if hi - lo == 1 else child[lo:hi]
+                for (k, at), (start, group) in zip(runs, groups):
+                    index = (at,) if hi - lo == 1 else np.divmod(at, n)  # ([u - lo,] i)
+                    width = max(1, _CHUNK // len(acts[k]))
+                    for r in range(0, len(at), width):
+                        rows = tuple(x[r : r + width, None] for x in index)
+                        ids = firsts[start:][group[r : r + width], None] + steps[k]
+                        view[rows + (acts[k],)] = ids
+            child[done:] = parent[done:, :, None]
         return labels
 
-    def jointly_known(self, roots: np.ndarray) -> np.ndarray:
-        """Edges the actor and observer jointly know, shape
-        [n_nodes, n_domains, n_domains].
+    def jointly_known(self, roots: np.ndarray, rows: Optional[int] = None) -> np.ndarray:
+        """Edges the actor and observer jointly know at the first ``rows``
+        nodes (every node by default), shape [rows, n_domains, n_domains].
 
         Entry [n, d, u] holds iff the edge d to u holds at the end of every
         trace that d and u both find equivalent to node n under ``roots``
-        (per-domain class ids, as ``unwinding_roots`` returns them).  Each
-        domain knows its own reflexive edge."""
-        known = np.ones((self.n_nodes, self.n_domains, self.n_domains), dtype=bool)
+        (per-domain class ids over every node, as ``unwinding_roots``
+        returns them).  Each domain knows its own reflexive edge.
+
+        A joint (d, u) class can deny the edge only if its d-class and its
+        u-class each hold a node where the edge fails, so only the nodes of
+        such classes are grouped on their joint key; every other node knows
+        the edge.  The classes are marked per id over the int32 roots and
+        gathered through ``_gather``.  Nodes past ``rows`` still count
+        toward a class's denial; the verdicts ask for the interior rows
+        only, which is all the labelling reads."""
+        rows = self.n_nodes if rows is None else rows
+        known = np.ones((rows, self.n_domains, self.n_domains), dtype=bool)
         for d in range(self.n_domains):
             for u in range(self.n_domains):
                 if d == u:
                     continue
-                key = (roots[d].astype(np.uint64) << np.uint64(32)) | roots[u].astype(
-                    np.uint64
-                )
-                uniq, ginv = _sorted_unique(key, return_inverse=True)
-                denied = np.zeros(len(uniq), dtype=bool)
-                denied[ginv[~_gather(self.edge_bool[:, d, u], self.states)]] = True
-                known[:, d, u] = ~denied[ginv]
+                fails = ~_gather(self.edge_bool[:, d, u], self.states)
+                if not fails.any():
+                    continue
+                held = np.ones(len(fails), dtype=bool)
+                for root in (roots[d], roots[u]):
+                    marked = np.zeros(self.n_nodes, dtype=bool)
+                    marked[root[fails]] = True
+                    held &= _gather(marked, root)
+                key = roots[d][held].astype(np.uint64)
+                key <<= np.uint64(32)
+                key |= roots[u][held].astype(np.uint64)
+                classes, group = _sorted_unique(key, return_inverse=True)
+                del key
+                denied = np.zeros(len(classes), dtype=bool)
+                denied[group[fails[held]]] = True
+                inside = held[:rows]
+                known[:, d, u][inside] = ~denied[group[: np.count_nonzero(inside)]]
         return known
 
     # ---- unwinding closure ---------------------------------------------
@@ -499,45 +620,62 @@ class TraceIndex:
         frontier = self.offs[self.depth - 1] if self.depth else 0
         # Shortlex ids number the tree like a heap: the child of node n on
         # action j is n * n_actions + 1 + j.
-        first_child = np.arange(frontier, dtype=np.int32) * n_actions + 1
+        first_child = np.arange(frontier, dtype=np.int32)[:, None] * n_actions + 1
         allowed = self.edge_bool[self.states[:m]]
-        inner, counts = unwinding_closure(frontier, lambda j: first_child + j, allowed, self.dom_of)
+        inner, counts = unwinding_closure(
+            frontier, lambda js: first_child + js.astype(np.int32), allowed, self.dom_of
+        )
         # depth 0 has one node and no frontier: its root is the 0 it starts with
         roots = np.zeros((self.n_domains, self.n_nodes), dtype=np.int32)
         roots[:, :m] = inner
-        doms = sorted(set(self.dom_of.tolist()))
+        doms, _ = _actor_rows(self.dom_of)
         row_of = np.searchsorted(doms, self.dom_of)  # each action's actor row
+        n, n_rows = m - frontier, len(doms)
         steps = np.arange(1, n_actions + 1, dtype=np.int32)
-        width = max(1, _CHUNK // max(n_actions, 1))  # frontier nodes per chunk
         wide = inner.astype(np.uint64)
-        for u, ru in enumerate(inner):
-            # per frontier node p and actor row: q * n_actions, and whether
-            # J has a hidden member
-            base = np.empty((m - frontier, len(doms)), dtype=np.int32)
-            hidden = np.empty((m - frontier, len(doms)), dtype=bool)
-            for k, d in enumerate(doms):
-                least = _first_of_group(wide[u] * np.uint64(m) + wide[d])
-                marked = np.zeros(m, dtype=bool)
-                marked[least[~allowed[:, d, u]]] = True
-                base[:, k] = least[frontier:] * n_actions
-                hidden[:, k] = marked[least[frontier:]]
-            # each frontier node's row of leaves, filled a chunk of rows at
-            # a time
-            leaves = roots[u, m : m + (m - frontier) * n_actions].reshape(m - frontier, n_actions)
-            for r in range(0, m - frontier, width):
+        observer = np.repeat(np.arange(self.n_domains), n_rows)
+        actor = np.tile(doms, self.n_domains)
+        # observers lo..hi-1 at a time, with all their blocks' nodes at most
+        # _CHUNK where they fit
+        for lo, hi in _batches([n_rows * m] * self.n_domains):
+            # per block (u, k) and frontier node p: q * n_actions, and
+            # whether J has a hidden member; block r of a batch has its keys
+            # shifted by r * m**2 and its positions by r * m
+            base = np.empty((hi - lo, n_rows, n), dtype=np.int32)
+            hidden = np.empty((hi - lo, n_rows, n), dtype=bool)
+            for b, end in _batches([m] * ((hi - lo) * n_rows)):
+                blocks = slice(lo * n_rows + b, lo * n_rows + end)
+                start = np.arange(end - b)[:, None] * m
+                key = wide[observer[blocks]]
+                key += start.astype(np.uint64)
+                key *= np.uint64(m)
+                key += wide[actor[blocks]]
+                least = _first_of_group(key.ravel())
+                marked = np.zeros(len(least), dtype=bool)
+                fails = ~allowed[:, actor[blocks], observer[blocks]].T
+                marked[least[fails.ravel()]] = True
+                least = least.reshape(end - b, m)[:, frontier:]
+                hidden.reshape(-1, n)[b:end] = marked[least]
+                base.reshape(-1, n)[b:end] = (least - start) * n_actions
+            # each frontier node's row of leaves, filled a chunk of at most
+            # _CHUNK leaves at a time
+            leaves = roots[lo:hi, m : m + n * n_actions].reshape(hi - lo, n, n_actions)
+            row_start = np.arange(0, (hi - lo) * m, m)[:, None, None]  # in inner[lo:hi]
+            width = max(1, _CHUNK // ((hi - lo) * n_actions))  # frontier nodes per chunk
+            for r in range(0, n, width):
                 rows = slice(r, r + width)
-                out = leaves[rows]
-                np.add(base[rows][:, row_of], steps, out=out)  # q·a
+                out = leaves[:, rows]
+                np.add(base[:, row_of, rows].transpose(0, 2, 1), steps, out=out)  # q·a
                 inside = out < m
-                out[inside] = ru[out[inside]]
-                parent = ru[frontier + r : frontier + r + width, None]
-                np.copyto(out, parent, where=hidden[rows][:, row_of])
+                out[inside] = inner[lo:hi].ravel()[(out + row_start)[inside]]
+                parent = inner[lo:hi, frontier + r : frontier + r + width, None]
+                np.copyto(out, parent, where=hidden[:, row_of, rows].transpose(0, 2, 1))
         return roots, counts
 
 
 def unwinding_closure(
     n_stepping: int,
-    child: Callable[[int], np.ndarray],
+    child: Callable[[np.ndarray], np.ndarray],
     allowed: np.ndarray,
     dom_of: np.ndarray,
     diamond: bool = False,
@@ -546,9 +684,9 @@ def unwinding_closure(
     ``m = len(allowed)``, closed under the two unwinding rules.
 
     ``allowed[node, d, u]`` says whether an action of domain d taken at a
-    node may reach u.  The nodes below ``n_stepping`` step: ``child(j)`` is
-    each one's successor on action j (length ``n_stepping``, ids below m).
-    For every action j of domain d:
+    node may reach u.  The nodes below ``n_stepping`` step: ``child(js)``
+    gives each one's successors on the actions ``js``, shape
+    [n_stepping, len(js)], ids below m.  For every action j of domain d:
 
     * deletion: ``node ~u child(j)[node]`` wherever ``allowed[node, d, u]``
       fails;
@@ -576,15 +714,26 @@ def unwinding_closure(
     Joint stepping runs in rounds over one signature table per block of
     observer u and actor row k (the k-th domain d that owns actions), which
     maps the (root_u, root_d) key of a node, packed as
-    ``root_u * m + root_d``, to the node that first had it.  The stepping
-    nodes and the frontier nodes hidden in the block take part.  A round
-    looks up only the nodes whose root_u or root_d moved in the last round
-    (every node in the first) and pairs each with the node its key maps
-    to, so the cost of a round follows what changed.  It works one block at
-    a time, so its temporaries hold one block's nodes, and joins the pairs
-    of all blocks in (u, k, node) order.  A key whose roots have since
-    merged is stale, but no node can have it again.  The rounds end when no
-    root moved.
+    ``root_u * (m + 1) + root_d``, to the node that first had it.  The
+    stepping nodes and the frontier nodes hidden in the block take part.
+    A round looks up only the nodes whose root_u or root_d moved in the
+    last round (every node in the first) and pairs each with the node its
+    key maps to, so the cost of a round follows what changed.  A key whose
+    roots have since merged is stale, but no node can have it again.  The
+    rounds end when no root moved.
+
+    A round works in batches (``_batches``): it picks the lookups of groups
+    of consecutive blocks whose nodes number at most ``_CHUNK``, and
+    within a group it takes consecutive blocks whose lookups and table
+    entries number at most ``_CHUNK`` into one batch, a larger block being
+    a batch of its own, so its temporaries hold one batch.  A batch shifts
+    the keys of its r-th block by r * (m + 1)**2, and each table ends in
+    the key (m + 1)**2 - 1, above all of its own, so one sort groups the
+    batch's lookups and one ``searchsorted`` finds them in its blocks'
+    tables laid end to end.  The pairs of all blocks of a round go through
+    one ``_union`` over the forests laid end to end, their successors
+    read from one table per actor row; the deletion pairs go in batches of
+    blocks too.
 
     Returns (roots[n_domains, m], counts): "dlr" the deletion facts, frontier
     included, "wsc" stepping links made, the pairs that joint stepping and
@@ -594,12 +743,11 @@ def unwinding_closure(
 
     The roots are int32, as are the forests and the signature tables'
     nodes: ``InputError`` refuses more than ``_MAX_NODES`` (2**27) nodes,
-    which also keeps every key below m**2 < 2**54."""
+    which also keeps every key below (m + 1)**2 <= 2**55 and lets a batch
+    shift at least 1,023 blocks."""
     n_domains = allowed.shape[1]
     m = len(allowed)
-    # Row k of the lists below is the k-th domain that owns actions.
-    doms = sorted(set(dom_of.tolist()))
-    acts = [np.flatnonzero(dom_of == d) for d in doms]
+    doms, acts = _actor_rows(dom_of)
     if max(n_stepping, m) > _MAX_NODES:
         raise InputError(f"{max(n_stepping, m)} nodes exceed the closure's limit")
     parents = np.empty((n_domains, m), dtype=np.int32)
@@ -610,43 +758,83 @@ def unwinding_closure(
     if m == 0 or len(dom_of) == 0:
         return parents, counts
     counts["dlr"] = m * len(dom_of) * n_domains - int(allowed.sum(axis=0)[dom_of].sum())
-    permitted = allowed[:, doms, :].transpose(2, 1, 0)  # [u, k, node]
-    blocks = [(u, k) for u in range(n_domains) for k in range(len(doms))]
+    # block b is actor row b // n_domains and observer b % n_domains
+    observer = np.tile(np.arange(n_domains), len(doms))
+    actor = np.repeat(doms, n_domains)
+    permitted = allowed[:, doms, :].transpose(1, 2, 0)  # [k, u, node]
     # the nodes each block looks up: the stepping nodes and the frontier
     # nodes hidden there, and with diamond only those where the edge holds
     takes = np.ones(permitted.shape, dtype=bool)
     takes[:, :, n_stepping:] = ~permitted[:, :, n_stepping:]
     if diamond:
         takes &= permitted
-    outside = np.arange(n_stepping, m, dtype=np.int32)
+    takes = takes.reshape(-1, m)  # [block, node]
 
-    def unions(found, pairs_of):
-        """Joins, in each domain u, the pairs ``pairs_of(succ, nodes)`` of
-        every (u, k, nodes) in ``found``, for each action j of row k, where
-        ``succ`` is ``child(j)`` with each frontier node as its own
-        successor.  One ``_union`` per domain takes its pairs in (k, j,
-        node) order.  Returns the pairs found in different classes."""
-        parts: List[List[np.ndarray]] = [[] for _ in range(n_domains)]
-        for k, js in enumerate(acts):
-            takers = [(u, nodes) for u, row, nodes in found if row == k]
-            for j in js if takers else ():
-                succ = np.concatenate([child(j), outside])
-                for u, nodes in takers:
-                    parts[u].append(pairs_of(succ, nodes))
-        return sum(_union(parents[u], np.concatenate(p, axis=1)) for u, p in enumerate(parts) if p)
+    # per actor row, each stepping node's successors on the row's actions,
+    # then a row of zeros that frontier nodes read and drop
+    after_table = []
+    for a in acts:
+        steps = np.zeros((n_stepping + 1, len(a)), dtype=np.int32)
+        steps[:n_stepping] = child(a)
+        after_table.append(steps)
+    flat = parents.reshape(-1)  # the forests end to end
 
-    deleted = (
-        (u, k, np.flatnonzero(~permitted[u, k, :n_stepping]).astype(np.int32)) for u, k in blocks
-    )
-    unions([b for b in deleted if len(b[2])], lambda succ, x: np.stack([x, succ[x]]))
+    def unions(found, pairs_of, before=None):
+        """Joins, in the forest of block ``blocks[i]``'s observer, the pairs
+        ``pairs_of(taken, after)`` for every (blocks, nodes) batch in
+        ``found``, every i and every action of the block's actor row, where
+        ``after[:, i, j]`` is the successor of ``taken[:, i]`` on the row's
+        j-th action, each frontier node being its own successor.  It joins
+        them in runs of at most ``_CHUNK`` pairs, or one column's.  Returns
+        how many pairs had different roots in the forests ``before``."""
+        split, run, forests, pairs = 0, 0, [], []
+        for blocks, nodes in found:
+            # the blocks ascend, so each actor row's columns are one run
+            cut = np.searchsorted(blocks, np.arange(len(doms) + 1) * n_domains).tolist()
+            for k, steps in enumerate(after_table):
+                width = max(1, _CHUNK // steps.shape[1])
+                for start in range(cut[k], cut[k + 1], width):
+                    at = slice(start, min(start + width, cut[k + 1]))
+                    if run and run + (at.stop - start) * steps.shape[1] > _CHUNK:
+                        split += join(forests, pairs, before)
+                        run, forests, pairs = 0, [], []
+                    taken = nodes[:, at]
+                    after = np.take(steps, np.minimum(taken, n_stepping), axis=0)
+                    np.copyto(after, taken[..., None], where=(taken >= n_stepping)[..., None])
+                    forests.append(np.repeat(blocks[at] % n_domains * m, steps.shape[1]))
+                    pairs.append(pairs_of(taken, after).reshape(2, -1))
+                    run += len(forests[-1])
+        return split + (join(forests, pairs, before) if run else 0)
+
+    def join(forests, pairs, before):
+        """Joins one run of pairs; returns how many of them had different
+        roots in ``before``."""
+        forest, pair = np.concatenate(forests), np.concatenate(pairs, axis=1)
+        split = 0
+        if before is not None:
+            roots = before[pair + forest]
+            split = int(np.count_nonzero(roots[0] != roots[1]))
+        _union(flat, forest, pair)
+        return split
+
+    # deletion: each stepping node hidden in a block joins its successors
+    hidden = (~permitted[:, :, :n_stepping]).reshape(len(takes), n_stepping)
+    facts = np.count_nonzero(hidden, axis=1).tolist()
+    for lo, hi in _batches(facts):
+        x = np.flatnonzero(hidden[lo:hi])  # r * n_stepping + node for block lo + r
+        x -= np.repeat(np.arange(0, (hi - lo) * n_stepping, n_stepping), facts[lo:hi])
+        unions(
+            [(np.repeat(np.arange(lo, hi), facts[lo:hi]), x[None].astype(np.int32))],
+            lambda x, after: np.stack([np.broadcast_to(x[0][:, None], after.shape[1:]), after[0]]),
+        )
+    del hidden
 
     old = np.full((n_domains, m), -1, dtype=np.int32)
-    # (u, k): sorted keys and their nodes, closed by a key above all others
-    tables = dict.fromkeys(blocks, (np.full(1, _NO_KEY), np.full(1, m, dtype=np.int32)))
-    radix = np.uint64(m)
+    radix, span = np.uint64(m + 1), np.uint64((m + 1) ** 2)
+    room = (1 << 64) // (m + 1) ** 2  # blocks whose shifted keys fit uint64
+    tables = [(np.full(1, span - np.uint64(1)), np.full(1, m, dtype=np.int32))] * len(takes)
     while True:
-        for row in parents:
-            _compress(row)
+        _compress(parents)
         moved = parents != old
         if not moved.any():
             break
@@ -654,30 +842,57 @@ def unwinding_closure(
         counts["sweeps"] += 1
         found = []
         wide = old.astype(np.uint64)
-        for u, k in blocks:
-            sel = moved[u] | moved[doms[k]]
-            sel &= takes[u, k]
-            at = sel.nonzero()[0]
-            if not len(at):
-                continue
-            counts["regrouped"] += len(at)
-            key = wide[u, at] * radix + wide[doms[k], at]
-            uniq, group = _sorted_unique(key, return_inverse=True)
-            keys, reps = tables[u, k]
-            pos = keys.searchsorted(uniq)
-            rep = reps[pos]
-            fresh = keys[pos] != uniq
-            if fresh.any():
-                # a fresh key's representative is its least node; ``least``
-                # has the dtype of ``at``, as np.minimum.at is many times
-                # slower when the two differ
-                least = np.full(len(uniq), m, dtype=at.dtype)
-                np.minimum.at(least, group, at)
-                rep[fresh] = least[fresh]
-                tables[u, k] = _insert_sorted(keys, reps, pos[fresh], uniq[fresh], rep[fresh])
-            rep = rep[group]
-            pair = at != rep
-            if pair.any():
-                found.append((u, k, np.stack([at[pair], rep[pair]])))
-        counts["wsc"] += unions(found, lambda succ, nodes: succ[nodes])
+        # the lookups of groups of blocks of at most _CHUNK nodes
+        for g, end in _batches([m] * len(takes)):
+            sel = moved[observer[g:end]] | moved[actor[g:end]]
+            sel &= takes[g:end]
+            looked = np.count_nonzero(sel, axis=1).tolist()
+            # a batch holds its blocks' lookups and their tables' entries
+            sizes = [n and n + len(tables[g + b][0]) for b, n in enumerate(looked)]
+            for lo, hi in _batches(sizes, room):
+                at = np.flatnonzero(sel[lo:hi])  # r * m + node for block g + lo + r
+                counts["regrouped"] += len(at)
+                r = np.repeat(np.arange(hi - lo), looked[lo:hi])
+                if hi - lo == 1:
+                    # one block: its observer's and actor's roots, its table
+                    key = wide[observer[g + lo]][at]
+                    key *= radix
+                    key += wide[actor[g + lo]][at]
+                    keys, reps = tables[g + lo]
+                else:
+                    # copies of the blocks' rows of roots, at most a group's
+                    # nodes; block r's keys and table shifted by r * span
+                    key = wide[observer[g + lo : g + hi]].reshape(-1)[at]
+                    key *= radix
+                    key += wide[actor[g + lo : g + hi]].reshape(-1)[at]
+                    key += r.astype(np.uint64) * span
+                    at -= r * m
+                    live = [g + b for b in range(lo, hi) if looked[b]]
+                    shift = (np.array(live, dtype=np.uint64) - np.uint64(g + lo)) * span
+                    keys = np.concatenate([tables[b][0] for b in live])
+                    keys += np.repeat(shift, [len(tables[b][0]) for b in live])
+                    reps = np.concatenate([tables[b][1] for b in live])
+                uniq, first, group = _sorted_unique(key, return_inverse=True, return_index=True)
+                pos = keys.searchsorted(uniq)
+                rep = reps[pos]
+                fresh = keys[pos] != uniq
+                if fresh.any():
+                    # a fresh key's representative is its least node, its
+                    # first lookup: a block's lookups ascend by node
+                    rep[fresh] = at[first[fresh]]
+                    keys, reps = _insert_sorted(keys, reps, pos[fresh], uniq[fresh], rep[fresh])
+                    if hi - lo == 1:
+                        tables[g + lo] = keys, reps
+                    else:
+                        # each block takes its entries back, unshifted
+                        ends = [0] + keys.searchsorted(shift + span).tolist()
+                        keys -= np.repeat(shift, np.diff(ends))
+                        for b, i, j in zip(live, ends, ends[1:]):
+                            tables[b] = keys[i:j], reps[i:j]
+                rep = rep[group]
+                pair = at != rep
+                found.append((r[pair] + (g + lo), np.stack([at[pair], rep[pair]], dtype=np.int32)))
+        # the forests are compressed and the lookups left them alone, so
+        # each pair's roots before the joins are its entries in old
+        counts["wsc"] += unions(found, lambda _, after: after, old.reshape(-1))
     return parents, counts

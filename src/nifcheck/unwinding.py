@@ -190,7 +190,7 @@ def check_theorem_mustunwind(
     check_margin(margin, depth)
     idx, _ = _stripped_index(system, depth)
     roots, _ = idx.unwinding_roots()
-    must = idx.ta_labels(idx.jointly_known(roots)[: idx.interior_end])
+    must = idx.ta_labels(idx.jointly_known(roots, idx.interior_end))
     cut = depth - margin
     inner = idx.offs[cut + 1]  # node ids are shortlex ranks: lengths <= cut
     interior: List[Tuple[Trace, Trace, str, str]] = []

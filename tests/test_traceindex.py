@@ -19,6 +19,7 @@ from nifcheck import (
     Signature,
     lex_key,
     parse_cap_config,
+    parse_system,
     reachable_states,
     state_unwinding_check,
     traces_upto,
@@ -28,6 +29,7 @@ import nifcheck.traceindex
 from nifcheck.traceindex import (
     TraceIndex,
     _PackedArena,
+    _batches,
     _chunks,
     _compress,
     _gather,
@@ -132,10 +134,17 @@ def allowed_tables(idx):
 
 
 def assert_child_level_labels(idx, tables=None):
+    """The labels of every table are the child-level kernel's, also with
+    batches of at most 7 passing parents, which split levels and observers
+    between batches."""
     for allowed in tables or allowed_tables(idx):
-        got = idx.ta_labels(allowed)
-        assert got.dtype == np.int32
-        assert np.array_equal(got, child_level_ta_labels(idx, allowed))
+        want = child_level_ta_labels(idx, allowed)
+        for chunk in (nifcheck.traceindex._CHUNK, 7):
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(nifcheck.traceindex, "_CHUNK", chunk)
+                got = idx.ta_labels(allowed)
+            assert got.dtype == np.int32
+            assert np.array_equal(got, want)
 
 
 def test_labels_are_bit_identical_to_the_child_level_kernel():
@@ -198,15 +207,16 @@ def test_block_ids_renumber_the_alphabet_order_words_only_within_partitions():
     assert renumbered  # the systems do interleave
 
 
-def test_labels_key_blocks_by_domain_rank_past_the_action_field():
-    """A domain's index can exceed the action field of the packed key, its
-    rank among the domains that own actions cannot."""
+def wide_system():
+    """1,030 domains, three of which own the four actions, and a random
+    policy among the actors and one other domain: 3,090 (observer, actor)
+    blocks, past the 1,024 that ten bits could number."""
     rng = random.Random(4141)
     domains = tuple(f"u{i}" for i in range(1030))
     actors = ("u1029", "u1025", "u0")
     actions = ("a0", "a1", "a2", "a3")
     states = ("s0", "s1", "s2")
-    system = PolicyEnhancedSystem(
+    return PolicyEnhancedSystem(
         signature=Signature(
             domains=domains, actions=actions, dom=dict(zip(actions, actors + ("u1029",)))
         ),
@@ -221,8 +231,67 @@ def test_labels_key_blocks_by_domain_rank_past_the_action_field():
             for s in states
         },
     )
-    idx = TraceIndex(system, 3)
-    assert_child_level_labels(idx, [None])
+
+
+def test_labels_key_blocks_by_domain_rank_past_the_action_field():
+    """A domain's index can exceed the action field of the packed key, its
+    rank among the domains that own actions cannot; a batch's words and
+    its first observers stay exact over all 3,090 blocks of one level."""
+    assert_child_level_labels(TraceIndex(wide_system(), 3), [None])
+
+
+def test_one_sort_per_level_and_per_round(monkeypatch):
+    """On figure 1 at depth 8 (511 traces, 3 domains, 2 actor rows) each
+    level's passing parents and each round's lookups fit one batch, so a
+    labelling groups its words with one sort per level, and the closure
+    its keys with one sort per round."""
+    idx = TraceIndex(parse_system(read_corpus("figure1.nif")), 8)
+    tables = allowed_tables(idx)
+    sorts = []
+    sort = nifcheck.traceindex._sorted_unique
+    closure = nifcheck.traceindex.unwinding_closure
+
+    def counted(*args, **kwargs):
+        sorts.append(1)
+        return sort(*args, **kwargs)
+
+    def rounds(*args, **kwargs):
+        before = len(sorts)
+        roots, counts = closure(*args, **kwargs)
+        assert 0 < len(sorts) - before <= counts["sweeps"]
+        return roots, counts
+
+    monkeypatch.setattr(nifcheck.traceindex, "_sorted_unique", counted)
+    monkeypatch.setattr(nifcheck.traceindex, "unwinding_closure", rounds)
+    for allowed in tables:
+        sorts.clear()
+        idx.ta_labels(allowed)
+        assert 0 < len(sorts) <= idx.depth
+    _, counts = idx.unwinding_roots()
+    assert counts["sweeps"] >= 4
+
+
+def test_batches_split_runs_of_items_at_the_bound(monkeypatch):
+    monkeypatch.setattr(nifcheck.traceindex, "_CHUNK", 10)
+    rng = random.Random(4343)
+    for _ in range(300):
+        sizes = [rng.choice((0, 0, 1, 3, 6, 10, 11)) for _ in range(rng.randint(0, 12))]
+        room = rng.choice((None, 1, 2, 5))
+        got = list(_batches(sizes, room))
+        # the ranges ascend, start and end on items of non-zero size, and
+        # cover every such item
+        covered = [i for lo, hi in got for i in range(lo, hi)]
+        assert covered == sorted(set(covered))
+        assert all(sizes[lo] and sizes[hi - 1] for lo, hi in got)
+        assert {i for i in covered if sizes[i]} == {i for i, n in enumerate(sizes) if n}
+        for j, (lo, hi) in enumerate(got):
+            total = sum(sizes[lo:hi])
+            assert total <= 10 or hi - lo == 1
+            assert room is None or hi - lo <= room
+            # greedy: the next range's first item did not fit this one
+            if j + 1 < len(got):
+                nxt = got[j + 1][0]
+                assert total + sizes[nxt] > 10 or (room is not None and nxt - lo >= room)
 
 
 def test_labels_raise_when_the_label_space_runs_out(monkeypatch):
@@ -236,6 +305,50 @@ def test_labels_raise_when_the_label_space_runs_out(monkeypatch):
             kernel(idx)
     monkeypatch.setattr(nifcheck.traceindex, "_MAX_LABELS", most + 2)
     assert int(idx.ta_labels().max()) == most
+
+
+def full_jointly_known(idx, roots):
+    """``TraceIndex.jointly_known`` by grouping every node on its joint
+    (d, u) class."""
+    known = np.ones((idx.n_nodes, idx.n_domains, idx.n_domains), dtype=bool)
+    fails = ~idx.edge_bool[idx.states]
+    for d in range(idx.n_domains):
+        for u in range(idx.n_domains):
+            if d != u:
+                _, group = np.unique(roots[d] * idx.n_nodes + roots[u], return_inverse=True)
+                denied = np.zeros(group.max() + 1, dtype=bool)
+                denied[group.ravel()[fails[:, d, u]]] = True
+                known[:, d, u] = ~denied[group.ravel()]
+    return known
+
+
+def test_jointly_known_groups_only_the_classes_that_can_deny():
+    rng = random.Random(4444)
+    cases = [(shaped_system(rng, 5, 3, rng.randint(1, 4), edge_bias=rng.random()), 3) for _ in range(20)]
+    cases += [(system, 3) for system in random_systems(4444, 10)]
+    cases.append((build_pes(parse_cap_config(read_corpus("twoproc.cap")), 2), 2))
+    for system, depth in cases:
+        idx = TraceIndex(system, depth)
+        roots, _ = idx.unwinding_roots()
+        want = full_jointly_known(idx, roots)
+        assert np.array_equal(idx.jointly_known(roots), want)
+        # the interior rows alone, where leaves still deny for their classes
+        assert np.array_equal(idx.jointly_known(roots, idx.interior_end), want[: idx.interior_end])
+
+
+def test_edge_table_holds_each_states_policy():
+    for system in random_systems(4545, 10) + [
+        build_pes(parse_cap_config(read_corpus("twoproc.cap")), 2)
+    ]:
+        idx = TraceIndex(system, 1)
+        sig = system.signature
+        want = np.array(
+            [
+                [[u == v or (u, v) in system.edges[s] for v in sig.domains] for u in sig.domains]
+                for s in idx.state_names
+            ]
+        )
+        assert np.array_equal(idx.edge_bool, want)
 
 
 def test_lex_ranks_order_nodes_lexicographically():
@@ -331,6 +444,7 @@ def tree_closures():
         (shaped_system(rng, 5, 1, 2), 40),  # one action
         (shaped_system(rng, 3, 0, 2), 1),  # no action: the root is the frontier
         (shaped_system(random.Random(3434), 8, 4, 3), 5),
+        (wide_system(), 3),  # a batch shifts keys of more than 1,024 blocks
     ):
         TraceIndex(system, depth).unwinding_roots()
 
@@ -360,7 +474,7 @@ def state_graph_closures():
 
 def test_closure_is_bit_identical_to_full_sweeps(closures):
     tree_closures()
-    assert closures[-1]["sweeps"] >= 4
+    assert closures[-2]["sweeps"] >= 4
 
 
 def test_state_graph_closure_is_bit_identical_to_full_sweeps(closures):
@@ -371,13 +485,21 @@ def test_state_graph_closure_is_bit_identical_to_full_sweeps(closures):
 
 def test_closure_compresses_in_place_across_chunks(closures, monkeypatch):
     """With chunks of 7 ids, the in-place compression of the rounds and of
-    the other nodes crosses many chunks and follows chains inside one."""
+    the other nodes crosses many chunks and follows chains inside one, and
+    the rounds split into batches of at most 7 lookups and table entries,
+    most of them one block's.  The roots stay the oracle's, and the counts
+    those of the default batches."""
+    tree_closures()
+    n_systems = state_graph_closures()
+    unpatched = closures[:]
+    closures.clear()
     monkeypatch.setattr(nifcheck.traceindex, "_CHUNK", 7)
     tree_closures()
     n_trees = len(closures)
-    assert closures[-1]["sweeps"] >= 4
-    n_systems = state_graph_closures()
+    assert closures[n_trees - 2]["sweeps"] >= 4
+    assert state_graph_closures() == n_systems
     assert len(closures) - n_trees == 2 * n_systems
+    assert closures == unpatched
 
 
 def test_regrouped_counts_the_key_lookups_of_moved_nodes():
@@ -548,6 +670,12 @@ def test_sorted_unique_matches_numpy():
         assert np.array_equal(got, want)
         assert np.array_equal(got_inv, want_inv.ravel())
         assert np.array_equal(got[got_inv], keys)
+        # the first occurrence of each key, as numpy's stable unique gives it
+        _, want_first = np.unique(keys, return_index=True)
+        got, got_first, got_inv = _sorted_unique(keys, return_inverse=True, return_index=True)
+        assert np.array_equal(got, want)
+        assert np.array_equal(got_first, want_first)
+        assert np.array_equal(got_inv, want_inv.ravel())
 
 
 
@@ -610,6 +738,21 @@ def test_arena_matches_a_dict_oracle():
             firsts = arena.intern(keys, widths)
             assert firsts.tolist() == [oracle[k] for k in keys.tolist()]
             assert arena.count == count
+
+
+def test_arena_numbers_fresh_blocks_by_rank_then_key():
+    rng = np.random.default_rng(3737)
+    arena, oracle, count = _PackedArena(), {}, 1
+    for n in (20, 200, 50):
+        keys = rng.permutation(np.unique(rng.integers(0, 300, size=n, dtype=np.uint64)))
+        widths = rng.integers(1, 4, size=len(keys))
+        rank = rng.integers(0, 4, size=len(keys))
+        for r, k, w in sorted(zip(rank.tolist(), keys.tolist(), widths.tolist())):
+            if k not in oracle:
+                oracle[k], count = count, count + w
+        firsts = arena.intern(keys, widths, rank=rank)
+        assert firsts.tolist() == [oracle[k] for k in keys.tolist()]
+        assert arena.count == count
 
 
 def test_arena_leaves_a_last_calls_blocks_out():
