@@ -751,7 +751,7 @@ def state_unwinding_check(system: PolicyEnhancedSystem, mode: str = "box") -> Ve
     n = len(order)
     roots, _ = unwinding_closure(
         n,
-        lambda j: succ[:, j],
+        lambda js: succ[:, js],
         tables.edge_bool[order],
         tables.dom_of,
         diamond=mode == "diamond",

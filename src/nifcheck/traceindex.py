@@ -94,15 +94,14 @@ def _gather(table: np.ndarray, ids: np.ndarray) -> np.ndarray:
     return out
 
 
-def _compress(parent: np.ndarray) -> None:
-    """Full path compression in place of the forests ``parent``, one per
-    row of a C-contiguous 2-d array (or one 1-d forest), by pointer jumping
-    over the columns in ascending order, at most ``_CHUNK`` entries at a
-    time.  Links always point to strictly smaller ids of their own row, so
-    a chunk's links below it already point at roots, and the chunk hops
-    only until its own chains end; no full-length copy is made."""
-    forests = parent if parent.ndim == 2 else parent[None]
-    flat = parent.reshape(-1)
+def _compress(forests: np.ndarray) -> None:
+    """Full path compression in place of the forests ``forests``, one per
+    row of a C-contiguous 2-d array, by pointer jumping over the columns in
+    ascending order, at most ``_CHUNK`` entries at a time.  Links always
+    point to strictly smaller ids of their own row, so a chunk's links
+    below it already point at roots, and the chunk hops only until its own
+    chains end; no full-length copy is made."""
+    flat = forests.reshape(-1)
     n_rows, n = forests.shape
     width = max(1, _CHUNK // max(n_rows, 1))
     row_start = np.arange(0, n_rows * n, n, dtype=np.intp)[:, None]
@@ -183,17 +182,16 @@ def _sorted_unique(keys: np.ndarray, return_inverse: bool = False, return_index:
     return tuple(out)
 
 
-def _batches(sizes: List[int], room: Optional[int] = None) -> Iterator[Tuple[int, int]]:
+def _batches(sizes: List[int]) -> Iterator[Tuple[int, int]]:
     """Ranges [lo, hi) of consecutive items with a non-zero size, taken
-    greedily while their sizes sum to at most ``_CHUNK`` and the range spans
-    at most ``room`` items; an item larger than ``_CHUNK`` forms a range of
-    its own.  Every range starts and ends on an item with a non-zero size,
+    greedily while their sizes sum to at most ``_CHUNK``; an item larger
+    than ``_CHUNK`` forms a range of its own.  Every range starts and ends on an item with a non-zero size,
     and items of size zero belong to no range unless one spans them."""
     lo = last = total = 0
     for i, size in enumerate(sizes):
         if not size:
             continue
-        if total and (total + size > _CHUNK or (room is not None and i - lo >= room)):
+        if total and total + size > _CHUNK:
             yield lo, last + 1
             total = 0
         if not total:
@@ -239,7 +237,9 @@ class _PackedArena:
     across levels: the same key always maps to the same block, so label
     equality is structural tree equality.  Fresh blocks of one call take
     their ids in ascending (``rank``, key) order, ``widths[i]`` ids for
-    key i; without ``rank``, in ascending key order.  A call's keys must be
+    key i; without ``rank``, in ascending key order, which spares the
+    reordering's id-length temporaries where every rank would be equal.
+    A call's keys must be
     distinct and below ``_NO_KEY``, which closes the table so that every
     key's ``searchsorted`` position holds an entry.  With ``grow`` false the
     fresh blocks get their ids but stay out of the table, for a last call
@@ -523,7 +523,7 @@ class TraceIndex:
                     word |= parent[doms[k]].take(at, mode="wrap").astype(np.uint64) << np.uint64(10)
                     word |= np.uint64(k)
                     words.append(word)
-                rank = None
+                rank = None  # one observer: fresh ids in word order
                 if sizes[lo] > _CHUNK:
                     # an observer past the bound sorts one actor at a time
                     grouped = [_sorted_unique(word, return_inverse=True) for word in words]
@@ -730,10 +730,13 @@ def unwinding_closure(
     the keys of its r-th block by r * (m + 1)**2, and each table ends in
     the key (m + 1)**2 - 1, above all of its own, so one sort groups the
     batch's lookups and one ``searchsorted`` finds them in its blocks'
-    tables laid end to end.  The pairs of all blocks of a round go through
-    one ``_union`` over the forests laid end to end, their successors
-    read from one table per actor row; the deletion pairs go in batches of
-    blocks too.
+    tables laid end to end.  A group of several blocks holds at most
+    ``_CHUNK // m`` of them, so a batch's shifted keys stay below
+    ``_CHUNK * (m + 3)``; a group of one block is not shifted.  A round's
+    pairs, their successors read from one table per actor row, are joined
+    in runs of at most ``_CHUNK`` pairs, each through one ``_union`` over
+    the forests laid end to end; the deletion pairs go in batches of blocks
+    too.
 
     Returns (roots[n_domains, m], counts): "dlr" the deletion facts, frontier
     included, "wsc" stepping links made, the pairs that joint stepping and
@@ -743,8 +746,7 @@ def unwinding_closure(
 
     The roots are int32, as are the forests and the signature tables'
     nodes: ``InputError`` refuses more than ``_MAX_NODES`` (2**27) nodes,
-    which also keeps every key below (m + 1)**2 <= 2**55 and lets a batch
-    shift at least 1,023 blocks."""
+    which also keeps every unshifted key below (m + 1)**2 <= 2**55."""
     n_domains = allowed.shape[1]
     m = len(allowed)
     doms, acts = _actor_rows(dom_of)
@@ -831,7 +833,6 @@ def unwinding_closure(
 
     old = np.full((n_domains, m), -1, dtype=np.int32)
     radix, span = np.uint64(m + 1), np.uint64((m + 1) ** 2)
-    room = (1 << 64) // (m + 1) ** 2  # blocks whose shifted keys fit uint64
     tables = [(np.full(1, span - np.uint64(1)), np.full(1, m, dtype=np.int32))] * len(takes)
     while True:
         _compress(parents)
@@ -849,7 +850,7 @@ def unwinding_closure(
             looked = np.count_nonzero(sel, axis=1).tolist()
             # a batch holds its blocks' lookups and their tables' entries
             sizes = [n and n + len(tables[g + b][0]) for b, n in enumerate(looked)]
-            for lo, hi in _batches(sizes, room):
+            for lo, hi in _batches(sizes):
                 at = np.flatnonzero(sel[lo:hi])  # r * m + node for block g + lo + r
                 counts["regrouped"] += len(at)
                 r = np.repeat(np.arange(hi - lo), looked[lo:hi])

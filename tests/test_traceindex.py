@@ -276,8 +276,7 @@ def test_batches_split_runs_of_items_at_the_bound(monkeypatch):
     rng = random.Random(4343)
     for _ in range(300):
         sizes = [rng.choice((0, 0, 1, 3, 6, 10, 11)) for _ in range(rng.randint(0, 12))]
-        room = rng.choice((None, 1, 2, 5))
-        got = list(_batches(sizes, room))
+        got = list(_batches(sizes))
         # the ranges ascend, start and end on items of non-zero size, and
         # cover every such item
         covered = [i for lo, hi in got for i in range(lo, hi)]
@@ -287,11 +286,10 @@ def test_batches_split_runs_of_items_at_the_bound(monkeypatch):
         for j, (lo, hi) in enumerate(got):
             total = sum(sizes[lo:hi])
             assert total <= 10 or hi - lo == 1
-            assert room is None or hi - lo <= room
             # greedy: the next range's first item did not fit this one
             if j + 1 < len(got):
                 nxt = got[j + 1][0]
-                assert total + sizes[nxt] > 10 or (room is not None and nxt - lo >= room)
+                assert total + sizes[nxt] > 10
 
 
 def test_labels_raise_when_the_label_space_runs_out(monkeypatch):
@@ -716,7 +714,7 @@ def test_compress_in_chunks_matches_one_chunk(monkeypatch):
         for chunk in (nifcheck.traceindex._CHUNK, 3):
             monkeypatch.setattr(nifcheck.traceindex, "_CHUNK", chunk)
             got = parent.copy()
-            _compress(got)  # in place, across many chunks with 3
+            _compress(got[None])  # in place, across many chunks with 3
             assert got.dtype == np.int32
             assert np.array_equal(got, want)
 
