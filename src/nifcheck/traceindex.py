@@ -185,8 +185,9 @@ def _sorted_unique(keys: np.ndarray, return_inverse: bool = False, return_index:
 def _batches(sizes: List[int]) -> Iterator[Tuple[int, int]]:
     """Ranges [lo, hi) of consecutive items with a non-zero size, taken
     greedily while their sizes sum to at most ``_CHUNK``; an item larger
-    than ``_CHUNK`` forms a range of its own.  Every range starts and ends on an item with a non-zero size,
-    and items of size zero belong to no range unless one spans them."""
+    than ``_CHUNK`` forms a range of its own.  Every range starts and ends
+    on an item with a non-zero size, and items of size zero belong to no
+    range unless one spans them."""
     lo = last = total = 0
     for i, size in enumerate(sizes):
         if not size:
@@ -239,11 +240,10 @@ class _PackedArena:
     their ids in ascending (``rank``, key) order, ``widths[i]`` ids for
     key i; without ``rank``, in ascending key order, which spares the
     reordering's id-length temporaries where every rank would be equal.
-    A call's keys must be
-    distinct and below ``_NO_KEY``, which closes the table so that every
-    key's ``searchsorted`` position holds an entry.  With ``grow`` false the
-    fresh blocks get their ids but stay out of the table, for a last call
-    after which nothing looks them up.
+    A call's keys must be distinct and below ``_NO_KEY``, which closes the
+    table so that every key's ``searchsorted`` position holds an entry.
+    With ``grow`` false the fresh blocks get their ids but stay out of the
+    table, for a last call after which nothing looks them up.
     """
 
     def __init__(self) -> None:
