@@ -751,7 +751,7 @@ def state_unwinding_check(system: PolicyEnhancedSystem, mode: str = "box") -> Ve
     n = len(order)
     roots, _ = unwinding_closure(
         n,
-        lambda js: succ[:, js],
+        lambda j: succ[:, j],
         tables.edge_bool[order],
         tables.dom_of,
         diamond=mode == "diamond",

@@ -21,18 +21,21 @@ buffered cast, about twice as slow as by an intp one, so int32 ids are
 gathered chunk by chunk: a full-length gather casts ``_CHUNK`` ids at a
 time to intp (``_gather``) and never makes a full-length intp copy.
 
-Both kernels split their work into blocks, one per (level, observer,
-actor) in the labelling and one per (round, observer, actor) in the
-closure, and take them in batches by one rule (``_batches``): consecutive
-blocks go into one batch while their elements number at most ``_CHUNK``,
-and a larger block is a batch of its own.  A batch makes one sort, one
-table lookup and one write for all of its blocks, so on small systems a
-level or a round costs a few numpy calls rather than a few per block,
-while temporaries stay within one batch, so on large systems they hold one
-block's elements.  The closure compresses its forests in place.  Observation ids take the
-narrowest unsigned dtype that holds the largest (``np.min_scalar_type``):
-one byte per state where no domain has more than 256 observations, so the
-witness search's tables over them take one byte per node.
+The labelling takes each level's observers in batches (``_batches``):
+consecutive observers go into one batch while their passing parents
+number at most ``_CHUNK``, and a larger observer is a batch of its own.  A
+batch makes one sort, one arena call and one write for all of its
+observers, so on small systems a level costs a few numpy calls rather than
+a few per (observer, actor) block, while temporaries stay within one
+batch, so on large systems they hold one observer's elements.
+
+The unwinding closure keeps one signature table per (observer, actor)
+block and works one block at a time, so its temporaries hold one block's
+nodes; it joins each observer's pairs in runs of at most ``_CHUNK`` and
+compresses its forests in place.  Observation ids take the narrowest
+unsigned dtype that holds the largest (``np.min_scalar_type``): one byte
+per state where no domain has more than 256 observations, so the witness
+search's tables over them take one byte per node.
 
 On the trace tree about (|A| - 1)/|A| of the nodes are leaves, which
 never step, so the closure's forests, deletion pairs and rounds cover the
@@ -40,9 +43,8 @@ interior nodes only.  The deepest interior level is the kernel's frontier:
 its children are the leaves, and a frontier node takes part in a block's
 lookups only where the actor's edge to the observer fails there.  After
 the fixpoint ``unwinding_roots`` gives each leaf its root from its parent's
-joint class, one grouping per batch of blocks and then the leaves in row
-chunks of at most ``_CHUNK`` ids, where each frontier node's children are
-contiguous.
+joint class, one grouping per block and then the leaves in row chunks of
+at most ``_CHUNK`` ids, where each frontier node's children are contiguous.
 
 ``TraceIndex.reachable`` walks the state graph breadth first.  Its
 discovery order ranks the witnesses of the state-level checks (state
@@ -114,39 +116,31 @@ def _compress(forests: np.ndarray) -> None:
             part[:] = hop
 
 
-def _find(parent: np.ndarray, ids: np.ndarray, start: np.ndarray) -> np.ndarray:
-    """Roots of the nodes at positions ``ids`` of the 1-d ``parent``, which
-    lays forests end to end, each node's forest starting at ``start`` and
-    holding its ids from there, by pointer jumping on the gathered ids
-    alone.  Each hop points every id at its grandparent, so the ids end up
-    pointing at their roots, and a chain through other gathered ids halves
-    per hop."""
+def _find(parent: np.ndarray, ids: np.ndarray) -> np.ndarray:
+    """Roots of ``ids`` in the 1-d forest ``parent`` by pointer jumping on
+    the gathered ids alone.  Each hop points every id at its grandparent,
+    so the ids end up pointing at their roots, and a chain through other
+    gathered ids halves per hop."""
     up = parent[ids]
     while True:
-        top = parent[up + start]
+        top = parent[up]
         if not (up != top).any():
             return up
         parent[ids] = up = top
 
 
-def _union(parent: np.ndarray, start: np.ndarray, pairs: np.ndarray) -> None:
-    """Join the classes of ``pairs[0, i]`` and ``pairs[1, i]`` in the forest
-    of the 1-d ``parent`` that starts at ``start[i]`` (``_find``), for every
-    i, hooking the larger root under the smaller.  One ``np.minimum.at``
-    keeps only the least of the links that hit the same root, so the pairs
-    whose link lost are found and linked again until none is left."""
-    while True:
-        roots = _find(parent, pairs + start, start)
-        keep = roots[0] != roots[1]
-        if not keep.any():
-            return
-        pairs, start = roots[:, keep], start[keep]
+def _union(parent: np.ndarray, pairs: np.ndarray) -> None:
+    """Join the classes of ``pairs[0, i]`` and ``pairs[1, i]`` in the 1-d
+    forest ``parent`` for every i, hooking the larger root under the
+    smaller.  One ``np.minimum.at`` keeps only the least of the links that
+    hit the same root, so the pairs whose link lost are found and linked
+    again until none is left."""
+    while pairs.shape[1]:
+        roots = _find(parent, pairs)
+        pairs = roots[:, roots[0] != roots[1]]
         lo, hi = np.minimum(*pairs), np.maximum(*pairs)
-        np.minimum.at(parent, hi + start, lo)
-        keep = parent[hi + start] != lo
-        if not keep.any():
-            return
-        pairs, start = pairs[:, keep], start[keep]
+        np.minimum.at(parent, hi, lo)
+        pairs = pairs[:, parent[hi] != lo]
 
 
 def _sorted_unique(keys: np.ndarray, return_inverse: bool = False, return_index: bool = False):
@@ -620,62 +614,45 @@ class TraceIndex:
         frontier = self.offs[self.depth - 1] if self.depth else 0
         # Shortlex ids number the tree like a heap: the child of node n on
         # action j is n * n_actions + 1 + j.
-        first_child = np.arange(frontier, dtype=np.int32)[:, None] * n_actions + 1
+        first_child = np.arange(frontier, dtype=np.int32) * n_actions + 1
         allowed = self.edge_bool[self.states[:m]]
-        inner, counts = unwinding_closure(
-            frontier, lambda js: first_child + js.astype(np.int32), allowed, self.dom_of
-        )
+        inner, counts = unwinding_closure(frontier, lambda j: first_child + j, allowed, self.dom_of)
         # depth 0 has one node and no frontier: its root is the 0 it starts with
         roots = np.zeros((self.n_domains, self.n_nodes), dtype=np.int32)
         roots[:, :m] = inner
         doms, _ = _actor_rows(self.dom_of)
         row_of = np.searchsorted(doms, self.dom_of)  # each action's actor row
-        n, n_rows = m - frontier, len(doms)
         steps = np.arange(1, n_actions + 1, dtype=np.int32)
+        width = max(1, _CHUNK // max(n_actions, 1))  # frontier nodes per chunk
         wide = inner.astype(np.uint64)
-        observer = np.repeat(np.arange(self.n_domains), n_rows)
-        actor = np.tile(doms, self.n_domains)
-        # observers lo..hi-1 at a time, with all their blocks' nodes at most
-        # _CHUNK where they fit
-        for lo, hi in _batches([n_rows * m] * self.n_domains):
-            # per block (u, k) and frontier node p: q * n_actions, and
-            # whether J has a hidden member; block r of a batch has its keys
-            # shifted by r * m**2 and its positions by r * m
-            base = np.empty((hi - lo, n_rows, n), dtype=np.int32)
-            hidden = np.empty((hi - lo, n_rows, n), dtype=bool)
-            for b, end in _batches([m] * ((hi - lo) * n_rows)):
-                blocks = slice(lo * n_rows + b, lo * n_rows + end)
-                start = np.arange(end - b)[:, None] * m
-                key = wide[observer[blocks]]
-                key += start.astype(np.uint64)
-                key *= np.uint64(m)
-                key += wide[actor[blocks]]
-                least = _first_of_group(key.ravel())
-                marked = np.zeros(len(least), dtype=bool)
-                fails = ~allowed[:, actor[blocks], observer[blocks]].T
-                marked[least[fails.ravel()]] = True
-                least = least.reshape(end - b, m)[:, frontier:]
-                hidden.reshape(-1, n)[b:end] = marked[least]
-                base.reshape(-1, n)[b:end] = (least - start) * n_actions
-            # each frontier node's row of leaves, filled a chunk of at most
-            # _CHUNK leaves at a time
-            leaves = roots[lo:hi, m : m + n * n_actions].reshape(hi - lo, n, n_actions)
-            row_start = np.arange(0, (hi - lo) * m, m)[:, None, None]  # in inner[lo:hi]
-            width = max(1, _CHUNK // ((hi - lo) * n_actions))  # frontier nodes per chunk
-            for r in range(0, n, width):
+        for u, ru in enumerate(inner):
+            # per frontier node p and actor row: q * n_actions, and whether
+            # J has a hidden member
+            base = np.empty((m - frontier, len(doms)), dtype=np.int32)
+            hidden = np.empty((m - frontier, len(doms)), dtype=bool)
+            for k, d in enumerate(doms):
+                least = _first_of_group(wide[u] * np.uint64(m) + wide[d])
+                marked = np.zeros(m, dtype=bool)
+                marked[least[~allowed[:, d, u]]] = True
+                base[:, k] = least[frontier:] * n_actions
+                hidden[:, k] = marked[least[frontier:]]
+            # each frontier node's row of leaves, filled a chunk of rows at
+            # a time
+            leaves = roots[u, m : m + (m - frontier) * n_actions].reshape(m - frontier, n_actions)
+            for r in range(0, m - frontier, width):
                 rows = slice(r, r + width)
-                out = leaves[:, rows]
-                np.add(base[:, row_of, rows].transpose(0, 2, 1), steps, out=out)  # q·a
+                out = leaves[rows]
+                np.add(base[rows][:, row_of], steps, out=out)  # q·a
                 inside = out < m
-                out[inside] = inner[lo:hi].ravel()[(out + row_start)[inside]]
-                parent = inner[lo:hi, frontier + r : frontier + r + width, None]
-                np.copyto(out, parent, where=hidden[:, row_of, rows].transpose(0, 2, 1))
+                out[inside] = ru[out[inside]]
+                parent = ru[frontier + r : frontier + r + width, None]
+                np.copyto(out, parent, where=hidden[rows][:, row_of])
         return roots, counts
 
 
 def unwinding_closure(
     n_stepping: int,
-    child: Callable[[np.ndarray], np.ndarray],
+    child: Callable[[int], np.ndarray],
     allowed: np.ndarray,
     dom_of: np.ndarray,
     diamond: bool = False,
@@ -684,9 +661,9 @@ def unwinding_closure(
     ``m = len(allowed)``, closed under the two unwinding rules.
 
     ``allowed[node, d, u]`` says whether an action of domain d taken at a
-    node may reach u.  The nodes below ``n_stepping`` step: ``child(js)``
-    gives each one's successors on the actions ``js``, shape
-    [n_stepping, len(js)], ids below m.  For every action j of domain d:
+    node may reach u.  The nodes below ``n_stepping`` step: ``child(j)`` is
+    each one's successor on action j (length ``n_stepping``, ids below m).
+    For every action j of domain d:
 
     * deletion: ``node ~u child(j)[node]`` wherever ``allowed[node, d, u]``
       fails;
@@ -714,29 +691,16 @@ def unwinding_closure(
     Joint stepping runs in rounds over one signature table per block of
     observer u and actor row k (the k-th domain d that owns actions), which
     maps the (root_u, root_d) key of a node, packed as
-    ``root_u * (m + 1) + root_d``, to the node that first had it.  The
-    stepping nodes and the frontier nodes hidden in the block take part.
-    A round looks up only the nodes whose root_u or root_d moved in the
-    last round (every node in the first) and pairs each with the node its
-    key maps to, so the cost of a round follows what changed.  A key whose
-    roots have since merged is stale, but no node can have it again.  The
-    rounds end when no root moved.
-
-    A round works in batches (``_batches``): it picks the lookups of groups
-    of consecutive blocks whose nodes number at most ``_CHUNK``, and
-    within a group it takes consecutive blocks whose lookups and table
-    entries number at most ``_CHUNK`` into one batch, a larger block being
-    a batch of its own, so its temporaries hold one batch.  A batch shifts
-    the keys of its r-th block by r * (m + 1)**2, and each table ends in
-    the key (m + 1)**2 - 1, above all of its own, so one sort groups the
-    batch's lookups and one ``searchsorted`` finds them in its blocks'
-    tables laid end to end.  A group of several blocks holds at most
-    ``_CHUNK // m`` of them, so a batch's shifted keys stay below
-    ``_CHUNK * (m + 3)``; a group of one block is not shifted.  A round's
-    pairs, their successors read from one table per actor row, are joined
-    in runs of at most ``_CHUNK`` pairs, each through one ``_union`` over
-    the forests laid end to end; the deletion pairs go in batches of blocks
-    too.
+    ``root_u * m + root_d``, to the node that first had it.  The stepping
+    nodes and the frontier nodes hidden in the block take part.  A round
+    looks up only the nodes whose root_u or root_d moved in the last round
+    (every node in the first) and pairs each with the node its key maps
+    to, so the cost of a round follows what changed.  It works one block at
+    a time, so its temporaries hold one block's nodes, and joins one
+    observer's pairs at a time on that observer's forest, in runs of at
+    most ``_CHUNK`` pairs; so do the deletion pairs.  A key whose roots have
+    since merged is stale, but no node can have it again.  The rounds end
+    when no root moved.
 
     Returns (roots[n_domains, m], counts): "dlr" the deletion facts, frontier
     included, "wsc" stepping links made, the pairs that joint stepping and
@@ -746,7 +710,7 @@ def unwinding_closure(
 
     The roots are int32, as are the forests and the signature tables'
     nodes: ``InputError`` refuses more than ``_MAX_NODES`` (2**27) nodes,
-    which also keeps every unshifted key below (m + 1)**2 <= 2**55."""
+    which also keeps every key below m**2 <= 2**54."""
     n_domains = allowed.shape[1]
     m = len(allowed)
     doms, acts = _actor_rows(dom_of)
@@ -760,80 +724,59 @@ def unwinding_closure(
     if m == 0 or len(dom_of) == 0:
         return parents, counts
     counts["dlr"] = m * len(dom_of) * n_domains - int(allowed.sum(axis=0)[dom_of].sum())
-    # block b is actor row b // n_domains and observer b % n_domains
-    observer = np.tile(np.arange(n_domains), len(doms))
-    actor = np.repeat(doms, n_domains)
-    permitted = allowed[:, doms, :].transpose(1, 2, 0)  # [k, u, node]
+    permitted = allowed[:, doms, :].transpose(2, 1, 0)  # [u, k, node]
     # the nodes each block looks up: the stepping nodes and the frontier
     # nodes hidden there, and with diamond only those where the edge holds
     takes = np.ones(permitted.shape, dtype=bool)
     takes[:, :, n_stepping:] = ~permitted[:, :, n_stepping:]
     if diamond:
         takes &= permitted
-    takes = takes.reshape(-1, m)  # [block, node]
 
     # per actor row, each stepping node's successors on the row's actions,
     # then a row of zeros that frontier nodes read and drop
     after_table = []
     for a in acts:
         steps = np.zeros((n_stepping + 1, len(a)), dtype=np.int32)
-        steps[:n_stepping] = child(a)
+        for i, j in enumerate(a):
+            steps[:n_stepping, i] = child(j)
         after_table.append(steps)
-    flat = parents.reshape(-1)  # the forests end to end
 
-    def unions(found, pairs_of, before=None):
-        """Joins, in the forest of block ``blocks[i]``'s observer, the pairs
-        ``pairs_of(taken, after)`` for every (blocks, nodes) batch in
-        ``found``, every i and every action of the block's actor row, where
-        ``after[:, i, j]`` is the successor of ``taken[:, i]`` on the row's
-        j-th action, each frontier node being its own successor.  It joins
-        them in runs of at most ``_CHUNK`` pairs, or one column's.  Returns
-        how many pairs had different roots in the forests ``before``."""
-        split, run, forests, pairs = 0, 0, [], []
-        for blocks, nodes in found:
-            # the blocks ascend, so each actor row's columns are one run
-            cut = np.searchsorted(blocks, np.arange(len(doms) + 1) * n_domains).tolist()
-            for k, steps in enumerate(after_table):
-                width = max(1, _CHUNK // steps.shape[1])
-                for start in range(cut[k], cut[k + 1], width):
-                    at = slice(start, min(start + width, cut[k + 1]))
-                    if run and run + (at.stop - start) * steps.shape[1] > _CHUNK:
-                        split += join(forests, pairs, before)
-                        run, forests, pairs = 0, [], []
-                    taken = nodes[:, at]
-                    after = np.take(steps, np.minimum(taken, n_stepping), axis=0)
-                    np.copyto(after, taken[..., None], where=(taken >= n_stepping)[..., None])
-                    forests.append(np.repeat(blocks[at] % n_domains * m, steps.shape[1]))
-                    pairs.append(pairs_of(taken, after).reshape(2, -1))
-                    run += len(forests[-1])
-        return split + (join(forests, pairs, before) if run else 0)
-
-    def join(forests, pairs, before):
-        """Joins one run of pairs; returns how many of them had different
-        roots in ``before``."""
-        forest, pair = np.concatenate(forests), np.concatenate(pairs, axis=1)
-        split = 0
-        if before is not None:
-            roots = before[pair + forest]
-            split = int(np.count_nonzero(roots[0] != roots[1]))
-        _union(flat, forest, pair)
-        return split
+    def runs(found, pairs_of):
+        """The pairs ``pairs_of(taken, after)`` of every (k, nodes) in
+        ``found``, in runs of at most ``_CHUNK`` pairs (or one node's pairs),
+        where ``taken`` is a slice of the last axis of ``nodes`` and
+        ``after[..., i]`` is each taken node's successor on row k's i-th
+        action, a frontier node being its own."""
+        run, size = [], 0
+        for k, nodes in found:
+            steps = after_table[k]
+            width = max(1, _CHUNK // steps.shape[1])
+            for start in range(0, nodes.shape[-1], width):
+                taken = nodes[..., start : start + width]
+                after = steps[np.minimum(taken, n_stepping)]
+                np.copyto(after, taken[..., None], where=(taken >= n_stepping)[..., None])
+                pairs = pairs_of(taken, after).reshape(2, -1)
+                if run and size + pairs.shape[1] > _CHUNK:
+                    yield np.concatenate(run, axis=1)
+                    run, size = [], 0
+                run.append(pairs)
+                size += pairs.shape[1]
+        if run:
+            yield np.concatenate(run, axis=1)
 
     # deletion: each stepping node hidden in a block joins its successors
-    hidden = (~permitted[:, :, :n_stepping]).reshape(len(takes), n_stepping)
-    facts = np.count_nonzero(hidden, axis=1).tolist()
-    for lo, hi in _batches(facts):
-        x = np.flatnonzero(hidden[lo:hi])  # r * n_stepping + node for block lo + r
-        x -= np.repeat(np.arange(0, (hi - lo) * n_stepping, n_stepping), facts[lo:hi])
-        unions(
-            [(np.repeat(np.arange(lo, hi), facts[lo:hi]), x[None].astype(np.int32))],
-            lambda x, after: np.stack([np.broadcast_to(x[0][:, None], after.shape[1:]), after[0]]),
-        )
-    del hidden
+    for u in range(n_domains):
+        hidden = ~permitted[u, :, :n_stepping]
+        deleted = [(k, np.flatnonzero(row).astype(np.int32)) for k, row in enumerate(hidden)]
+        for pairs in runs(
+            deleted, lambda x, after: np.stack([np.broadcast_to(x[:, None], after.shape), after])
+        ):
+            _union(parents[u], pairs)
 
     old = np.full((n_domains, m), -1, dtype=np.int32)
-    radix, span = np.uint64(m + 1), np.uint64((m + 1) ** 2)
-    tables = [(np.full(1, span - np.uint64(1)), np.full(1, m, dtype=np.int32))] * len(takes)
+    # (u, k): sorted keys and their nodes, closed by a key above all others
+    tables, empty = {}, (np.full(1, _NO_KEY), np.full(1, m, dtype=np.int32))
+    radix = np.uint64(m)
     while True:
         _compress(parents)
         moved = parents != old
@@ -841,59 +784,34 @@ def unwinding_closure(
             break
         old = parents.copy()
         counts["sweeps"] += 1
-        found = []
         wide = old.astype(np.uint64)
-        # the lookups of groups of blocks of at most _CHUNK nodes
-        for g, end in _batches([m] * len(takes)):
-            sel = moved[observer[g:end]] | moved[actor[g:end]]
-            sel &= takes[g:end]
-            looked = np.count_nonzero(sel, axis=1).tolist()
-            # a batch holds its blocks' lookups and their tables' entries
-            sizes = [n and n + len(tables[g + b][0]) for b, n in enumerate(looked)]
-            for lo, hi in _batches(sizes):
-                at = np.flatnonzero(sel[lo:hi])  # r * m + node for block g + lo + r
+        for u in range(n_domains):
+            found = []
+            for k, d in enumerate(doms):
+                sel = moved[u] | moved[d]
+                sel &= takes[u, k]
+                at = np.flatnonzero(sel)
+                if not len(at):
+                    continue
                 counts["regrouped"] += len(at)
-                r = np.repeat(np.arange(hi - lo), looked[lo:hi])
-                if hi - lo == 1:
-                    # one block: its observer's and actor's roots, its table
-                    key = wide[observer[g + lo]][at]
-                    key *= radix
-                    key += wide[actor[g + lo]][at]
-                    keys, reps = tables[g + lo]
-                else:
-                    # copies of the blocks' rows of roots, at most a group's
-                    # nodes; block r's keys and table shifted by r * span
-                    key = wide[observer[g + lo : g + hi]].reshape(-1)[at]
-                    key *= radix
-                    key += wide[actor[g + lo : g + hi]].reshape(-1)[at]
-                    key += r.astype(np.uint64) * span
-                    at -= r * m
-                    live = [g + b for b in range(lo, hi) if looked[b]]
-                    shift = (np.array(live, dtype=np.uint64) - np.uint64(g + lo)) * span
-                    keys = np.concatenate([tables[b][0] for b in live])
-                    keys += np.repeat(shift, [len(tables[b][0]) for b in live])
-                    reps = np.concatenate([tables[b][1] for b in live])
+                key = wide[u, at] * radix + wide[d, at]
                 uniq, first, group = _sorted_unique(key, return_inverse=True, return_index=True)
+                keys, reps = tables.get((u, k), empty)
                 pos = keys.searchsorted(uniq)
                 rep = reps[pos]
                 fresh = keys[pos] != uniq
                 if fresh.any():
                     # a fresh key's representative is its least node, its
-                    # first lookup: a block's lookups ascend by node
+                    # first lookup: the lookups ascend by node
                     rep[fresh] = at[first[fresh]]
-                    keys, reps = _insert_sorted(keys, reps, pos[fresh], uniq[fresh], rep[fresh])
-                    if hi - lo == 1:
-                        tables[g + lo] = keys, reps
-                    else:
-                        # each block takes its entries back, unshifted
-                        ends = [0] + keys.searchsorted(shift + span).tolist()
-                        keys -= np.repeat(shift, np.diff(ends))
-                        for b, i, j in zip(live, ends, ends[1:]):
-                            tables[b] = keys[i:j], reps[i:j]
+                    tables[u, k] = _insert_sorted(keys, reps, pos[fresh], uniq[fresh], rep[fresh])
                 rep = rep[group]
                 pair = at != rep
-                found.append((r[pair] + (g + lo), np.stack([at[pair], rep[pair]], dtype=np.int32)))
-        # the forests are compressed and the lookups left them alone, so
-        # each pair's roots before the joins are its entries in old
-        counts["wsc"] += unions(found, lambda _, after: after, old.reshape(-1))
+                found.append((k, np.stack([at[pair], rep[pair]], dtype=np.int32)))
+            # the forests are compressed and the lookups left them alone, so
+            # each pair's roots before the joins are its entries in old
+            for pairs in runs(found, lambda _, after: after):
+                roots = old[u][pairs]
+                counts["wsc"] += int(np.count_nonzero(roots[0] != roots[1]))
+                _union(parents[u], pairs)
     return parents, counts
