@@ -444,8 +444,8 @@ def check_globally_known(
                     depth=depth,
                     notes=("administering domain cannot flow to every domain",),
                 )
-    # The edges are read from ``system`` below; the index over the stripped
-    # system also serves the locality cross-check.
+    # The edge sets and the locality cross-check both read the stripped
+    # system: an actionless domain's edges transmit nothing.
     idx, _ = _stripped_index(system, depth)
     # Passing only a domain's own actions to itself labels each trace with
     # its projection onto the administering domain's actions.
@@ -454,7 +454,8 @@ def check_globally_known(
     # values only need to compare equal: one id per distinct edge set
     ids: Dict[frozenset, int] = {}
     edge_set = np.array(
-        [ids.setdefault(system.edges[s], len(ids)) for s in idx.state_names], dtype=np.int32
+        [ids.setdefault(idx.system.edges[s], len(ids)) for s in idx.state_names],
+        dtype=np.int32,
     )
     pair = _grouped_violation(
         idx, proj[sig.domain_index(policy_domain)], _gather(edge_set, idx.states)

@@ -21,13 +21,9 @@ buffered cast, about twice as slow as by an intp one, so int32 ids are
 gathered chunk by chunk: a full-length gather casts ``_CHUNK`` ids at a
 time to intp (``_gather``) and never makes a full-length intp copy.
 
-The labelling takes each level's observers in batches (``_batches``):
-consecutive observers go into one batch while their passing parents
-number at most ``_CHUNK``, and a larger observer is a batch of its own.  A
-batch makes one sort, one arena call and one write for all of its
-observers, so on small systems a level costs a few numpy calls rather than
-a few per (observer, actor) block, while temporaries stay within one
-batch, so on large systems they hold one observer's elements.
+The labelling works one observer at a time within each level, with one
+sort per (observer, actor) block and one arena call per observer, so its
+temporaries hold one observer's passing parents.
 
 The unwinding closure keeps one signature table per (observer, actor)
 block and works one block at a time, so its temporaries hold one block's
@@ -162,7 +158,7 @@ def _sorted_unique(keys: np.ndarray, return_inverse: bool = False, return_index:
         head = np.ones(len(ordered), dtype=bool)
         head[1:] = ordered[1:] != ordered[:-1]
         return ordered[head]
-    order = np.argsort(keys, kind="stable")
+    order = keys.argsort(kind="stable")
     ordered = keys[order]
     head = np.ones(len(ordered), dtype=bool)
     head[1:] = ordered[1:] != ordered[:-1]
@@ -171,30 +167,9 @@ def _sorted_unique(keys: np.ndarray, return_inverse: bool = False, return_index:
         out.append(order[head])
     if return_inverse:
         inverse = np.empty(len(keys), dtype=np.intp)
-        inverse[order] = np.cumsum(head) - 1
+        inverse[order] = head.cumsum() - 1
         out.append(inverse)
     return tuple(out)
-
-
-def _batches(sizes: List[int]) -> Iterator[Tuple[int, int]]:
-    """Ranges [lo, hi) of consecutive items with a non-zero size, taken
-    greedily while their sizes sum to at most ``_CHUNK``; an item larger
-    than ``_CHUNK`` forms a range of its own.  Every range starts and ends
-    on an item with a non-zero size, and items of size zero belong to no
-    range unless one spans them."""
-    lo = last = total = 0
-    for i, size in enumerate(sizes):
-        if not size:
-            continue
-        if total and total + size > _CHUNK:
-            yield lo, last + 1
-            total = 0
-        if not total:
-            lo = i
-        total += size
-        last = i
-    if total:
-        yield lo, last + 1
 
 
 def _first_of_group(keys: np.ndarray) -> np.ndarray:
@@ -231,10 +206,8 @@ class _PackedArena:
     first id.  Ids are dense, start at 1 (0 is the leaf), and are stable
     across levels: the same key always maps to the same block, so label
     equality is structural tree equality.  Fresh blocks of one call take
-    their ids in ascending (``rank``, key) order, ``widths[i]`` ids for
-    key i; without ``rank``, in ascending key order, which spares the
-    reordering's id-length temporaries where every rank would be equal.
-    A call's keys must be distinct and below ``_NO_KEY``, which closes the
+    their ids in ascending key order, ``widths[i]`` ids for key i.  A
+    call's keys must be distinct and below ``_NO_KEY``, which closes the
     table so that every key's ``searchsorted`` position holds an entry.
     With ``grow`` false the fresh blocks get their ids but stay out of the
     table, for a last call after which nothing looks them up.
@@ -245,22 +218,14 @@ class _PackedArena:
         self.firsts = np.zeros(1, dtype=np.int32)
         self.count = 1
 
-    def intern(
-        self,
-        keys: np.ndarray,
-        widths: np.ndarray,
-        grow: bool = True,
-        rank: Optional[np.ndarray] = None,
-    ) -> np.ndarray:
-        pos = np.searchsorted(self.keys, keys)
+    def intern(self, keys: np.ndarray, widths: np.ndarray, grow: bool = True) -> np.ndarray:
+        pos = self.keys.searchsorted(keys)
         firsts = self.firsts[pos]
-        fresh = np.flatnonzero(self.keys[pos] != keys)
+        fresh = (self.keys[pos] != keys).nonzero()[0]
         if len(fresh):
-            fresh = fresh[np.argsort(keys[fresh], kind="stable")]
-            # ids go out in (rank, key) order; the table takes keys in order
-            given = fresh if rank is None else fresh[np.argsort(rank[fresh], kind="stable")]
-            ends = self.count + np.cumsum(widths[given])
-            firsts[given] = ends - widths[given]
+            fresh = fresh[keys[fresh].argsort(kind="stable")]
+            ends = self.count + widths[fresh].cumsum()
+            firsts[fresh] = ends - widths[fresh]
             self.count = int(ends[-1])
             if self.count >= _MAX_LABELS:
                 raise InputError("tree label space exhausted; reduce the depth bound")
@@ -464,18 +429,13 @@ class TraceIndex:
         alphabet order, so the child on d's i-th action gets its block's
         first id plus i.
 
-        Each level works in batches of consecutive whole observers whose
-        passing parents, over all actors, number at most ``_CHUNK``
-        (``_batches``): one ``_sorted_unique`` call groups a batch's words
-        and one arena call interns them.  A word two observers share is one
-        block, and fresh ids rise in (first observer, word) order, which is
-        the order one arena call per observer would give them.  An
-        observer with more passing parents than ``_CHUNK`` forms a batch of
-        its own that sorts one actor at a time, so its temporaries hold one
-        actor's parents; the blocks are written at most ``_CHUNK`` ids at a
-        time.  Within one observer fresh ids rise in (L_u(p), L_d(p), k, i)
-        order, which is (L_u(p), L_d(p), a) order where each domain's
-        actions are contiguous in the alphabet and ascend with the domain.
+        Each level works one observer at a time: it writes the observer's
+        child rows from its parent labels, groups each actor row's words
+        with one ``_sorted_unique`` call, interns all of them with one arena
+        call and writes the blocks at most ``_CHUNK`` ids at a time.  Fresh
+        ids rise in (L_u(p), L_d(p), k, i) order, which is (L_u(p), L_d(p),
+        a) order where each domain's actions are contiguous in the alphabet
+        and ascend with the domain.
 
         The labels are int32: the arena raises ``InputError`` before its
         ids reach ``_MAX_LABELS`` (2**27)."""
@@ -492,61 +452,34 @@ class TraceIndex:
             p, s, e = self.offs[l - 1], self.offs[l], self.offs[l + 1]
             if s == e:
                 break
-            n = s - p
-            parent = labels[:, p:s].copy()  # [u, i]: L_u of the level's i-th parent
-            child = labels[:, s:e].reshape(self.n_domains, n, self.n_actions)
-            # passing[k, u, i]: the i-th parent passes actor row k to u
-            passing = np.ascontiguousarray(allowed[p:s].transpose(1, 2, 0)[doms])
-            sizes = np.count_nonzero(passing, axis=(0, 2)).tolist()
-            done = 0
-            for lo, hi in _batches(sizes):
-                # what u is not passed keeps its label; each batch writes its
-                # own observers' rows just before it works on them, so the
-                # rows of later observers are still untouched at its peak
-                child[done:hi] = parent[done:hi, :, None]
-                done = hi
-                # runs (k, at): at = (u - lo) * n + i for each parent i that
-                # passes actor row k to an observer u of the batch
-                runs = [(k, np.flatnonzero(passing[k, lo:hi])) for k in range(len(doms))]
+            parent = labels[:, p:s]  # [u, i]: L_u of the level's i-th parent
+            child = labels[:, s:e].reshape(self.n_domains, s - p, self.n_actions)
+            passed = allowed[p:s, doms].any(axis=(0, 1))  # [u]: u is passed an action
+            for u in range(self.n_domains):
+                child[u] = parent[u, :, None]  # what u is not passed keeps its label
+                runs = [(k, allowed[p:s, d, u].nonzero()[0]) for k, d in enumerate(doms)]
                 runs = [(k, at) for k, at in runs if len(at)]
-                # words (L_u(p), L_d(p), k): at + lo * n indexes the batch's
-                # rows of ``parent``, and at wraps to i in the actor's row
-                words = []
+                if not runs:
+                    continue
+                # words (L_u(p), L_d(p), k), grouped per actor row
+                grouped = []
                 for k, at in runs:
-                    word = parent.reshape(-1)[at + lo * n].astype(np.uint64) << np.uint64(37)
-                    word |= parent[doms[k]].take(at, mode="wrap").astype(np.uint64) << np.uint64(10)
+                    word = parent[u, at].astype(np.uint64) << np.uint64(37)
+                    word |= parent[doms[k], at].astype(np.uint64) << np.uint64(10)
                     word |= np.uint64(k)
-                    words.append(word)
-                rank = None  # one observer: fresh ids in word order
-                if sizes[lo] > _CHUNK:
-                    # an observer past the bound sorts one actor at a time
-                    grouped = [_sorted_unique(word, return_inverse=True) for word in words]
-                    keys = np.concatenate([key for key, _ in grouped])
-                    starts = np.cumsum([0] + [len(key) for key, _ in grouped]).tolist()
-                    groups = [(start, group) for start, (_, group) in zip(starts, grouped)]
-                else:
-                    keys, group = _sorted_unique(np.concatenate(words), return_inverse=True)
-                    if hi - lo > 1:
-                        # each word's first observer in the batch
-                        rank = np.full(len(keys), hi - lo, dtype=np.intp)
-                        np.minimum.at(rank, group, np.concatenate([at for _, at in runs]) // n)
-                    cut = np.cumsum([0] + [len(at) for _, at in runs]).tolist()
-                    groups = [(0, group[i:j]) for i, j in zip(cut, cut[1:])]
-                del words
-                # no lookup follows the deepest level's last batch
-                grow = l < self.depth or hi < self.n_domains
-                widths_of = widths[(keys & np.uint64(1023)).astype(np.intp)]
-                firsts = arena.intern(keys, widths_of, grow, rank)
+                    grouped.append(_sorted_unique(word, return_inverse=True))
+                keys = np.concatenate([key for key, _ in grouped])
+                # no lookup follows the deepest level's last passed observer
+                grow = l < self.depth or bool(passed[u + 1 :].any())
+                firsts = arena.intern(keys, widths[(keys & np.uint64(1023)).astype(np.intp)], grow)
                 # the [parents, actions] blocks, at most _CHUNK ids at a time
-                view = child[lo] if hi - lo == 1 else child[lo:hi]
-                for (k, at), (start, group) in zip(runs, groups):
-                    index = (at,) if hi - lo == 1 else np.divmod(at, n)  # ([u - lo,] i)
+                start = 0
+                for (k, at), (key, group) in zip(runs, grouped):
                     width = max(1, _CHUNK // len(acts[k]))
                     for r in range(0, len(at), width):
-                        rows = tuple(x[r : r + width, None] for x in index)
                         ids = firsts[start:][group[r : r + width], None] + steps[k]
-                        view[rows + (acts[k],)] = ids
-            child[done:] = parent[done:, :, None]
+                        child[u][at[r : r + width, None], acts[k]] = ids
+                    start += len(key)
         return labels
 
     def jointly_known(self, roots: np.ndarray, rows: Optional[int] = None) -> np.ndarray:

@@ -560,7 +560,8 @@ def python_state_unwinding(system, mode: str = "box") -> Verdict:
 
 def python_globally_known(system, policy_domain: str, depth: int) -> Verdict:
     """``check_globally_known`` grouping materialized traces by their
-    projection onto the administering domain's actions."""
+    projection onto the administering domain's actions, with the edge sets
+    of the system stripped of its actionless domains' edges."""
     sig = system.signature
     if policy_domain not in sig.domains:
         raise InputError(f"unknown domain {policy_domain!r}")
@@ -574,6 +575,7 @@ def python_globally_known(system, policy_domain: str, depth: int) -> Verdict:
                     depth=depth,
                     notes=("administering domain cannot flow to every domain",),
                 )
+    stripped, _ = strip_inactive_edges(system)
     groups: Dict[Trace, List[Trace]] = {}
     ends = {}
     for t in traces_upto(sig, depth):
@@ -583,7 +585,7 @@ def python_globally_known(system, policy_domain: str, depth: int) -> Verdict:
     best = None
     for members in groups.values():
         pair = select_violation_seq(
-            sig, members, [system.edges[ends[t]] for t in members]
+            sig, members, [stripped.edges[ends[t]] for t in members]
         )
         if pair is None:
             continue

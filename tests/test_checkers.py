@@ -491,6 +491,27 @@ class TestPolicyShape:
                 outcomes.add(got.outcome)
         assert outcomes == {BOUNDED_SECURE, INSECURE}
 
+    def test_globally_known_ignores_actionless_domains_edges(self):
+        """u3 owns no action, so its edge to u1, present in every other
+        state, transmits nothing and must not make the policy state vary;
+        locality, which reads the stripped system too, agrees."""
+        for seed in range(12):
+            base = shaped_system(random.Random(seed), 4, 3, 4, 3, 0.5)
+            assert "u3" not in map(base.signature.domain_of, base.signature.actions)
+            public = frozenset(("u0", v) for v in base.signature.domains if v != "u0")
+            system = dataclasses.replace(
+                base,
+                edges={
+                    s: public | ({("u3", "u1")} if i % 2 else set())
+                    for i, s in enumerate(base.states)
+                },
+            )
+            for depth in (2, 3):
+                got = check_globally_known(system, "u0", depth)
+                assert got.outcome == BOUNDED_SECURE
+                assert_same_verdict(got, python_globally_known(system, "u0", depth))
+                assert check_locality(system, depth).outcome == BOUNDED_SECURE
+
     def test_globally_known_builds_one_index(self, monkeypatch):
         builds = []
         build = TraceIndex.__init__

@@ -29,7 +29,6 @@ import nifcheck.traceindex
 from nifcheck.traceindex import (
     TraceIndex,
     _PackedArena,
-    _batches,
     _chunks,
     _compress,
     _gather,
@@ -135,8 +134,8 @@ def allowed_tables(idx):
 
 def assert_child_level_labels(idx, tables=None):
     """The labels of every table are the child-level kernel's, also with
-    batches of at most 7 passing parents, which split levels and observers
-    between batches."""
+    ``_CHUNK`` at 7, which writes a block of many passing parents in
+    several chunks."""
     for allowed in tables or allowed_tables(idx):
         want = child_level_ta_labels(idx, allowed)
         for chunk in (nifcheck.traceindex._CHUNK, 7):
@@ -235,50 +234,43 @@ def wide_system():
 
 def test_labels_key_blocks_by_domain_rank_past_the_action_field():
     """A domain's index can exceed the action field of the packed key, its
-    rank among the domains that own actions cannot; a batch's words and
-    its first observers stay exact over all 3,090 blocks of one level."""
+    rank among the domains that own actions cannot; the words stay exact
+    over all 3,090 blocks of one level, also when ``_CHUNK`` at 7 splits
+    their writes."""
     assert_child_level_labels(TraceIndex(wide_system(), 3), [None])
 
 
-def test_one_sort_per_level(monkeypatch):
-    """On figure 1 at depth 8 (511 traces, 3 domains, 2 actor rows) each
-    level's passing parents fit one batch, so a labelling groups its words
-    with one sort per level."""
+def test_one_arena_call_per_observer_and_one_sort_per_block(monkeypatch):
+    """On figure 1 at depth 8 (511 traces, 3 domains, 2 actor rows) a
+    labelling makes one arena call per (level, observer) that is passed an
+    action and one sort per (level, observer, actor row) that passes one."""
     idx = TraceIndex(parse_system(read_corpus("figure1.nif")), 8)
-    tables = allowed_tables(idx)
-    sorts = []
-    sort = nifcheck.traceindex._sorted_unique
+    doms = sorted(set(idx.dom_of.tolist()))
+    calls = {"intern": 0, "sort": 0}
+    sort, intern = nifcheck.traceindex._sorted_unique, _PackedArena.intern
 
-    def counted(*args, **kwargs):
-        sorts.append(1)
-        return sort(*args, **kwargs)
+    def counted(name, fn):
+        def call(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
 
-    monkeypatch.setattr(nifcheck.traceindex, "_sorted_unique", counted)
-    for allowed in tables:
-        sorts.clear()
+        return call
+
+    monkeypatch.setattr(nifcheck.traceindex, "_sorted_unique", counted("sort", sort))
+    monkeypatch.setattr(_PackedArena, "intern", counted("intern", intern))
+    for allowed in allowed_tables(idx):
+        table = idx.edge_bool[idx.states[: idx.interior_end]] if allowed is None else allowed
+        # passes[l, k, u]: some parent on level l passes actor row k to u
+        passes = np.array(
+            [table[idx.offs[l] : idx.offs[l + 1]][:, doms].any(axis=0) for l in range(idx.depth)]
+        )
+        calls.update(intern=0, sort=0)
         idx.ta_labels(allowed)
-        assert 0 < len(sorts) <= idx.depth
-
-
-def test_batches_split_runs_of_items_at_the_bound(monkeypatch):
-    monkeypatch.setattr(nifcheck.traceindex, "_CHUNK", 10)
-    rng = random.Random(4343)
-    for _ in range(300):
-        sizes = [rng.choice((0, 0, 1, 3, 6, 10, 11)) for _ in range(rng.randint(0, 12))]
-        got = list(_batches(sizes))
-        # the ranges ascend, start and end on items of non-zero size, and
-        # cover every such item
-        covered = [i for lo, hi in got for i in range(lo, hi)]
-        assert covered == sorted(set(covered))
-        assert all(sizes[lo] and sizes[hi - 1] for lo, hi in got)
-        assert {i for i in covered if sizes[i]} == {i for i, n in enumerate(sizes) if n}
-        for j, (lo, hi) in enumerate(got):
-            total = sum(sizes[lo:hi])
-            assert total <= 10 or hi - lo == 1
-            # greedy: the next range's first item did not fit this one
-            if j + 1 < len(got):
-                nxt = got[j + 1][0]
-                assert total + sizes[nxt] > 10
+        assert calls["intern"]
+        assert calls == {
+            "intern": int(passes.any(axis=1).sum()),
+            "sort": int(passes.sum()),
+        }
 
 
 def test_labels_raise_when_the_label_space_runs_out(monkeypatch):
@@ -739,21 +731,6 @@ def test_arena_matches_a_dict_oracle():
             firsts = arena.intern(keys, widths)
             assert firsts.tolist() == [oracle[k] for k in keys.tolist()]
             assert arena.count == count
-
-
-def test_arena_numbers_fresh_blocks_by_rank_then_key():
-    rng = np.random.default_rng(3737)
-    arena, oracle, count = _PackedArena(), {}, 1
-    for n in (20, 200, 50):
-        keys = rng.permutation(np.unique(rng.integers(0, 300, size=n, dtype=np.uint64)))
-        widths = rng.integers(1, 4, size=len(keys))
-        rank = rng.integers(0, 4, size=len(keys))
-        for r, k, w in sorted(zip(rank.tolist(), keys.tolist(), widths.tolist())):
-            if k not in oracle:
-                oracle[k], count = count, count + w
-        firsts = arena.intern(keys, widths, rank=rank)
-        assert firsts.tolist() == [oracle[k] for k in keys.tolist()]
-        assert arena.count == count
 
 
 def test_arena_leaves_a_last_calls_blocks_out():
