@@ -14,13 +14,13 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from typing import Dict, Hashable, Mapping, Optional, Tuple
+from typing import Hashable, Mapping, Optional, Tuple
 
 import numpy as np
 
 from .checkers import _observation_consistency
 from .model import InputError, PolicyEnhancedSystem, check_depth, unfold
-from .traceindex import MATERIALIZE_LIMIT, TraceIndex, _first_of_group, _sorted_unique
+from .traceindex import MATERIALIZE_LIMIT, TraceIndex, _intern, _sorted_unique
 from .verdicts import CERTIFIED_SECURE, INCONCLUSIVE, Verdict
 
 BASE_CONDITIONS = ("DRM-1", "DRM-2", "DRM-3", "DRM-4", "DRM-5", "DRM-6")
@@ -84,15 +84,14 @@ class StructuredSystem:
         rows = self.observe.transpose(1, 0, 2).reshape(-1, n_objects)
         wrong = np.zeros(len(rows), dtype=bool)
         if len(rows):
-            # each distinct observe row's set is built once
+            # each distinct observe row's set is built once, each packed
+            # row grouped as one void key
             packed = np.packbits(rows, axis=1)
-            order = np.lexsort(packed.T)
-            head = np.ones(len(rows), dtype=bool)
-            head[1:] = (packed[order[1:]] != packed[order[:-1]]).any(axis=1)
-            group = np.empty(len(rows), dtype=np.intp)
-            group[order] = np.cumsum(head) - 1
-            watched = np.empty(int(head.sum()), dtype=object)
-            for g, row in enumerate(rows[order[head]]):
+            _, first, group = _sorted_unique(
+                packed.view(np.dtype((np.void, packed.shape[1]))).ravel(), return_index=True
+            )
+            watched = np.empty(len(first), dtype=object)
+            for g, row in enumerate(rows[first]):
                 watched[g] = frozenset(self.objects[o] for o in np.flatnonzero(row))
             wrong = self.contents[at].T.ravel() != watched[group]
         bad = np.flatnonzero(hidden | wrong)
@@ -177,7 +176,8 @@ def _first_clash(buckets: np.ndarray, values: np.ndarray) -> Optional[Tuple[int,
     value differs from its bucket's first member is the minimal offender.
     Returns (exemplar, offender) positions, or None.  Rows of a 2-d
     ``values`` compare whole."""
-    exemplar = _first_of_group(buckets)
+    _, first, group = _sorted_unique(buckets, return_index=True)
+    exemplar = first[group]
     differs = values != values[exemplar]
     if differs.ndim > 1:
         differs = differs.any(axis=1)
@@ -191,7 +191,7 @@ def _view_ids(cont: np.ndarray, seen: np.ndarray) -> np.ndarray:
     ids = np.zeros(len(seen), dtype=np.int64)
     for oi in np.flatnonzero(seen.any(axis=0)):
         col = np.where(seen[:, oi], cont[oi] + 1, 0)
-        ids = _sorted_unique(ids * (len(seen) + 1) + col, return_inverse=True)[1]
+        ids = _sorted_unique(ids * (len(seen) + 1) + col)[1]
     return ids
 
 
@@ -232,8 +232,7 @@ def check_drm(
     # Content ids stay below n, as DRM-2's packed keys * n + cont needs.
     cont = np.empty((len(objects), n), dtype=np.int64)
     for oi, row in enumerate(system.contents[:, sid].tolist()):
-        ids: Dict[Hashable, int] = {}
-        cont[oi] = [ids.setdefault(v, len(ids)) for v in row]
+        cont[oi] = _intern(row)[0]
     observe, alter = system.observe[:, sid], system.alter[:, sid]
     edge = idx.edge_bool[sid]  # edge[s, u, v]: u may flow to v at s
     stepping = np.flatnonzero(~idx.truncated[sid])

@@ -28,6 +28,7 @@ from .traceindex import (
     MATERIALIZE_LIMIT,
     TraceIndex,
     _chunks,
+    _count_ids,
     _gather,
     _sorted_unique,
     unwinding_closure,
@@ -394,7 +395,7 @@ def _locality_verdict(
                     lb = labels[b][cand][live]
                     keep[live[_gather(_offending(lb, at[live]), lb)]] = True
                 nodes = np.flatnonzero(keep) if best is None else cand[keep]
-                ids = _sorted_unique(_joint_keys(labels, ui, vi, nodes), return_inverse=True)[1]
+                ids = _sorted_unique(_joint_keys(labels, ui, vi, nodes))[1]
             for (a, b), atom in atoms.items():
                 key = ids if known_to is None else labels[a if known_to == "sender" else b]
                 values = atom if nodes is None else atom[nodes]
@@ -452,13 +453,8 @@ def check_globally_known(
     own = np.eye(idx.n_domains, dtype=bool)
     proj = idx.ta_labels(np.broadcast_to(own, (idx.interior_end,) + own.shape))
     # values only need to compare equal: one id per distinct edge set
-    ids: Dict[frozenset, int] = {}
-    edge_set = np.array(
-        [ids.setdefault(idx.system.edges[s], len(ids)) for s in idx.state_names],
-        dtype=np.int32,
-    )
     pair = _grouped_violation(
-        idx, proj[sig.domain_index(policy_domain)], _gather(edge_set, idx.states)
+        idx, proj[sig.domain_index(policy_domain)], _gather(idx.edge_set, idx.states)
     )
     if pair is not None:
         return Verdict(
@@ -770,7 +766,7 @@ def state_unwinding_check(system: PolicyEnhancedSystem, mode: str = "box") -> Ve
         ),
         default=None,
     )
-    counts = dict(zip(sig.domains, (roots == np.arange(n)).sum(axis=1).tolist()))
+    counts = dict(zip(sig.domains, map(_count_ids, roots)))
     truncated = int(tables.truncated[order].sum())
     name = f"state-unwinding-{mode}"
     details = {

@@ -130,18 +130,20 @@ def _digest(data: bytes) -> str:
 
 
 def _static_verdict(system: PolicyEnhancedSystem, depth: int) -> Verdict:
-    if check_static(system):
-        return Verdict(
-            property="static-policy",
-            outcome=CERTIFIED_SECURE,
-            depth=None,
-            notes=("the policy is the same at every reachable state",),
+    if not check_static(system):
+        outcome, note = INCONCLUSIVE, "the policy changes across reachable states"
+    elif system.truncated:  # the truncated states' successors were never built
+        outcome, note = BOUNDED_SECURE, (
+            f"the policy is the same at every state reachable within depth {depth}; "
+            f"{len(system.truncated)} of them are truncated, so longer runs are unchecked"
         )
+    else:
+        outcome, note = CERTIFIED_SECURE, "the policy is the same at every reachable state"
     return Verdict(
         property="static-policy",
-        outcome=INCONCLUSIVE,
-        depth=None,
-        notes=("the policy changes across reachable states",),
+        outcome=outcome,
+        depth=depth if outcome == BOUNDED_SECURE else None,
+        notes=(note,),
     )
 
 

@@ -22,8 +22,8 @@ gathered chunk by chunk: a full-length gather casts ``_CHUNK`` ids at a
 time to intp (``_gather``) and never makes a full-length intp copy.
 
 The labelling works one observer at a time within each level, with one
-sort per (observer, actor) block and one arena call per observer, so its
-temporaries hold one observer's passing parents.
+sort and one arena call per observer, so its temporaries hold one
+observer's passing parents.
 
 The unwinding closure keeps one signature table per (observer, actor)
 block and works one block at a time, so its temporaries hold one block's
@@ -51,7 +51,7 @@ and the purge sweep reads the states near its start from it.
 from __future__ import annotations
 
 from bisect import bisect_right
-from typing import Callable, Dict, Iterator, List, Optional, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -90,6 +90,15 @@ def _gather(table: np.ndarray, ids: np.ndarray) -> np.ndarray:
     for start, chunk in _chunks(ids):
         out[start : start + len(chunk)] = table[chunk]
     return out
+
+
+def _count_ids(ids: np.ndarray) -> int:
+    """How many distinct values the non-negative ids ``ids`` take: one bool
+    mark per id, set ``_CHUNK`` ids at a time (``_chunks``)."""
+    marked = np.zeros(int(ids.max(initial=-1)) + 1, dtype=bool)
+    for _, chunk in _chunks(ids):
+        marked[chunk] = True
+    return int(np.count_nonzero(marked))
 
 
 def _compress(forests: np.ndarray) -> None:
@@ -139,43 +148,39 @@ def _union(parent: np.ndarray, pairs: np.ndarray) -> None:
         pairs = pairs[:, parent[hi] != lo]
 
 
-def _sorted_unique(keys: np.ndarray, return_inverse: bool = False, return_index: bool = False):
-    """The distinct keys of a 1-d array in ascending order; with
-    ``return_index`` also the position of each one's first occurrence, and
-    with ``return_inverse`` each key's index into them, in that order.
+def _sorted_unique(keys: np.ndarray, return_index: bool = False):
+    """The distinct keys of a 1-d array in ascending order, with
+    ``return_index`` the position of each one's first occurrence, and each
+    key's index into them, in that order.
 
     Every group-by on a composite key goes through here (packed label
-    pairs, pairs of class ids): one sort and an adjacent diff, with the
-    positions taken from a stable argsort.  So how the package deduplicates
-    never depends on which algorithm the installed numpy picks for its own
-    unique.  The stable kind (timsort on these keys) stays on measurement:
-    it beats the default kind on keys that arrive in long ascending runs,
-    loses on random ones, and whole passes got no faster without it.  Keys
-    that already are non-negative ids, such as tree labels or closure
-    roots, group without a sort (``checkers.class_violations``)."""
-    if not (return_inverse or return_index):
-        ordered = np.sort(keys)
-        head = np.ones(len(ordered), dtype=bool)
-        head[1:] = ordered[1:] != ordered[:-1]
-        return ordered[head]
+    words, pairs of class ids, packed observe rows viewed as one void key
+    each): one stable argsort and an adjacent diff.  So how the package
+    deduplicates never depends on which algorithm the installed numpy picks
+    for its own unique.  The stable kind (timsort on these keys) stays on
+    measurement: it beats the default kind on keys that arrive in long
+    ascending runs, loses on random ones, and whole passes got no faster
+    without it.  Keys that already are non-negative ids, such as tree
+    labels or closure roots, group without a sort
+    (``checkers.class_violations``) and count through ``_count_ids``."""
     order = keys.argsort(kind="stable")
     ordered = keys[order]
     head = np.ones(len(ordered), dtype=bool)
     head[1:] = ordered[1:] != ordered[:-1]
-    out = [ordered[head]]
+    inverse = np.empty(len(keys), dtype=np.intp)
+    inverse[order] = head.cumsum() - 1
     if return_index:
-        out.append(order[head])
-    if return_inverse:
-        inverse = np.empty(len(keys), dtype=np.intp)
-        inverse[order] = head.cumsum() - 1
-        out.append(inverse)
-    return tuple(out)
+        return ordered[head], order[head], inverse
+    return ordered[head], inverse
 
 
-def _first_of_group(keys: np.ndarray) -> np.ndarray:
-    """For each position, the position of the first equal key."""
-    _, first, group = _sorted_unique(keys, return_inverse=True, return_index=True)
-    return first[group]
+def _intern(values: Iterable) -> Tuple[np.ndarray, List]:
+    """Ids for python values, numbered in first-seen order, and the
+    distinct values in that order: every value the package interns goes
+    through here (observations, edge sets, object contents)."""
+    ids: Dict[object, int] = {}
+    out = np.fromiter((ids.setdefault(v, len(ids)) for v in values), dtype=np.intp)
+    return out, list(ids)
 
 
 def _insert_sorted(
@@ -205,10 +210,10 @@ class _PackedArena:
     A block is a run of consecutive ids, and the table holds each block's
     first id.  Ids are dense, start at 1 (0 is the leaf), and are stable
     across levels: the same key always maps to the same block, so label
-    equality is structural tree equality.  Fresh blocks of one call take
-    their ids in ascending key order, ``widths[i]`` ids for key i.  A
-    call's keys must be distinct and below ``_NO_KEY``, which closes the
-    table so that every key's ``searchsorted`` position holds an entry.
+    equality is structural tree equality.  A call's keys must be
+    ascending, distinct and below ``_NO_KEY``, which closes the table so
+    that every key's ``searchsorted`` position holds an entry; its fresh
+    blocks take their ids in that order, ``widths[i]`` ids for key i.
     With ``grow`` false the fresh blocks get their ids but stay out of the
     table, for a last call after which nothing looks them up.
     """
@@ -223,7 +228,6 @@ class _PackedArena:
         firsts = self.firsts[pos]
         fresh = (self.keys[pos] != keys).nonzero()[0]
         if len(fresh):
-            fresh = fresh[keys[fresh].argsort(kind="stable")]
             ends = self.count + widths[fresh].cumsum()
             firsts[fresh] = ends - widths[fresh]
             self.count = int(ends[-1])
@@ -290,26 +294,22 @@ class TraceIndex:
 
         # one id per distinct observation of each domain, in the narrowest
         # unsigned dtype that holds the largest
-        obs_ids = []
-        for u in sig.domains:
-            intern: Dict[object, int] = {}
-            tokens = (system.obs[(u, s)] for s in self.state_names)
-            obs_ids.append([intern.setdefault(tok, len(intern)) for tok in tokens])
-        top = max((max(row) for row in obs_ids), default=0)
-        self.obs_ids = np.array(obs_ids, dtype=np.min_scalar_type(top)).reshape(
-            self.n_domains, n_states
-        )
+        obs_ids = np.zeros((self.n_domains, n_states), dtype=np.intp)
+        for ui, u in enumerate(sig.domains):
+            obs_ids[ui] = _intern(system.obs[(u, s)] for s in self.state_names)[0]
+        self.obs_ids = obs_ids.astype(np.min_scalar_type(obs_ids.max(initial=0)))
 
-        # one row per distinct edge set, written to all of its states at once
+        # edge_set[s]: the id of s's edge set; one row per distinct edge set,
+        # written to all of its states at once
         dom_index = {u: i for i, u in enumerate(sig.domains)}
-        sets: Dict[frozenset, int] = {}
-        set_of = [sets.setdefault(system.edges[s], len(sets)) for s in self.state_names]
+        ids, sets = _intern(system.edges[s] for s in self.state_names)
+        self.edge_set = ids.astype(np.int32)
         rows = np.zeros((len(sets), self.n_domains, self.n_domains), dtype=bool)
         rows[:, np.arange(self.n_domains), np.arange(self.n_domains)] = True
         for r, edges in enumerate(sets):
             for (u, v) in edges:
                 rows[r, dom_index[u], dom_index[v]] = True
-        self.edge_bool = rows[np.array(set_of, dtype=np.intp)]
+        self.edge_bool = rows[self.edge_set]
 
         self.dom_of = np.array(
             [dom_index[sig.domain_of(a)] for a in sig.actions], dtype=np.int32
@@ -371,7 +371,7 @@ class TraceIndex:
         while len(levels[-1]) and (depth is None or len(levels) <= depth):
             reached = self.trans[levels[-1]].ravel()
             reached = reached[~seen[reached]]
-            fresh = reached[_first_of_group(reached) == np.arange(len(reached))]
+            fresh = reached[np.sort(_sorted_unique(reached, return_index=True)[1])]
             seen[fresh] = True
             levels.append(fresh)
         order = np.concatenate(levels)
@@ -430,12 +430,12 @@ class TraceIndex:
         first id plus i.
 
         Each level works one observer at a time: it writes the observer's
-        child rows from its parent labels, groups each actor row's words
-        with one ``_sorted_unique`` call, interns all of them with one arena
-        call and writes the blocks at most ``_CHUNK`` ids at a time.  Fresh
-        ids rise in (L_u(p), L_d(p), k, i) order, which is (L_u(p), L_d(p),
-        a) order where each domain's actions are contiguous in the alphabet
-        and ascend with the domain.
+        child rows from its parent labels, groups the words of all actor
+        rows with one ``_sorted_unique`` call, interns the ascending
+        distinct words with one arena call and writes the blocks at most
+        ``_CHUNK`` ids at a time.  Fresh ids rise in (L_u(p), L_d(p), k, i)
+        order, which is (L_u(p), L_d(p), a) order where each domain's
+        actions are contiguous in the alphabet and ascend with the domain.
 
         The labels are int32: the arena raises ``InputError`` before its
         ids reach ``_MAX_LABELS`` (2**27)."""
@@ -461,25 +461,26 @@ class TraceIndex:
                 runs = [(k, at) for k, at in runs if len(at)]
                 if not runs:
                     continue
-                # words (L_u(p), L_d(p), k), grouped per actor row
-                grouped = []
+                # the words (L_u(p), L_d(p), k) of every actor row, one sort
+                words = []
                 for k, at in runs:
                     word = parent[u, at].astype(np.uint64) << np.uint64(37)
                     word |= parent[doms[k], at].astype(np.uint64) << np.uint64(10)
                     word |= np.uint64(k)
-                    grouped.append(_sorted_unique(word, return_inverse=True))
-                keys = np.concatenate([key for key, _ in grouped])
+                    words.append(word)
+                keys, group = _sorted_unique(np.concatenate(words))
+                del words
                 # no lookup follows the deepest level's last passed observer
                 grow = l < self.depth or bool(passed[u + 1 :].any())
                 firsts = arena.intern(keys, widths[(keys & np.uint64(1023)).astype(np.intp)], grow)
                 # the [parents, actions] blocks, at most _CHUNK ids at a time
                 start = 0
-                for (k, at), (key, group) in zip(runs, grouped):
+                for k, at in runs:
+                    row, start = group[start : start + len(at)], start + len(at)
                     width = max(1, _CHUNK // len(acts[k]))
                     for r in range(0, len(at), width):
-                        ids = firsts[start:][group[r : r + width], None] + steps[k]
+                        ids = firsts[row[r : r + width], None] + steps[k]
                         child[u][at[r : r + width, None], acts[k]] = ids
-                    start += len(key)
         return labels
 
     def jointly_known(self, roots: np.ndarray, rows: Optional[int] = None) -> np.ndarray:
@@ -515,7 +516,7 @@ class TraceIndex:
                 key = roots[d][held].astype(np.uint64)
                 key <<= np.uint64(32)
                 key |= roots[u][held].astype(np.uint64)
-                classes, group = _sorted_unique(key, return_inverse=True)
+                classes, group = _sorted_unique(key)
                 del key
                 denied = np.zeros(len(classes), dtype=bool)
                 denied[group[fails[held]]] = True
@@ -564,7 +565,8 @@ class TraceIndex:
             base = np.empty((m - frontier, len(doms)), dtype=np.int32)
             hidden = np.empty((m - frontier, len(doms)), dtype=bool)
             for k, d in enumerate(doms):
-                least = _first_of_group(wide[u] * np.uint64(m) + wide[d])
+                _, first, group = _sorted_unique(wide[u] * np.uint64(m) + wide[d], return_index=True)
+                least = first[group]
                 marked = np.zeros(m, dtype=bool)
                 marked[least[~allowed[:, d, u]]] = True
                 base[:, k] = least[frontier:] * n_actions
@@ -728,7 +730,7 @@ def unwinding_closure(
                     continue
                 counts["regrouped"] += len(at)
                 key = wide[u, at] * radix + wide[d, at]
-                uniq, first, group = _sorted_unique(key, return_inverse=True, return_index=True)
+                uniq, first, group = _sorted_unique(key, return_index=True)
                 keys, reps = tables.get((u, k), empty)
                 pos = keys.searchsorted(uniq)
                 rep = reps[pos]

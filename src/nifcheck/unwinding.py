@@ -14,11 +14,9 @@ from dataclasses import dataclass
 from functools import partial
 from typing import Dict, Iterable, List, Mapping, Optional, Tuple
 
-import numpy as np
-
 from .checkers import _stripped_index, class_violations, label_partitions
 from .model import InputError, PolicyEnhancedSystem, Trace, check_depth, check_margin, permits, run
-from .traceindex import MATERIALIZE_LIMIT, TraceIndex
+from .traceindex import MATERIALIZE_LIMIT, TraceIndex, _count_ids
 from .trees import LEAF, SHARED_ARENA, TracePartition, TreeArena, _tree_step
 
 
@@ -197,9 +195,8 @@ def check_theorem_mustunwind(
     boundary: List[Tuple[Trace, Trace, str, str]] = []
     class_counts = {}
     for ui, u in enumerate(system.signature.domains):
-        # each closure class's root is its least node, so roots count classes
-        n_roots = int((roots[ui] == np.arange(idx.n_nodes)).sum())
-        class_counts[u] = (n_roots, int(np.count_nonzero(np.bincount(must[ui]))))
+        # one root per closure class, one tree label per tree class
+        class_counts[u] = (_count_ids(roots[ui]), _count_ids(must[ui]))
         sides = (
             (roots[ui], must[ui], "closure-coarser"),
             (must[ui], roots[ui], "trees-coarser"),

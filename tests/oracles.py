@@ -210,7 +210,7 @@ def full_sweep_closure(
                 ru = parents[u][at].astype(np.uint64)
                 rd = parents[d][at].astype(np.uint64)
                 key = (ru << np.uint64(32)) | rd
-                uniq, ginv = _sorted_unique(key, return_inverse=True)
+                uniq, ginv = _sorted_unique(key)
                 if len(uniq) == len(key):
                     continue  # all joint classes are singletons
                 for j in action_list:
@@ -259,7 +259,7 @@ class WordArena:
         self.count = 1
 
     def intern(self, packed: np.ndarray) -> np.ndarray:
-        uniq, inverse = _sorted_unique(packed, return_inverse=True)
+        uniq, inverse = _sorted_unique(packed)
         pos = np.searchsorted(self.keys, uniq)
         known = pos < len(self.keys)
         known[known] = self.keys[pos[known]] == uniq[known]

@@ -592,7 +592,7 @@ class TestLocalityKnownTo:
         labels = idx.ta_labels().astype(np.int64)
         minima = []
         for ui, vi in itertools.combinations(range(idx.n_domains), 2):
-            ids = _sorted_unique(labels[ui] * (int(labels.max()) + 1) + labels[vi], True)[1]
+            ids = _sorted_unique(labels[ui] * (int(labels.max()) + 1) + labels[vi])[1]
             rows = [
                 (y, x)
                 for a, b in ((ui, vi), (vi, ui))
@@ -670,10 +670,9 @@ class TestLocalityKnownTo:
         # nodes; the spy records those sorts.
         sorted_lengths = []
 
-        def spy(keys, return_inverse=False):
-            if return_inverse:
-                sorted_lengths.append(len(keys))
-            return _sorted_unique(keys, return_inverse)
+        def spy(keys):
+            sorted_lengths.append(len(keys))
+            return _sorted_unique(keys)
 
         monkeypatch.setattr(nifcheck.checkers, "_sorted_unique", spy)
         # three or more domains, so that distinct unordered pairs exist
@@ -765,9 +764,9 @@ class TestLocalityKnownTo:
     ):
         sorted_lengths = []
 
-        def spy(keys, return_inverse=False):
+        def spy(keys):
             sorted_lengths.append(len(keys))
-            return _sorted_unique(keys, return_inverse)
+            return _sorted_unique(keys)
 
         monkeypatch.setattr(nifcheck.checkers, "_sorted_unique", spy)
         config = parse_cap_config((corpus_dir / "twoproc.cap").read_text())

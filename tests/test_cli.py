@@ -140,6 +140,23 @@ class TestRunChecks:
         with pytest.raises(InputError, match="0 <= margin < depth"):
             run_checks(fig1, ["theorem-mustunwind"], 3, flags={"margin": margin})
 
+    def test_static_bounds_its_claim_on_a_truncated_system(self, corpus_dir, tmp_path):
+        """p mints and adds its tag only at the second step, so at depth 1
+        the policy looks static over 7 states, 6 of them truncated."""
+        path = tmp_path / "mint.cap"
+        path.write_text("processes: p q\ntags: n\nmessages: 0\nkinds: add_cap add_tag\n")
+        (bounded,) = run_checks(str(path), properties=("static",), depth=1).verdicts
+        assert (bounded.outcome, bounded.depth) == ("BOUNDED_SECURE", 1)
+        assert "6 of them are truncated" in bounded.notes[0]
+        (changed,) = run_checks(str(path), properties=("static",), depth=2).verdicts
+        assert changed.outcome == "INCONCLUSIVE"
+        # an input with no truncated state still certifies every depth:
+        # figure 1 with its edge at every state
+        static = tmp_path / "static.nif"
+        static.write_text((corpus_dir / "figure1.nif").read_text() + "edge: s0 A B\n")
+        (certified,) = run_checks(str(static), properties=("static",), depth=1).verdicts
+        assert (certified.outcome, certified.depth) == ("CERTIFIED_SECURE", None)
+
     def test_gk_with_domain_runs(self, fig1):
         report = run_checks(
             fig1, properties=("gk",), depth=3, flags={"gk_domain": "A"}

@@ -31,7 +31,9 @@ from nifcheck.traceindex import (
     _PackedArena,
     _chunks,
     _compress,
+    _count_ids,
     _gather,
+    _intern,
     _sorted_unique,
     unwinding_closure,
 )
@@ -240,10 +242,11 @@ def test_labels_key_blocks_by_domain_rank_past_the_action_field():
     assert_child_level_labels(TraceIndex(wide_system(), 3), [None])
 
 
-def test_one_arena_call_per_observer_and_one_sort_per_block(monkeypatch):
+def test_one_sort_and_one_arena_call_per_observer(monkeypatch):
     """On figure 1 at depth 8 (511 traces, 3 domains, 2 actor rows) a
-    labelling makes one arena call per (level, observer) that is passed an
-    action and one sort per (level, observer, actor row) that passes one."""
+    labelling makes one sort and one arena call per (level, observer) that
+    is passed an action, whatever ``_CHUNK`` splits the block writes, and
+    its labels are the child-level kernel's."""
     idx = TraceIndex(parse_system(read_corpus("figure1.nif")), 8)
     doms = sorted(set(idx.dom_of.tolist()))
     calls = {"intern": 0, "sort": 0}
@@ -258,19 +261,23 @@ def test_one_arena_call_per_observer_and_one_sort_per_block(monkeypatch):
 
     monkeypatch.setattr(nifcheck.traceindex, "_sorted_unique", counted("sort", sort))
     monkeypatch.setattr(_PackedArena, "intern", counted("intern", intern))
+    chunks = (nifcheck.traceindex._CHUNK, 7)
     for allowed in allowed_tables(idx):
         table = idx.edge_bool[idx.states[: idx.interior_end]] if allowed is None else allowed
-        # passes[l, k, u]: some parent on level l passes actor row k to u
-        passes = np.array(
-            [table[idx.offs[l] : idx.offs[l + 1]][:, doms].any(axis=0) for l in range(idx.depth)]
+        # passed[l, u]: some parent on level l passes an actor row to u
+        passed = np.array(
+            [
+                table[idx.offs[l] : idx.offs[l + 1]][:, doms].any(axis=(0, 1))
+                for l in range(idx.depth)
+            ]
         )
-        calls.update(intern=0, sort=0)
-        idx.ta_labels(allowed)
-        assert calls["intern"]
-        assert calls == {
-            "intern": int(passes.any(axis=1).sum()),
-            "sort": int(passes.sum()),
-        }
+        want = child_level_ta_labels(idx, allowed)
+        for chunk in chunks:
+            monkeypatch.setattr(nifcheck.traceindex, "_CHUNK", chunk)
+            calls.update(intern=0, sort=0)
+            assert np.array_equal(idx.ta_labels(allowed), want)
+            assert calls["sort"]
+            assert calls == {"intern": int(passed.sum()), "sort": int(passed.sum())}
 
 
 def test_labels_raise_when_the_label_space_runs_out(monkeypatch):
@@ -656,20 +663,53 @@ def unique_cases():
 def test_sorted_unique_matches_numpy():
     for keys in unique_cases():
         want, want_inv = np.unique(keys, return_inverse=True)
-        got = _sorted_unique(keys)
+        got, got_inv = _sorted_unique(keys)
         assert got.dtype == keys.dtype
-        assert np.array_equal(got, want)
-        got, got_inv = _sorted_unique(keys, return_inverse=True)
         assert np.array_equal(got, want)
         assert np.array_equal(got_inv, want_inv.ravel())
         assert np.array_equal(got[got_inv], keys)
         # the first occurrence of each key, as numpy's stable unique gives it
         _, want_first = np.unique(keys, return_index=True)
-        got, got_first, got_inv = _sorted_unique(keys, return_inverse=True, return_index=True)
+        got, got_first, got_inv = _sorted_unique(keys, return_index=True)
         assert np.array_equal(got, want)
         assert np.array_equal(got_first, want_first)
         assert np.array_equal(got_inv, want_inv.ravel())
 
+
+def test_sorted_unique_groups_packed_rows_as_void_keys():
+    """Packed bool rows viewed as one void key each group as whole rows."""
+    rng = np.random.default_rng(3535)
+    for n, width in ((0, 3), (1, 1), (40, 5), (300, 20)):
+        rows = rng.random((n, width)) < 0.3
+        rows[n // 2 :] = rows[: n - n // 2]  # repeats
+        packed = np.packbits(rows, axis=1)
+        _, first, group = _sorted_unique(
+            packed.view(np.dtype((np.void, packed.shape[1]))).ravel(), return_index=True
+        )
+        assert np.array_equal(rows[first][group], rows)
+        assert len(first) == len({row.tobytes() for row in rows})
+        assert first.tolist() == sorted(first.tolist(), key=lambda i: packed[i].tobytes())
+
+
+def test_intern_numbers_values_in_first_seen_order():
+    ids, values = _intern(["b", frozenset(), "a", "b", frozenset(), 1, 1.0])
+    assert ids.dtype == np.intp
+    assert ids.tolist() == [0, 1, 2, 0, 1, 3, 3]  # 1 == 1.0
+    assert values == ["b", frozenset(), "a", 1]
+    ids, values = _intern(iter(()))
+    assert ids.tolist() == [] and values == []
+
+
+def test_count_ids_counts_distinct_ids(monkeypatch):
+    rng = np.random.default_rng(3535)
+    chunks = (nifcheck.traceindex._CHUNK, 7)
+    for n, span in ((0, 1), (1, 1), (50, 7), (2000, 3000)):
+        ids = rng.integers(0, span, size=n).astype(np.int32)
+        want = len(set(ids.tolist()))
+        for chunk in chunks:
+            monkeypatch.setattr(nifcheck.traceindex, "_CHUNK", chunk)
+            assert _count_ids(ids) == want
+            assert _count_ids(ids.astype(np.intp)) == want
 
 
 def test_gather_by_int32_ids_matches_fancy_indexing():
@@ -723,9 +763,9 @@ def test_arena_matches_a_dict_oracle():
             if n and oracle:  # repeat keys of earlier calls
                 old = np.fromiter(oracle, dtype=np.uint64)
                 keys[: n // 3] = rng.choice(old, size=n // 3)
-            keys = rng.permutation(np.unique(keys))  # distinct, in no order
+            keys = np.unique(keys)  # ascending and distinct, as the labelling's
             widths = rng.integers(1, 5, size=len(keys))
-            for k, w in sorted(zip(keys.tolist(), widths.tolist())):
+            for k, w in zip(keys.tolist(), widths.tolist()):
                 if k not in oracle:  # fresh blocks take their ids in key order
                     oracle[k], count = count, count + w
             firsts = arena.intern(keys, widths)
@@ -735,10 +775,10 @@ def test_arena_matches_a_dict_oracle():
 
 def test_arena_leaves_a_last_calls_blocks_out():
     arena = _PackedArena()
-    keys, widths = np.array([5, 2], dtype=np.uint64), np.array([3, 1])
-    assert arena.intern(keys, widths, grow=False).tolist() == [2, 1]
-    assert arena.intern(keys, widths).tolist() == [6, 5]  # fresh again
-    assert arena.intern(keys, widths).tolist() == [6, 5]
+    keys, widths = np.array([2, 5], dtype=np.uint64), np.array([1, 3])
+    assert arena.intern(keys, widths, grow=False).tolist() == [1, 2]
+    assert arena.intern(keys, widths).tolist() == [5, 6]  # fresh again
+    assert arena.intern(keys, widths).tolist() == [5, 6]
     assert arena.count == 9
 
 
