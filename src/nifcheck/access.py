@@ -404,7 +404,7 @@ def ac_complete_construct(system: PolicyEnhancedSystem, depth: int) -> Structure
         contents[n_dom + ui].fill(frozenset({objects[ui], objects[n_dom + ui]}))
         observe[ui, :, [ui, n_dom + ui]] = True
     alter = np.zeros_like(observe)
-    alter[:, :, :n_dom] = idx.edge_bool[idx.states].transpose(1, 0, 2)
+    alter[:, :, :n_dom] = idx.at_nodes(idx.edge_bool).transpose(1, 0, 2)
     return StructuredSystem(
         base=unfold(system, depth),
         objects=objects,

@@ -187,16 +187,17 @@ def _grouped_violation(
 def _least_violation(
     idx: TraceIndex,
     labels: np.ndarray,
-    states: np.ndarray,
+    start: Optional[int] = None,
 ) -> Optional[Tuple[int, int, int]]:
     """The least (y, x, domain index) over all domains whose labels agree on
-    nodes x and y but whose observations differ at their end ``states``.
+    nodes x and y but whose observations differ at their end states, run
+    from state id ``start`` (the initial state by default).
     Each domain searches only for pairs with y at most the best y so far;
     the bound is inclusive, so a tie on y still goes to the least x."""
     best = None
     for ui in range(idx.n_domains):
         bound = None if best is None else best[0]
-        pair = _grouped_violation(idx, labels[ui], _gather(idx.obs_ids[ui], states), bound)
+        pair = _grouped_violation(idx, labels[ui], idx.at_nodes(idx.obs_ids[ui], start), bound)
         if pair is not None and (best is None or (pair[1], pair[0], ui) < best):
             best = (pair[1], pair[0], ui)
     return best
@@ -210,7 +211,7 @@ def _observation_consistency(
     details: Optional[Mapping] = None,
 ) -> Verdict:
     """Equal labels must yield equal observations, per domain."""
-    best = _least_violation(idx, labels, idx.states)
+    best = _least_violation(idx, labels)
     if best is not None:
         y, x, ui = best
         return Verdict(
@@ -324,7 +325,7 @@ def check_ta_static_security(system: PolicyEnhancedSystem, depth: int) -> Verdic
     from the dynamic readings; a note marks that case.
     """
     idx, notes = _stripped_index(system, depth)
-    e0 = idx.edge_bool[idx.states[0]]
+    e0 = idx.edge_bool[idx.start]
     labels = idx.ta_labels(np.broadcast_to(e0, (idx.interior_end,) + e0.shape))
     if not check_static(idx.system):
         notes = notes + (
@@ -369,9 +370,7 @@ def _locality_verdict(
     best = None
     for ui in range(n):
         for vi in range(ui + 1, n):
-            atoms = {
-                (a, b): _gather(idx.edge_bool[:, a, b], idx.states) for a, b in ((ui, vi), (vi, ui))
-            }
+            atoms = {(a, b): idx.at_nodes(idx.edge_bool[:, a, b]) for a, b in ((ui, vi), (vi, ui))}
             nodes = None
             # one grouping of the joint labels serves both directed edges
             if known_to is None:
@@ -453,9 +452,8 @@ def check_globally_known(
     own = np.eye(idx.n_domains, dtype=bool)
     proj = idx.ta_labels(np.broadcast_to(own, (idx.interior_end,) + own.shape))
     # values only need to compare equal: one id per distinct edge set
-    pair = _grouped_violation(
-        idx, proj[sig.domain_index(policy_domain)], _gather(idx.edge_set, idx.states)
-    )
+    edge_sets = idx.at_nodes(idx.edge_set)
+    pair = _grouped_violation(idx, proj[sig.domain_index(policy_domain)], edge_sets)
     if pair is not None:
         return Verdict(
             property="globally-known",
@@ -664,9 +662,10 @@ def check_lpurge_security(system: PolicyEnhancedSystem, depth: int) -> Verdict:
     observer by one suffix sweep from the initial state (``_purge_nodes``);
     the check stops it at the first level with a violation."""
     idx, notes = _stripped_index(system, depth)
-    for l, purged in enumerate(_purge_nodes(idx, idx.states[0], advance=True), 1):
-        seen = np.take_along_axis(idx.obs_ids, idx.states[purged], axis=1)
-        bad = seen != idx.obs_ids[:, idx.states[idx.offs[l] : idx.offs[l + 1]]]
+    obs = idx.at_nodes(idx.obs_ids.T).T  # [domain, node]
+    for l, purged in enumerate(_purge_nodes(idx, idx.start, advance=True), 1):
+        seen = np.take_along_axis(obs, purged, axis=1)
+        bad = seen != obs[:, idx.offs[l] : idx.offs[l + 1]]
         if bad.any():
             i = int(np.argmax(bad.any(axis=0)))  # least node, then least domain
             ui = int(np.argmax(bad[:, i]))
@@ -694,14 +693,14 @@ def check_i_security(system: PolicyEnhancedSystem, depth: int) -> Verdict:
     ``details["truncated_starts"]``."""
     idx, stripped = _stripped_index(system, depth)
     notes = stripped + ("quantified over every reachable start state",)
-    starts = idx.reachable(idx.states[0])[0]
+    starts = idx.reachable(idx.start)[0]
     skipped = int(idx.near_frontier[starts].sum())
     details = {"truncated_starts": skipped}
     for start in starts[~idx.near_frontier[starts]].tolist():
         purged = np.zeros((idx.n_domains, idx.n_nodes), dtype=np.int32)
         for l, ids in enumerate(_purge_nodes(idx, start, advance=False), 1):
             purged[:, idx.offs[l] : idx.offs[l + 1]] = ids
-        best = _least_violation(idx, purged, idx.run_states(start))
+        best = _least_violation(idx, purged, start)
         if best is not None:
             y, x, ui = best
             witness = (idx.state_names[start], idx.trace_of(x), idx.trace_of(y))
@@ -744,7 +743,7 @@ def state_unwinding_check(system: PolicyEnhancedSystem, mode: str = "box") -> Ve
         raise InputError(f"unknown mode {mode!r}")
     tables, stripped = _stripped_index(system, 0)  # depth 0: only the per-state tables
     sig = tables.signature
-    order, _, succ = tables.reachable(tables.states[0])
+    order, _, succ = tables.reachable(tables.start)
     n = len(order)
     roots, _ = unwinding_closure(
         n,

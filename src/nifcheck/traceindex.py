@@ -42,6 +42,10 @@ the fixpoint ``unwinding_roots`` gives each leaf its root from its parent's
 joint class, one grouping per block and then the leaves in row chunks of
 at most ``_CHUNK`` ids, where each frontier node's children are contiguous.
 
+The index keeps end states for the interior nodes only.  Every per-node
+read of a per-state table goes through ``TraceIndex.at_nodes``, and the
+leaves read theirs through their parents' rows of ``table[trans]``.
+
 ``TraceIndex.reachable`` walks the state graph breadth first.  Its
 discovery order ranks the witnesses of the state-level checks (state
 certification, the monitor conditions and the start states of ``isec``),
@@ -327,7 +331,8 @@ class TraceIndex:
             raise InputError(
                 f"depth {depth} steps past the truncated frontier of the system"
             )
-        self.states = self.run_states(self.state_ids[system.initial])
+        self.start = self.state_ids[system.initial]
+        self.states = self.run_states(self.start)
         self._lex: Optional[np.ndarray] = None
 
     # ---- id arithmetic ------------------------------------------------
@@ -348,13 +353,34 @@ class TraceIndex:
         return tuple(out)
 
     def run_states(self, start: int) -> np.ndarray:
-        """End state id of every node's trace, run from state id ``start``."""
-        states = np.empty(self.n_nodes, dtype=np.int32)
-        states[0] = start
-        for l in range(1, self.depth + 1):
+        """End state id of every interior node's trace, run from state id
+        ``start``."""
+        states = np.empty(self.interior_end, dtype=np.int32)
+        states[:1] = start  # depth 0 has no interior node
+        for l in range(1, self.depth):
             s, e = self.offs[l], self.offs[l + 1]
             states[s:e] = self.trans[states[self.offs[l - 1] : s]].ravel()
         return states
+
+    def at_nodes(self, table: np.ndarray, start: Optional[int] = None) -> np.ndarray:
+        """``table[s]`` for the end state s of every node's trace, run from
+        state id ``start`` (the initial state by default), rows included:
+        shape [n_nodes, *table.shape[1:]].  The interior nodes gather
+        through their end states; the children of each frontier node take
+        its row of ``table[trans]``, which for a 1-byte table is no larger
+        than ``trans``."""
+        start = self.start if start is None else start
+        out = np.empty((self.n_nodes,) + table.shape[1:], dtype=table.dtype)
+        if not self.depth:
+            out[0] = table[start]
+            return out
+        inner = self.states if start == self.start else self.run_states(start)
+        m, frontier = self.interior_end, self.offs[self.depth - 1]
+        # mode "clip" writes into ``out`` directly; "raise" would buffer it
+        np.take(table, inner, axis=0, out=out[:m], mode="clip")
+        leaves = out[m:].reshape((m - frontier, self.n_actions) + table.shape[1:])
+        np.take(table[self.trans], inner[frontier:], axis=0, out=leaves, mode="clip")
+        return out
 
     def reachable(
         self, start: int, depth: Optional[int] = None
@@ -440,7 +466,7 @@ class TraceIndex:
         The labels are int32: the arena raises ``InputError`` before its
         ids reach ``_MAX_LABELS`` (2**27)."""
         if allowed is None:
-            allowed = self.edge_bool[self.states[: self.interior_end]]
+            allowed = self.edge_bool[self.states]
         labels = np.zeros((self.n_domains, self.n_nodes), dtype=np.int32)
         arena = _PackedArena()
         doms, acts = _actor_rows(self.dom_of)
@@ -505,7 +531,7 @@ class TraceIndex:
             for u in range(self.n_domains):
                 if d == u:
                     continue
-                fails = ~_gather(self.edge_bool[:, d, u], self.states)
+                fails = ~self.at_nodes(self.edge_bool[:, d, u])
                 if not fails.any():
                     continue
                 held = np.ones(len(fails), dtype=bool)
@@ -549,7 +575,7 @@ class TraceIndex:
         # Shortlex ids number the tree like a heap: the child of node n on
         # action j is n * n_actions + 1 + j.
         first_child = np.arange(frontier, dtype=np.int32) * n_actions + 1
-        allowed = self.edge_bool[self.states[:m]]
+        allowed = self.edge_bool[self.states]
         inner, counts = unwinding_closure(frontier, lambda j: first_child + j, allowed, self.dom_of)
         # depth 0 has one node and no frontier: its root is the 0 it starts with
         roots = np.zeros((self.n_domains, self.n_nodes), dtype=np.int32)

@@ -289,7 +289,7 @@ def child_level_ta_labels(idx, allowed=None, by_domain=True):
     numbering where domains' actions interleave, with the same partitions
     and the same largest id."""
     if allowed is None:
-        allowed = idx.edge_bool[idx.states[: idx.interior_end]]
+        allowed = idx.edge_bool[idx.states]
     rank = np.arange(idx.n_actions)
     if by_domain:
         rank[np.argsort(idx.dom_of, kind="stable")] = np.arange(idx.n_actions)

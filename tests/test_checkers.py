@@ -335,7 +335,7 @@ class TestPurgeChecks:
         idx = TraceIndex(system, depth)
         traces = [idx.trace_of(n) for n in range(idx.n_nodes)]
         runs = [(False, idx.state_ids[s], dipurge) for s in reachable_states(system)]
-        runs.append((True, idx.states[0], lpurge))
+        runs.append((True, idx.start, lpurge))
         checked = 0
         for advance, start, purge in runs:
             if idx.near_frontier[start]:
@@ -596,7 +596,9 @@ class TestLocalityKnownTo:
             rows = [
                 (y, x)
                 for a, b in ((ui, vi), (vi, ui))
-                for x, y in class_violations(idx, ids, idx.edge_bool[idx.states, a, b]).tolist()
+                for x, y in class_violations(
+                    idx, ids, idx.at_nodes(idx.edge_bool[:, a, b])
+                ).tolist()
             ]
             minima.append(min(rows, default=None))
         return minima
@@ -921,7 +923,7 @@ class TestWideObservations:
             idx = TraceIndex(system, depth)
             assert idx.obs_ids.dtype == dtype
             assert int(idx.obs_ids[1].max()) == n_values - 1
-            assert int(idx.obs_ids[1, idx.states].min()) >= n_values - 3
+            assert int(idx.at_nodes(idx.obs_ids[1]).min()) >= n_values - 3
             closure = naive_closure(system, depth)
             static_edges = system.edges[system.initial]
             for got, label_of in (
@@ -1099,7 +1101,7 @@ class TestClassViolations:
             roots, _ = idx.unwinding_roots()
             inner = idx.offs[depth]  # the traces shorter than the bound
             for ui in range(idx.n_domains):
-                obs = idx.obs_ids[ui][idx.states].astype(np.int64)
+                obs = idx.at_nodes(idx.obs_ids[ui]).astype(np.int64)
                 for key in (labels[ui], roots[ui]):
                     found += len(self.agree(idx, key, obs))
                     self.agree(idx, key[:inner], obs[:inner])
@@ -1187,10 +1189,12 @@ class TestClassViolations:
             rows = [
                 (y, x, ui)
                 for ui in range(3)
-                for x, y in class_violations(idx, labels[ui], idx.obs_ids[ui][idx.states]).tolist()
+                for x, y in class_violations(
+                    idx, labels[ui], idx.at_nodes(idx.obs_ids[ui])
+                ).tolist()
             ]
             want = min(rows, default=None)
-            assert _least_violation(idx, labels, idx.states) == want
+            assert _least_violation(idx, labels) == want
             # an earlier domain has a pair with the same y but a larger x
             later_wins += any(r[0] == want[0] and r[2] < want[2] for r in rows)
         assert later_wins >= 2

@@ -21,6 +21,7 @@ from nifcheck import (
     parse_cap_config,
     parse_system,
     reachable_states,
+    run,
     state_unwinding_check,
     traces_upto,
 )
@@ -70,7 +71,7 @@ def oracle_shape(system, tree_of, depth=DEPTH):
 def test_static_labels():
     for system in random_systems(3131, 12):
         idx = TraceIndex(system, DEPTH)
-        e0 = idx.edge_bool[idx.states[0]]
+        e0 = idx.edge_bool[idx.start]
         labels = idx.ta_labels(np.broadcast_to(e0, (idx.interior_end,) + e0.shape))
         static_edges = system.edges[system.initial]
         for ui, u in enumerate(system.signature.domains):
@@ -125,7 +126,7 @@ def test_capability_labels():
 def allowed_tables(idx):
     """The static, permissive (the default) and prohibitive tables of one
     index."""
-    e0 = idx.edge_bool[idx.states[0]]
+    e0 = idx.edge_bool[idx.start]
     roots, _ = idx.unwinding_roots()
     return (
         np.broadcast_to(e0, (idx.interior_end,) + e0.shape),
@@ -168,7 +169,7 @@ def test_labels_at_the_edges_of_the_shape():
     assert not idx.ta_labels()[2].any()
     # a level at which no parent passes anything to observer 0
     idx = TraceIndex(shaped_system(rng, 4, 4, 2, edge_bias=0.6), 4)
-    allowed = idx.edge_bool[idx.states[: idx.interior_end]].copy()
+    allowed = idx.edge_bool[idx.states].copy()
     allowed[idx.offs[1] : idx.offs[2], :, 0] = False
     assert_child_level_labels(idx, [allowed])
     for system, depth in (
@@ -263,7 +264,7 @@ def test_one_sort_and_one_arena_call_per_observer(monkeypatch):
     monkeypatch.setattr(_PackedArena, "intern", counted("intern", intern))
     chunks = (nifcheck.traceindex._CHUNK, 7)
     for allowed in allowed_tables(idx):
-        table = idx.edge_bool[idx.states[: idx.interior_end]] if allowed is None else allowed
+        table = idx.edge_bool[idx.states] if allowed is None else allowed
         # passed[l, u]: some parent on level l passes an actor row to u
         passed = np.array(
             [
@@ -297,7 +298,7 @@ def full_jointly_known(idx, roots):
     """``TraceIndex.jointly_known`` by grouping every node on its joint
     (d, u) class."""
     known = np.ones((idx.n_nodes, idx.n_domains, idx.n_domains), dtype=bool)
-    fails = ~idx.edge_bool[idx.states]
+    fails = ~idx.at_nodes(idx.edge_bool)
     for d in range(idx.n_domains):
         for u in range(idx.n_domains):
             if d != u:
@@ -335,6 +336,32 @@ def test_edge_table_holds_each_states_policy():
             ]
         )
         assert np.array_equal(idx.edge_bool, want)
+
+
+def test_at_nodes_reads_each_traces_end_state():
+    """``at_nodes`` gives every node the row of its trace's end state, run
+    from the initial state and from another reachable start, for 1-d, bool
+    edge-column and 3-d tables; the index keeps the interior states only."""
+    rng = random.Random(4646)
+    cases = [
+        (shaped_system(rng, rng.randint(1, 5), rng.randint(1, 4), rng.randint(1, 3)), depth)
+        for depth in (0, 1, 4)
+        for _ in range(4)
+    ]
+    cases += [(shaped_system(rng, 3, 0, 2), depth) for depth in (0, 1, 3)]
+    for system, depth in cases:
+        idx = TraceIndex(system, depth)
+        assert len(idx.states) == idx.interior_end
+        assert idx.state_names[idx.start] == system.initial
+        other = idx.reachable(idx.start)[0][-1]
+        d, u = 0, idx.n_domains - 1
+        for start in (None, int(other)):
+            state = None if start is None else idx.state_names[start]
+            ends = [idx.state_ids[run(system, idx.trace_of(n), state)] for n in range(idx.n_nodes)]
+            for table in (idx.obs_ids[u], idx.edge_bool[:, d, u], idx.edge_bool):
+                got = idx.at_nodes(table, start)
+                assert got.dtype == table.dtype
+                assert np.array_equal(got, table[ends])
 
 
 def test_lex_ranks_order_nodes_lexicographically():
@@ -378,7 +405,7 @@ def tree_oracle(idx):
     return full_sweep_closure(
         idx.n_nodes,
         lambda j: first_child + j,
-        idx.edge_bool[idx.states[: idx.interior_end]],
+        idx.edge_bool[idx.states],
         idx.dom_of,
     )
 
@@ -494,7 +521,7 @@ def test_regrouped_counts_the_key_lookups_of_moved_nodes():
         from the actor to the observer fails."""
         frontier = idx.offs[idx.depth - 1]
         doms = sorted(set(idx.dom_of.tolist()))
-        allowed = idx.edge_bool[idx.states[frontier : idx.interior_end]]
+        allowed = idx.edge_bool[idx.states[frontier:]]
         return frontier * idx.n_domains * len(doms) + int((~allowed[:, doms, :]).sum())
 
     # later rounds look up only the nodes whose roots moved
@@ -538,7 +565,7 @@ def leaf_fill_cases(idx, roots):
       actor) block, has a member hidden below the frontier and none hidden
       on it."""
     m, frontier = idx.interior_end, idx.offs[idx.depth - 1]
-    allowed = idx.edge_bool[idx.states[:m]]
+    allowed = idx.edge_bool[idx.states]
     first_child = np.arange(frontier) * idx.n_actions + 1
     cut, _ = full_sweep_closure(m, lambda j: first_child + j, allowed[:frontier], idx.dom_of)
     leaves = roots[:, m:]
@@ -741,12 +768,13 @@ def test_gather_by_int32_ids_matches_fancy_indexing():
 
 def test_compress_in_chunks_matches_one_chunk(monkeypatch):
     rng = np.random.default_rng(3737)
+    default = nifcheck.traceindex._CHUNK
     for n in (1, 2, 50, 700):
         parent = np.zeros(n, dtype=np.int32)
         parent[1:] = rng.integers(0, np.arange(1, n), n - 1)  # links go down
         want = roots_by_hops(parent)
         assert not want[0]
-        for chunk in (nifcheck.traceindex._CHUNK, 3):
+        for chunk in (default, 3):
             monkeypatch.setattr(nifcheck.traceindex, "_CHUNK", chunk)
             got = parent.copy()
             _compress(got[None])  # in place, across many chunks with 3
