@@ -20,7 +20,7 @@ import numpy as np
 
 from .checkers import _observation_consistency
 from .model import InputError, PolicyEnhancedSystem, check_depth, unfold
-from .traceindex import MATERIALIZE_LIMIT, TraceIndex, _intern, _sorted_unique
+from .traceindex import MATERIALIZE_LIMIT, TraceIndex, _intern, _pair_keys, _sorted_unique
 from .verdicts import CERTIFIED_SECURE, INCONCLUSIVE, Verdict
 
 BASE_CONDITIONS = ("DRM-1", "DRM-2", "DRM-3", "DRM-4", "DRM-5", "DRM-6")
@@ -187,12 +187,10 @@ def _first_clash(buckets: np.ndarray, values: np.ndarray) -> Optional[Tuple[int,
 
 def _view_ids(cont: np.ndarray, seen: np.ndarray) -> np.ndarray:
     """One id per state for what a domain sees there: two states share an id
-    exactly when the domain observes the same objects, with the same contents."""
-    ids = np.zeros(len(seen), dtype=np.int64)
-    for oi in np.flatnonzero(seen.any(axis=0)):
-        col = np.where(seen[:, oi], cont[oi] + 1, 0)
-        ids = _sorted_unique(ids * (len(seen) + 1) + col)[1]
-    return ids
+    exactly when the domain observes the same objects, with the same contents.
+    Each state's row of content ids, 0 where unseen, groups as one void key."""
+    rows = np.where(seen, cont.T + 1, 0)
+    return _sorted_unique(rows.view(np.dtype((np.void, rows[0].nbytes))).ravel())[1]
 
 
 def _result(name: str, candidates: list, scope: str) -> ConditionResult:
@@ -226,10 +224,9 @@ def check_drm(
     sig = base.signature
     domains, objects = sig.domains, system.objects
     idx = TraceIndex(base, 0)
-    sid, dist, succ = idx.reachable(idx.state_ids[base.initial])
+    sid, dist, succ = idx.reachable(idx.start)
     order = [idx.state_names[i] for i in sid.tolist()]
     n = len(order)
-    # Content ids stay below n, as DRM-2's packed keys * n + cont needs.
     cont = np.empty((len(objects), n), dtype=np.int64)
     for oi, row in enumerate(system.contents[:, sid].tolist()):
         cont[oi] = _intern(row)[0]
@@ -270,7 +267,7 @@ def check_drm(
         for oi in np.flatnonzero((changed & may).any(axis=1)).tolist():
             writers = stepping[alter[di][stepping, oi]]
             clash = _first_clash(
-                keys[di][writers] * n + cont[oi, writers], cont[oi, succ[writers, ai]]
+                _pair_keys(keys[di], cont[oi], writers), cont[oi, succ[writers, ai]]
             )
             if clash is not None:
                 si, ti = (int(writers[k]) for k in clash)
@@ -292,7 +289,7 @@ def check_drm(
     for ui, u in enumerate(domains):
         for vi, v in enumerate(domains):
             width = observe[ui] & alter[vi]
-            joint = keys[ui] * n + keys[vi]
+            joint = _pair_keys(keys[ui], keys[vi])
             carrying = within[edge[within, vi, ui]]
             clash = _first_clash(joint[carrying], width[carrying])
             if clash is not None:

@@ -30,6 +30,7 @@ from .traceindex import (
     _chunks,
     _count_ids,
     _gather,
+    _pair_keys,
     _sorted_unique,
     unwinding_closure,
 )
@@ -203,6 +204,19 @@ def _least_violation(
     return best
 
 
+def _bounded(
+    name: str,
+    depth: int,
+    witness: Optional[tuple] = None,
+    notes: Tuple[str, ...] = (),
+    details: Optional[Mapping] = None,
+) -> Verdict:
+    """The verdict of a bounded check: ``INSECURE`` with ``witness`` when
+    one is given, ``BOUNDED_SECURE`` otherwise."""
+    outcome = BOUNDED_SECURE if witness is None else INSECURE
+    return Verdict(name, outcome, witness, depth, notes, dict(details or {}))
+
+
 def _observation_consistency(
     idx: TraceIndex,
     labels: np.ndarray,
@@ -212,23 +226,11 @@ def _observation_consistency(
 ) -> Verdict:
     """Equal labels must yield equal observations, per domain."""
     best = _least_violation(idx, labels)
+    witness = None
     if best is not None:
         y, x, ui = best
-        return Verdict(
-            property=property_name,
-            outcome=INSECURE,
-            witness=(idx.trace_of(x), idx.trace_of(y), idx.signature.domains[ui]),
-            depth=idx.depth,
-            notes=notes,
-            details=dict(details or {}),
-        )
-    return Verdict(
-        property=property_name,
-        outcome=BOUNDED_SECURE,
-        depth=idx.depth,
-        notes=notes,
-        details=dict(details or {}),
-    )
+        witness = (idx.trace_of(x), idx.trace_of(y), idx.signature.domains[ui])
+    return _bounded(property_name, idx.depth, witness, notes, details)
 
 
 def strip_inactive_edges(
@@ -259,7 +261,8 @@ def strip_inactive_edges(
 def _stripped_index(
     system: PolicyEnhancedSystem, depth: int
 ) -> Tuple[TraceIndex, Tuple[str, ...]]:
-    """The index every trace check runs on, with the notes of
+    """The index every trace check, ``ta_may_partitions`` and
+    ``unwinding.unwinding_partition`` run on, with the notes of
     ``strip_inactive_edges``: it is built over ``system`` without the
     edges of actionless domains, and ``idx.system`` is that stripped
     system.  ``access.ac_complete_construct`` builds its own index over the
@@ -354,12 +357,6 @@ def check_locality(
     return _locality_verdict(idx, known_to, notes)
 
 
-def _joint_keys(labels: np.ndarray, ui: int, vi: int, nodes=slice(None)) -> np.ndarray:
-    """The (L_ui, L_vi) label pair of each of ``nodes``, packed into a uint64."""
-    high = labels[ui][nodes].astype(np.uint64) << np.uint64(32)
-    return high | labels[vi][nodes].astype(np.uint64)
-
-
 def _locality_verdict(
     idx: TraceIndex, known_to: Optional[str] = None, notes: Tuple[str, ...] = ()
 ) -> Verdict:
@@ -394,7 +391,7 @@ def _locality_verdict(
                     lb = labels[b][cand][live]
                     keep[live[_gather(_offending(lb, at[live]), lb)]] = True
                 nodes = np.flatnonzero(keep) if best is None else cand[keep]
-                ids = _sorted_unique(_joint_keys(labels, ui, vi, nodes))[1]
+                ids = _sorted_unique(_pair_keys(labels[ui], labels[vi], nodes))[1]
             for (a, b), atom in atoms.items():
                 key = ids if known_to is None else labels[a if known_to == "sender" else b]
                 values = atom if nodes is None else atom[nodes]
@@ -408,13 +405,11 @@ def _locality_verdict(
                 if best is None or rank < best[0]:
                     best = (rank, (sig.domains[a], sig.domains[b]))
     name = "locality" if known_to is None else f"locality-{known_to}"
+    witness = None
     if best is not None:
         (y, x, _), (u, v) = best
         witness = (idx.trace_of(x), idx.trace_of(y), u, v)
-        return Verdict(
-            property=name, outcome=INSECURE, witness=witness, depth=idx.depth, notes=notes
-        )
-    return Verdict(property=name, outcome=BOUNDED_SECURE, depth=idx.depth, notes=notes)
+    return _bounded(name, idx.depth, witness, notes)
 
 
 def check_globally_known(
@@ -437,13 +432,8 @@ def check_globally_known(
     for s in reachable_states(system, depth):
         for u in sig.domains:
             if not permits(system, s, policy_domain, u):
-                return Verdict(
-                    property="globally-known",
-                    outcome=INSECURE,
-                    witness=(s, u),
-                    depth=depth,
-                    notes=("administering domain cannot flow to every domain",),
-                )
+                note = "administering domain cannot flow to every domain"
+                return _bounded("globally-known", depth, (s, u), (note,))
     # The edge sets and the locality cross-check both read the stripped
     # system: an actionless domain's edges transmit nothing.
     idx, _ = _stripped_index(system, depth)
@@ -455,15 +445,9 @@ def check_globally_known(
     edge_sets = idx.at_nodes(idx.edge_set)
     pair = _grouped_violation(idx, proj[sig.domain_index(policy_domain)], edge_sets)
     if pair is not None:
-        return Verdict(
-            property="globally-known",
-            outcome=INSECURE,
-            witness=(idx.trace_of(pair[0]), idx.trace_of(pair[1])),
-            depth=depth,
-            notes=(
-                "policy state is not a function of the administering domain's actions",
-            ),
-        )
+        note = "policy state is not a function of the administering domain's actions"
+        witness = (idx.trace_of(pair[0]), idx.trace_of(pair[1]))
+        return _bounded("globally-known", depth, witness, (note,))
     cross = _locality_verdict(idx)
     if not cross:
         # Both obligations imply locality, so this is a fault in one of the
@@ -475,12 +459,7 @@ def check_globally_known(
             notes=("both obligations hold, but the locality cross-check failed",),
             details={"locality_outcome": cross.outcome, "locality_witness": cross.witness},
         )
-    return Verdict(
-        property="globally-known",
-        outcome=BOUNDED_SECURE,
-        depth=depth,
-        notes=("locality cross-check passed",),
-    )
+    return _bounded("globally-known", depth, notes=("locality cross-check passed",))
 
 
 def policy_leq(
@@ -538,15 +517,7 @@ def restrict_to_local(system: PolicyEnhancedSystem, depth: int) -> PolicyEnhance
         granted[int(node)].add((sig.domains[ui], sig.domains[vi]))
     # unfold lists its states in shortlex order, which is node order
     edges = {t: frozenset(granted[i]) for i, t in enumerate(tree.states)}
-    return PolicyEnhancedSystem(
-        signature=sig,
-        states=tree.states,
-        initial=tree.initial,
-        transitions=tree.transitions,
-        obs=tree.obs,
-        edges=edges,
-        truncated=tree.truncated,
-    )
+    return dataclasses.replace(tree, edges=edges)
 
 
 # ---------------------------------------------------------------------------
@@ -669,15 +640,10 @@ def check_lpurge_security(system: PolicyEnhancedSystem, depth: int) -> Verdict:
         if bad.any():
             i = int(np.argmax(bad.any(axis=0)))  # least node, then least domain
             ui = int(np.argmax(bad[:, i]))
-            return Verdict(
-                property="purge",
-                outcome=INSECURE,
-                witness=(idx.trace_of(idx.offs[l] + i), idx.signature.domains[ui]),
-                depth=depth,
-                notes=notes,
-                details={"purged": idx.trace_of(int(purged[ui, i]))},
-            )
-    return Verdict(property="purge", outcome=BOUNDED_SECURE, depth=depth, notes=notes)
+            witness = (idx.trace_of(idx.offs[l] + i), idx.signature.domains[ui])
+            details = {"purged": idx.trace_of(int(purged[ui, i]))}
+            return _bounded("purge", depth, witness, notes, details)
+    return _bounded("purge", depth, notes=notes)
 
 
 def check_i_security(system: PolicyEnhancedSystem, depth: int) -> Verdict:
@@ -704,13 +670,12 @@ def check_i_security(system: PolicyEnhancedSystem, depth: int) -> Verdict:
         if best is not None:
             y, x, ui = best
             witness = (idx.state_names[start], idx.trace_of(x), idx.trace_of(y))
-            return Verdict(
-                property="intransitive-purge",
-                outcome=INSECURE,
-                witness=witness + (idx.signature.domains[ui],),
-                depth=depth,
-                details={"common_purge": idx.trace_of(int(purged[ui, y])), **details},
-                notes=notes,
+            return _bounded(
+                "intransitive-purge",
+                depth,
+                witness + (idx.signature.domains[ui],),
+                notes,
+                {"common_purge": idx.trace_of(int(purged[ui, y])), **details},
             )
     if skipped:
         notes += (
@@ -838,7 +803,7 @@ def ta_may_partitions(
 ) -> Dict[str, TracePartition]:
     """Permissive-tree partitions per domain, for callers that need classes
     rather than a verdict.  Materializes traces, so bounded by size."""
-    idx = TraceIndex(system, depth)
+    idx, _ = _stripped_index(system, depth)
     if idx.n_nodes > MATERIALIZE_LIMIT:
         raise InputError("too many traces to materialize partitions")
     return label_partitions(idx, idx.ta_labels())

@@ -15,8 +15,9 @@ suite pin the semantics at small scale.
 
 Tree labels and closure roots are int32: labels stay below ``_MAX_LABELS``
 and node ids below ``_MAX_NODES``, both 2**27, so a wider type would only
-hold zeros.  Keys packed from them (arena words, signature keys, joint
-label pairs) are uint64.  numpy indexes by an int32 array through a
+hold zeros.  Keys packed from them are uint64: the arena's label words,
+and every key of two ids (``_pair_keys``), such as the closure's signature
+keys and joint label pairs.  numpy indexes by an int32 array through a
 buffered cast, about twice as slow as by an intp one, so int32 ids are
 gathered chunk by chunk: a full-length gather casts ``_CHUNK`` ids at a
 time to intp (``_gather``) and never makes a full-length intp copy.
@@ -62,8 +63,10 @@ import numpy as np
 from .model import InputError, PolicyEnhancedSystem, Trace, check_depth
 
 _MAX_NODES = 1 << 27
-_MAX_ACTIONS = 1 << 10  # label packing reserves 10 bits for the action
-_MAX_LABELS = 1 << 27  # and 27 bits for each child id
+# A label word of ``ta_labels`` packs two 27-bit labels above the actor row
+# k in its low 10 bits; fewer than 1024 actions keep k below 1024.
+_MAX_ACTIONS = 1 << 10
+_MAX_LABELS = 1 << 27
 
 # Outputs with one python object per trace stop here: the localized system
 # of ``restrict_to_local``, the unfolded system of ``ac_complete_construct``
@@ -176,6 +179,17 @@ def _sorted_unique(keys: np.ndarray, return_index: bool = False):
     if return_index:
         return ordered[head], order[head], inverse
     return ordered[head], inverse
+
+
+def _pair_keys(high: np.ndarray, low: np.ndarray, at=slice(None)) -> np.ndarray:
+    """The uint64 key of each pair of non-negative ids below 2**32,
+    ``high[at]`` in the upper 32 bits and ``low[at]`` in the lower, so two
+    pairs share a key iff they are equal.  ``at`` is anything that indexes
+    a 1-d array; one side is gathered at a time."""
+    key = high[at].astype(np.uint64)
+    key <<= np.uint64(32)
+    key |= low[at].astype(np.uint64)
+    return key
 
 
 def _intern(values: Iterable) -> Tuple[np.ndarray, List]:
@@ -539,11 +553,7 @@ class TraceIndex:
                     marked = np.zeros(self.n_nodes, dtype=bool)
                     marked[root[fails]] = True
                     held &= _gather(marked, root)
-                key = roots[d][held].astype(np.uint64)
-                key <<= np.uint64(32)
-                key |= roots[u][held].astype(np.uint64)
-                classes, group = _sorted_unique(key)
-                del key
+                classes, group = _sorted_unique(_pair_keys(roots[d], roots[u], held))
                 denied = np.zeros(len(classes), dtype=bool)
                 denied[group[fails[held]]] = True
                 inside = held[:rows]
@@ -584,14 +594,13 @@ class TraceIndex:
         row_of = np.searchsorted(doms, self.dom_of)  # each action's actor row
         steps = np.arange(1, n_actions + 1, dtype=np.int32)
         width = max(1, _CHUNK // max(n_actions, 1))  # frontier nodes per chunk
-        wide = inner.astype(np.uint64)
         for u, ru in enumerate(inner):
             # per frontier node p and actor row: q * n_actions, and whether
             # J has a hidden member
             base = np.empty((m - frontier, len(doms)), dtype=np.int32)
             hidden = np.empty((m - frontier, len(doms)), dtype=bool)
             for k, d in enumerate(doms):
-                _, first, group = _sorted_unique(wide[u] * np.uint64(m) + wide[d], return_index=True)
+                _, first, group = _sorted_unique(_pair_keys(ru, inner[d]), return_index=True)
                 least = first[group]
                 marked = np.zeros(m, dtype=bool)
                 marked[least[~allowed[:, d, u]]] = True
@@ -651,17 +660,17 @@ def unwinding_closure(
 
     Joint stepping runs in rounds over one signature table per block of
     observer u and actor row k (the k-th domain d that owns actions), which
-    maps the (root_u, root_d) key of a node, packed as
-    ``root_u * m + root_d``, to the node that first had it.  The stepping
-    nodes and the frontier nodes hidden in the block take part.  A round
-    looks up only the nodes whose root_u or root_d moved in the last round
-    (every node in the first) and pairs each with the node its key maps
-    to, so the cost of a round follows what changed.  It works one block at
-    a time, so its temporaries hold one block's nodes, and joins one
-    observer's pairs at a time on that observer's forest, in runs of at
-    most ``_CHUNK`` pairs; so do the deletion pairs.  A key whose roots have
-    since merged is stale, but no node can have it again.  The rounds end
-    when no root moved.
+    maps the (root_u, root_d) pair key of a node (``_pair_keys``) to the
+    node that first had it.  The stepping nodes and the frontier nodes
+    hidden in the block take part.  A round looks up only the nodes whose
+    root_u or root_d moved in the last round (every node in the first) and
+    pairs each with the node its key maps to, so the cost of a round
+    follows what changed.  It works one block at a time, so its
+    temporaries hold one block's nodes, and joins one observer's pairs at
+    a time on that observer's forest, in runs of at most ``_CHUNK`` pairs;
+    so do the deletion pairs.  A key whose roots have since merged is
+    stale, but no node can have it again.  The rounds end when no root
+    moved.
 
     Returns (roots[n_domains, m], counts): "dlr" the deletion facts, frontier
     included, "wsc" stepping links made, the pairs that joint stepping and
@@ -671,7 +680,7 @@ def unwinding_closure(
 
     The roots are int32, as are the forests and the signature tables'
     nodes: ``InputError`` refuses more than ``_MAX_NODES`` (2**27) nodes,
-    which also keeps every key below m**2 <= 2**54."""
+    which also keeps every pair key below 2**59 < ``_NO_KEY``."""
     n_domains = allowed.shape[1]
     m = len(allowed)
     doms, acts = _actor_rows(dom_of)
@@ -737,7 +746,6 @@ def unwinding_closure(
     old = np.full((n_domains, m), -1, dtype=np.int32)
     # (u, k): sorted keys and their nodes, closed by a key above all others
     tables, empty = {}, (np.full(1, _NO_KEY), np.full(1, m, dtype=np.int32))
-    radix = np.uint64(m)
     while True:
         _compress(parents)
         moved = parents != old
@@ -745,7 +753,6 @@ def unwinding_closure(
             break
         old = parents.copy()
         counts["sweeps"] += 1
-        wide = old.astype(np.uint64)
         for u in range(n_domains):
             found = []
             for k, d in enumerate(doms):
@@ -755,8 +762,7 @@ def unwinding_closure(
                 if not len(at):
                     continue
                 counts["regrouped"] += len(at)
-                key = wide[u, at] * radix + wide[d, at]
-                uniq, first, group = _sorted_unique(key, return_index=True)
+                uniq, first, group = _sorted_unique(_pair_keys(old[u], old[d], at), return_index=True)
                 keys, reps = tables.get((u, k), empty)
                 pos = keys.searchsorted(uniq)
                 rep = reps[pos]

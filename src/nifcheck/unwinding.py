@@ -16,7 +16,7 @@ from typing import Dict, Iterable, List, Mapping, Optional, Tuple
 
 from .checkers import _stripped_index, class_violations, label_partitions
 from .model import InputError, PolicyEnhancedSystem, Trace, check_depth, check_margin, permits, run
-from .traceindex import MATERIALIZE_LIMIT, TraceIndex, _count_ids
+from .traceindex import MATERIALIZE_LIMIT, _count_ids
 from .trees import LEAF, SHARED_ARENA, TracePartition, TreeArena, _tree_step
 
 
@@ -44,7 +44,7 @@ def unwinding_partition(system: PolicyEnhancedSystem, depth: int) -> UnwindingRe
     couple of million traces; verdict-only checks go through the array path
     in ``checkers`` and never materialize.
     """
-    idx = TraceIndex(system, depth)
+    idx, _ = _stripped_index(system, depth)
     if idx.n_nodes > MATERIALIZE_LIMIT:
         raise InputError(
             f"{idx.n_nodes} traces is too many to materialize; "

@@ -29,6 +29,7 @@ from nifcheck import (
     strip_inactive_edges,
     traces_upto,
 )
+import nifcheck.access
 from nifcheck.traceindex import TraceIndex
 
 from oracles import _validate_structured, objects_in, python_check_drm, random_system
@@ -376,6 +377,11 @@ class TestDeriveSecurity:
 
 
 class TestCompletenessConstruction:
+    def test_materialization_guard(self, figure3, monkeypatch):
+        monkeypatch.setattr(nifcheck.access, "MATERIALIZE_LIMIT", 2)
+        with pytest.raises(InputError):
+            ac_complete_construct(figure3, 3)
+
     def test_secure_system_yields_all_base_conditions(self, figure3):
         structured = ac_complete_construct(figure3, 4)
         report = check_drm(structured, 4, strong_five=True)

@@ -811,6 +811,11 @@ class TestRestrictToLocal:
             s for s in restricted.states if len(s) == 3
         )
 
+    def test_materialization_guard(self, figure1, monkeypatch):
+        monkeypatch.setattr(nifcheck.checkers, "MATERIALIZE_LIMIT", 2)
+        with pytest.raises(InputError):
+            restrict_to_local(figure1, 3)
+
 
 class TestStateCertifier:
     def test_certifies_figure3_at_every_depth(self, figure3):
@@ -1034,6 +1039,29 @@ class TestInactiveEdges:
                 )
         assert outcomes == {INSECURE, BOUNDED_SECURE, INCONCLUSIVE, CERTIFIED_SECURE}, outcomes
 
+    def test_partitions_match_the_unstripped_index(self):
+        # Both kernels read only the rows of domains that own actions, so
+        # the partitions built over the stripped index equal those of an
+        # index over the edges as given.
+        rng = random.Random(2525)
+        for _ in range(12):
+            n_domains = rng.randint(3, 4)
+            system = shaped_system(
+                rng, rng.randint(2, 4), rng.randint(1, n_domains - 1), n_domains, edge_bias=0.6
+            )
+            assert strip_inactive_edges(system)[1]  # an actionless domain holds edges
+            for depth in (0, 1, 3):
+                idx = TraceIndex(system, depth)
+                may = label_partitions(idx, idx.ta_labels())
+                roots, counts = idx.unwinding_roots()
+                closure = label_partitions(idx, roots)
+                got_may = ta_may_partitions(system, depth)
+                got = nifcheck.unwinding.unwinding_partition(system, depth)
+                assert got.rule_counts == counts
+                for u in system.signature.domains:
+                    assert got_may[u].classes() == may[u].classes()
+                    assert got.partitions[u].classes() == closure[u].classes()
+
 
 class TestBulkPartitions:
     def test_bulk_labels_match_single_trace_walks(self):
@@ -1075,6 +1103,11 @@ class TestBulkPartitions:
                     assert got[u].classes() == want.classes()
                     assert list(got[u].traces()) == list(want.traces())
                     assert (got[u].domain, got[u].depth) == (u, depth)
+
+    def test_materialization_guard(self, figure1, monkeypatch):
+        monkeypatch.setattr(nifcheck.checkers, "MATERIALIZE_LIMIT", 2)
+        with pytest.raises(InputError):
+            ta_may_partitions(figure1, 3)
 
 
 class TestClassViolations:

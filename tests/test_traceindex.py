@@ -35,6 +35,7 @@ from nifcheck.traceindex import (
     _count_ids,
     _gather,
     _intern,
+    _pair_keys,
     _sorted_unique,
     unwinding_closure,
 )
@@ -716,6 +717,23 @@ def test_sorted_unique_groups_packed_rows_as_void_keys():
         assert np.array_equal(rows[first][group], rows)
         assert len(first) == len({row.tobytes() for row in rows})
         assert first.tolist() == sorted(first.tolist(), key=lambda i: packed[i].tobytes())
+
+
+def test_pair_keys_pack_the_high_id_above_the_low():
+    rng = np.random.default_rng(3434)
+    top = (1 << 27) - 1
+    for n in (0, 1, 500):
+        for dtype in (np.int32, np.intp):
+            high = rng.integers(0, top + 1, n).astype(dtype)
+            low = rng.integers(0, top + 1, n).astype(dtype)
+            high[:1], low[1:2] = top, top
+            mask = rng.random(n) < 0.5
+            picks = rng.integers(0, max(n, 1), n // 2)  # repeats, any order
+            for at in (slice(None), mask, np.flatnonzero(mask), picks):
+                got = _pair_keys(high, low, at)
+                want = [(h << 32) | l for h, l in zip(high[at].tolist(), low[at].tolist())]
+                assert got.dtype == np.uint64
+                assert got.tolist() == want
 
 
 def test_intern_numbers_values_in_first_seen_order():
