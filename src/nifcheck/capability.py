@@ -128,6 +128,12 @@ class ProcessState:
             raise InputError("duplicate data object name")
         object.__setattr__(self, "data", data)
 
+    def __str__(self) -> str:
+        """The slice as ``--replay`` prints it: sorted text, not hash order."""
+        secrecy = ",".join(sorted(tag_text(t) for t in self.secrecy)) or "-"
+        caps = ",".join(sorted(cap_text(c) for c in self.caps)) or "-"
+        return f"secrecy={{{secrecy}}} caps={{{caps}}} inbox={list(self.inbox)}"
+
 
 @dataclass(frozen=True)
 class CapabilityState:
@@ -158,6 +164,13 @@ class CapabilityState:
 
     def __reduce__(self):
         return (CapabilityState, (self.procs,))
+
+    def __str__(self) -> str:
+        """How witnesses name a state: each slice, its message and any data."""
+        return "; ".join(
+            f"{name}: {ps} message={ps.message!r}" + (f" data={list(ps.data)}" if ps.data else "")
+            for name, ps in self.procs
+        )
 
     def of(self, process: str) -> ProcessState:
         for name, ps in self.procs:

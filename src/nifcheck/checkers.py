@@ -581,47 +581,63 @@ def dipurge(
     return tuple(out)
 
 
-def _purge_nodes(idx: TraceIndex, start: int, advance: bool) -> Iterator[np.ndarray]:
-    """Node id of every trace's purge from state id ``start``, per observer,
-    level by level: yields shape [n_domains, level size] for levels 1 to
-    the depth.  ``advance`` gives ``lpurge``, whose state walks past deleted
-    actions; otherwise ``dipurge``, whose state stays.
+def _purge_nodes(idx: TraceIndex, start: int, advance: bool) -> Iterator[Iterator[np.ndarray]]:
+    """Node id of every trace's purge from state id ``start``: one sweep per
+    observer, in domain order, each yielding levels 1 to the depth, shape
+    [level size].  ``advance`` gives ``lpurge``, whose state walks past
+    deleted actions; otherwise ``dipurge``, whose state stays.
 
-    One backward sweep over suffixes.  Level k holds, for each trace t of
+    The sweeps share the start's reachable states and packed flow table.
+    Each is backward over suffixes: level k holds, for each trace t of
     length k run from each state s within ``depth - k`` steps of ``start``
-    (a prefix of ``TraceIndex.reachable``'s order), t's sources as a byte-packed
-    bitmask and its purge as a rank within its level plus a length.  For
-    ``a.t`` at s, with s' = trans[s, a]: a is kept iff its domain may flow
-    at s to a source of t at s', and then joins them; a kept a gives
-    ``a.purge(t, s')``, rank ``a * n_actions**len + rank``, and a dropped
-    one ``purge(t, s')`` or, without ``advance``, ``purge(t, s)``.  The
-    traces from ``start`` itself are the first entries of each level."""
-    nd, na = idx.n_domains, idx.n_actions
-    order, dist, succ = idx.reachable(start, idx.depth)
-    within = np.searchsorted(dist, np.arange(idx.depth + 1), "right")  # states within j steps
-    one = np.packbits(np.eye(nd, dtype=bool), axis=1, bitorder="little")  # [nd, bytes]
+    (a prefix of ``TraceIndex.reachable``'s order), t's sources as a
+    byte-packed bitmask and its purge as a rank within its level plus a
+    length.  For ``a.t`` at s, with s' = trans[s, a]: a is kept iff its
+    domain may flow at s to a source of t at s', and then joins them; a
+    kept a gives ``a.purge(t, s')``, rank ``a * n_actions**len + rank``,
+    and a dropped one ``purge(t, s')`` or, without ``advance``,
+    ``purge(t, s)``.  A level is built in place from the gathers of the
+    last, which goes with every temporary before the yield.  The traces
+    from ``start`` itself are the first entries of each level."""
+    depth, na = idx.depth, idx.n_actions
+    order, dist, succ = idx.reachable(start, depth)
+    within = np.searchsorted(dist, np.arange(depth + 1), "right")  # states within j steps
+    one = np.packbits(np.eye(idx.n_domains, dtype=bool), axis=1, bitorder="little")
+    rows = idx.edge_bool[order[: within[max(depth - 1, 0)]]][:, idx.dom_of]
+    flows = np.packbits(rows, axis=2, bitorder="little")[:, :, None]  # [n, na, 1, bytes]
+    joins = one[idx.dom_of, None]  # [na, 1, bytes]
     acts = np.arange(na, dtype=np.int32)[:, None]
-    power = (na ** np.arange(idx.depth + 1, dtype=np.int64)).astype(np.int32)
+    power = (na ** np.arange(depth + 1, dtype=np.int64)).astype(np.int32)
     offs = np.asarray(idx.offs, dtype=np.int32)
 
-    n = within[idx.depth]
-    src = np.broadcast_to(one[:, None, None], (nd, n, 1, one.shape[1]))
-    rank = np.zeros((nd, n, 1), dtype=np.int32)
-    length = np.zeros((nd, n, 1), dtype=np.min_scalar_type(idx.depth))
-    for k in range(1, idx.depth + 1):
-        n = within[idx.depth - k]
-        nxt = succ[:n]
-        flows = np.packbits(idx.edge_bool[order[:n]][:, idx.dom_of], axis=2, bitorder="little")
-        sub = src[:, nxt]  # [nd, n, na, na**(k-1), bytes]
-        kept = (sub & flows[:, :, None]).any(axis=4)
-        src = (sub | kept[..., None] * one[idx.dom_of, None]).reshape(nd, n, -1, one.shape[1])
-        r, l = rank[:, nxt], length[:, nxt]
-        grown, longer = acts * power[l] + r, l + 1
-        if not advance:
-            r, l = rank[:, :n, None], length[:, :n, None]
-        rank = np.where(kept, grown, r).reshape(nd, n, -1)
-        length = np.where(kept, longer, l).reshape(nd, n, -1)
-        yield offs[length[:, 0]] + rank[:, 0]
+    def sweep(u: int) -> Iterator[np.ndarray]:
+        n = within[depth]
+        src = np.broadcast_to(one[u], (n, 1, one.shape[1]))
+        rank = np.zeros((n, 1), dtype=np.int32)
+        length = np.zeros((n, 1), dtype=np.min_scalar_type(depth))
+        for k in range(1, depth + 1):
+            n = within[depth - k]
+            nxt = succ[:n]
+            src = src[nxt]  # [n, na, na**(k-1), bytes]
+            kept = (src & flows[:n]).any(axis=3)
+            np.bitwise_or(src, joins, out=src, where=kept[..., None])
+            r, l = rank[nxt], length[nxt]
+            if advance:
+                rank, length = r, l
+            else:  # a dropped action leaves the purge of t from s itself
+                rank = np.repeat(rank[:n, None], na, axis=1)
+                length = np.repeat(length[:n, None], na, axis=1)
+            grown = power[l]
+            grown *= acts
+            np.add(r, grown, out=rank, where=kept)
+            np.add(l, 1, out=length, where=kept)
+            del kept, r, l, grown
+            src = src.reshape(n, -1, one.shape[1])
+            rank, length = rank.reshape(n, -1), length.reshape(n, -1)
+            yield offs[length[0]] + rank[0]
+
+    for u in range(idx.n_domains):
+        yield sweep(u)
 
 
 def check_lpurge_security(system: PolicyEnhancedSystem, depth: int) -> Verdict:
@@ -629,21 +645,25 @@ def check_lpurge_security(system: PolicyEnhancedSystem, depth: int) -> Verdict:
 
     The witness is the shortlex-first trace (with the first domain in
     declaration order) whose observation differs from its purge's; the purged
-    trace rides along in the details.  Every trace is purged for every
-    observer by one suffix sweep from the initial state (``_purge_nodes``);
-    the check stops it at the first level with a violation."""
+    trace rides along in the details.  Each observer purges every trace by
+    one suffix sweep from the initial state (``_purge_nodes``), which stops
+    at its first level with a violation or past the best level so far."""
     idx, notes = _stripped_index(system, depth)
-    obs = idx.at_nodes(idx.obs_ids.T).T  # [domain, node]
-    for l, purged in enumerate(_purge_nodes(idx, idx.start, advance=True), 1):
-        seen = np.take_along_axis(obs, purged, axis=1)
-        bad = seen != obs[:, idx.offs[l] : idx.offs[l + 1]]
-        if bad.any():
-            i = int(np.argmax(bad.any(axis=0)))  # least node, then least domain
-            ui = int(np.argmax(bad[:, i]))
-            witness = (idx.trace_of(idx.offs[l] + i), idx.signature.domains[ui])
-            details = {"purged": idx.trace_of(int(purged[ui, i]))}
-            return _bounded("purge", depth, witness, notes, details)
-    return _bounded("purge", depth, notes=notes)
+    best = (depth + 1,)  # then (level, node within it, domain index, purge node)
+    for ui, levels in enumerate(_purge_nodes(idx, idx.start, advance=True)):
+        obs = idx.at_nodes(idx.obs_ids[ui])
+        for l, purged in enumerate(levels, 1):
+            bad = obs[purged] != obs[idx.offs[l] : idx.offs[l + 1]]
+            if bad.any():
+                i = int(np.argmax(bad))
+                best = min(best, (l, i, ui, int(purged[i])))
+            if l >= best[0]:
+                break
+    if len(best) == 1:
+        return _bounded("purge", depth, notes=notes)
+    l, i, ui, purge = best
+    witness = (idx.trace_of(idx.offs[l] + i), idx.signature.domains[ui])
+    return _bounded("purge", depth, witness, notes, {"purged": idx.trace_of(purge)})
 
 
 def check_i_security(system: PolicyEnhancedSystem, depth: int) -> Verdict:
@@ -653,7 +673,8 @@ def check_i_security(system: PolicyEnhancedSystem, depth: int) -> Verdict:
     observer.  States are tried in discovery order (``TraceIndex.reachable``)
     and the first state with a violating pair wins; within a state the pair
     follows the witness rule.
-    Each start's purges come from one suffix sweep (``_purge_nodes``).
+    Each start sweeps one observer at a time (``_purge_nodes``) into one row
+    of purges, searched with the best y so far as bound (``_least_violation``).
     Starts from which ``TraceIndex`` would refuse the depth, since a shorter
     trace ends on a truncated state, are skipped and counted in
     ``details["truncated_starts"]``."""
@@ -662,20 +683,25 @@ def check_i_security(system: PolicyEnhancedSystem, depth: int) -> Verdict:
     starts = idx.reachable(idx.start)[0]
     skipped = int(idx.near_frontier[starts].sum())
     details = {"truncated_starts": skipped}
+    row = np.zeros(idx.n_nodes, dtype=np.int32)  # the root purges to itself
     for start in starts[~idx.near_frontier[starts]].tolist():
-        purged = np.zeros((idx.n_domains, idx.n_nodes), dtype=np.int32)
-        for l, ids in enumerate(_purge_nodes(idx, start, advance=False), 1):
-            purged[:, idx.offs[l] : idx.offs[l + 1]] = ids
-        best = _least_violation(idx, purged, start)
+        best = None  # (y, x, domain index, common purge node)
+        for ui, levels in enumerate(_purge_nodes(idx, start, advance=False)):
+            for l, ids in enumerate(levels, 1):
+                row[idx.offs[l] : idx.offs[l + 1]] = ids
+            bound = None if best is None else best[0]
+            pair = _grouped_violation(idx, row, idx.at_nodes(idx.obs_ids[ui], start), bound)
+            if pair is not None and (best is None or (pair[1], pair[0]) < best[:2]):
+                best = (pair[1], pair[0], ui, int(row[pair[1]]))
         if best is not None:
-            y, x, ui = best
+            y, x, ui, common = best
             witness = (idx.state_names[start], idx.trace_of(x), idx.trace_of(y))
             return _bounded(
                 "intransitive-purge",
                 depth,
                 witness + (idx.signature.domains[ui],),
                 notes,
-                {"common_purge": idx.trace_of(int(purged[ui, y])), **details},
+                {"common_purge": idx.trace_of(common), **details},
             )
     if skipped:
         notes += (

@@ -21,10 +21,8 @@ from .capability import (
     CapabilityConfig,
     build_pes,
     cap_step,
-    cap_text,
     capability_drm_interpretation,
     script_action,
-    tag_text,
 )
 from .checkers import (
     check_globally_known,
@@ -260,10 +258,7 @@ def _replay(cap_path: str, trace_path: str) -> str:
         moved = "  (no effect)" if after == state else ""
         lines.append(f"{action.name}{moved}")
         state = after
-    for name, ps in state.procs:
-        secrecy = ",".join(sorted(tag_text(t) for t in ps.secrecy)) or "-"
-        caps = ",".join(sorted(cap_text(c) for c in ps.caps)) or "-"
-        lines.append(f"{name}: secrecy={{{secrecy}}} caps={{{caps}}} inbox={list(ps.inbox)}")
+    lines += [f"{name}: {ps}" for name, ps in state.procs]
     return "\n".join(lines)
 
 

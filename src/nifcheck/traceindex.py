@@ -441,7 +441,8 @@ class TraceIndex:
                 if s == e:
                     break
                 parents = lex[self.offs[l - 1] : s] + 1
-                lex[s:e] = (parents[:, None] + steps * self.offs[self.depth - l + 1]).ravel()
+                out = lex[s:e].reshape(len(parents), -1)
+                np.add(parents[:, None], steps * self.offs[self.depth - l + 1], out=out)
             self._lex = lex
         return self._lex
 

@@ -73,6 +73,7 @@ from oracles import (
     random_system,
     random_systems,
     shaped_system,
+    shortlex_key,
 )
 
 
@@ -327,6 +328,43 @@ class TestPurgeChecks:
                     outcomes.add(got.outcome)
             assert outcomes == {BOUNDED_SECURE, INSECURE}
 
+    def test_a_later_observer_beats_an_earlier_ones_violation(self):
+        """Each observer sweeps on its own, so a later observer must win
+        across sweeps: for lpurge with a shallower level, for isec with a
+        smaller y from the same start.  Blinding the winner (a constant
+        observation) shows the earlier observer's own violation, which the
+        winner beat."""
+        rng = random.Random(7)
+        shallower = smaller = 0
+        for _ in range(40):
+            system = shaped_system(rng, rng.randint(2, 5), rng.randint(2, 4), rng.randint(2, 3))
+            sig = system.signature
+            for depth in (2, 3):
+                for check, oracle, at in (
+                    (check_lpurge_security, python_lpurge_security, 1),
+                    (check_i_security, python_i_security, 3),
+                ):
+                    got = check(system, depth)
+                    assert_same_verdict(got, oracle(system, depth))
+                    if got.outcome != INSECURE:
+                        continue
+                    winner = got.witness[at]
+                    blind = {k: 0 if k[0] == winner else v for k, v in system.obs.items()}
+                    blinded = dataclasses.replace(system, obs=blind)
+                    other = check(blinded, depth)
+                    assert_same_verdict(other, oracle(blinded, depth))
+                    if other.outcome != INSECURE:
+                        continue
+                    if sig.domains.index(other.witness[at]) > sig.domains.index(winner):
+                        continue
+                    if at == 1:
+                        shallower += len(other.witness[0]) > len(got.witness[0])
+                    else:
+                        smaller += other.witness[0] == got.witness[0] and (
+                            shortlex_key(sig, other.witness[2]) > shortlex_key(sig, got.witness[2])
+                        )
+        assert shallower >= 5 and smaller >= 10
+
     @staticmethod
     def assert_purge_nodes_name_the_purges(system, depth):
         """The kernel's node ids spell ``dipurge`` from every reachable start
@@ -340,7 +378,8 @@ class TestPurgeChecks:
         for advance, start, purge in runs:
             if idx.near_frontier[start]:
                 continue
-            levels = list(_purge_nodes(idx, start, advance))
+            # one sweep per observer, regrouped level by level
+            levels = list(zip(*(list(sweep) for sweep in _purge_nodes(idx, start, advance))))
             assert len(levels) == depth
             state = idx.state_names[start]
             for l, got in enumerate(levels, 1):

@@ -2,6 +2,10 @@
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -270,6 +274,40 @@ class TestJsonReport:
 
 
 class TestTextRendering:
+    def test_state_witness_does_not_depend_on_the_hash_seed(self, tmp_path):
+        """The isec witness names a start state whose capability set has two
+        members; frozensets print in hash order, so the report must render
+        states by sorted text for two hash seeds to agree."""
+        path = tmp_path / "one-message.cap"
+        path.write_text(
+            "processes: p q\ntags: n\nmessages: 0\ncaps: p n+ n-\ncaps: q n+\n"
+            "kinds: data add_cap drop_cap add_tag remove_tag send_message_to\n"
+        )
+        src = str(Path(nifcheck.cli.__file__).parents[1])
+        reports = []
+        for seed in ("0", "5"):
+            env = dict(os.environ, PYTHONHASHSEED=seed)
+            env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+            argv = [str(path), "--depth", "4", "--property", "isec", "--json"]
+            run = subprocess.run(
+                [sys.executable, "-c", "import sys; from nifcheck.cli import main; sys.exit(main())"]
+                + argv,
+                env=env,
+                capture_output=True,
+                text=True,
+            )
+            assert run.returncode == 1, run.stderr
+            report = json.loads(run.stdout)
+            del report["timing"]
+            reports.append(report)
+        assert reports[0] == reports[1]
+        (verdict,) = reports[0]["properties"]
+        assert verdict["outcome"] == "INSECURE"
+        assert verdict["witness"][0] == (
+            "p: secrecy={-} caps={n+,n-} inbox=[] message=0; "
+            "q: secrecy={-} caps={n+} inbox=[] message=0"
+        )
+
     def test_insecure_line_carries_a_compact_witness(self, fig1, capsys):
         main([fig1, "--property", "unwinding"])
         assert "witness (pa, a, B)" in capsys.readouterr().out
