@@ -18,7 +18,7 @@ from typing import Hashable, Mapping, Optional, Tuple
 
 import numpy as np
 
-from .checkers import _observation_consistency
+from .checkers import _first_clash, _observation_consistency
 from .model import InputError, PolicyEnhancedSystem, check_depth, unfold
 from .traceindex import MATERIALIZE_LIMIT, TraceIndex, _intern, _pair_keys, _sorted_unique
 from .verdicts import CERTIFIED_SECURE, INCONCLUSIVE, Verdict
@@ -171,20 +171,6 @@ class DrmReport:
         }
 
 
-def _first_clash(buckets: np.ndarray, values: np.ndarray) -> Optional[Tuple[int, int]]:
-    """Exemplar-first scan over members in scan order: the least member whose
-    value differs from its bucket's first member is the minimal offender.
-    Returns (exemplar, offender) positions, or None.  Rows of a 2-d
-    ``values`` compare whole."""
-    _, first, group = _sorted_unique(buckets, return_index=True)
-    exemplar = first[group]
-    differs = values != values[exemplar]
-    if differs.ndim > 1:
-        differs = differs.any(axis=1)
-    bad = np.flatnonzero(differs)
-    return None if not len(bad) else (int(exemplar[bad[0]]), int(bad[0]))
-
-
 def _view_ids(cont: np.ndarray, seen: np.ndarray) -> np.ndarray:
     """One id per state for what a domain sees there: two states share an id
     exactly when the domain observes the same objects, with the same contents.
@@ -216,8 +202,10 @@ def check_drm(
 
     The conditions run on the tables' columns for the reachable states,
     taken in discovery order (``TraceIndex.reachable``) with each object's
-    values interned to ids, and each failure reports its least candidate in
-    that order (the README states the witness rule).
+    values interned to ids.  A pair condition's candidates come from
+    ``_first_clash``; each failure reports its least candidate by (later
+    state, earlier state), or by state for the others, then by action,
+    domain and object in declaration order.
     """
     check_depth(depth)
     base = system.base

@@ -9,7 +9,7 @@ engine's unwinding-closure kernel over the reachable states.
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, Iterator, List, Mapping, Optional, Tuple
+from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Tuple
 
 import numpy as np
 
@@ -31,6 +31,7 @@ from .traceindex import (
     _count_ids,
     _gather,
     _pair_keys,
+    _shares_id,
     _sorted_unique,
     unwinding_closure,
 )
@@ -61,13 +62,6 @@ def _offending(key: np.ndarray, values: np.ndarray) -> np.ndarray:
     for start, ids in _chunks(key):
         bad[ids[values[start : start + len(ids)] != rep[ids]]] = True
     return bad
-
-
-def _shares_id(key: np.ndarray, end: int) -> np.ndarray:
-    """Which entries of ``key`` have the id of one of its first ``end``."""
-    low = np.zeros(int(key.max(initial=-1)) + 1, dtype=bool)
-    low[key[:end]] = True
-    return _gather(low, key)
 
 
 def _group_pairs(
@@ -109,6 +103,21 @@ def _group_pairs(
     yg = y[g]
     x = seg_min((val != values[yg]) & (lex < lex_all[yg]), nodes)
     return seg_min(every, nodes), x, y
+
+
+def _first_clash(buckets: np.ndarray, values: np.ndarray) -> Optional[Tuple[int, int]]:
+    """The witness rule of the state-level checks, over members in scan
+    order: each bucket's first member is its exemplar, and the least member
+    whose value differs from its exemplar's is the minimal offender.
+    Returns (exemplar, offender) positions, or None.  Rows of a 2-d
+    ``values`` compare whole."""
+    _, first, group = _sorted_unique(buckets, return_index=True)
+    exemplar = first[group]
+    differs = values != values[exemplar]
+    if differs.ndim > 1:
+        differs = differs.any(axis=1)
+    bad = np.flatnonzero(differs)
+    return None if not len(bad) else (int(exemplar[bad[0]]), int(bad[0]))
 
 
 def class_violations(
@@ -163,7 +172,7 @@ def _grouped_violation(
         if end <= 0:
             return None
         # the entries at or below the bound stay first, so ``end`` holds
-        sub = np.flatnonzero(_shares_id(key, end))
+        sub = np.flatnonzero(_shares_id(key, slice(end)))
         key, values = key[sub], values[sub]
         nodes = sub if nodes is None else nodes[sub]
     bad = _offending(key, values)
@@ -187,20 +196,21 @@ def _grouped_violation(
 
 def _least_violation(
     idx: TraceIndex,
-    labels: np.ndarray,
+    keys: Iterable[np.ndarray],
     start: Optional[int] = None,
-) -> Optional[Tuple[int, int, int]]:
-    """The least (y, x, domain index) over all domains whose labels agree on
-    nodes x and y but whose observations differ at their end states, run
-    from state id ``start`` (the initial state by default).
+) -> Optional[Tuple[int, int, int, int]]:
+    """The least (y, x, domain index), with y's key, over the domains'
+    key rows in order, where x and y share a key but their observations
+    from state id ``start`` (the initial state by default) differ.  Each
+    row is read before the next is drawn, so ``keys`` may refill one array.
     Each domain searches only for pairs with y at most the best y so far;
     the bound is inclusive, so a tie on y still goes to the least x."""
     best = None
-    for ui in range(idx.n_domains):
+    for ui, key in enumerate(keys):
         bound = None if best is None else best[0]
-        pair = _grouped_violation(idx, labels[ui], idx.at_nodes(idx.obs_ids[ui], start), bound)
-        if pair is not None and (best is None or (pair[1], pair[0], ui) < best):
-            best = (pair[1], pair[0], ui)
+        pair = _grouped_violation(idx, key, idx.at_nodes(idx.obs_ids[ui], start), bound)
+        if pair is not None and (best is None or (pair[1], pair[0]) < best[:2]):
+            best = (pair[1], pair[0], ui, int(key[pair[1]]))
     return best
 
 
@@ -228,7 +238,7 @@ def _observation_consistency(
     best = _least_violation(idx, labels)
     witness = None
     if best is not None:
-        y, x, ui = best
+        y, x, ui, _ = best
         witness = (idx.trace_of(x), idx.trace_of(y), idx.signature.domains[ui])
     return _bounded(property_name, idx.depth, witness, notes, details)
 
@@ -265,7 +275,9 @@ def _stripped_index(
     ``unwinding.unwinding_partition`` run on, with the notes of
     ``strip_inactive_edges``: it is built over ``system`` without the
     edges of actionless domains, and ``idx.system`` is that stripped
-    system.  ``access.ac_complete_construct`` builds its own index over the
+    system.  The partitions come out the same either way, since the
+    labelling and closure kernels read only the rows of domains that own
+    actions.  ``access.ac_complete_construct`` builds its own index over the
     edges as given, because they are the alter rights it writes."""
     system, notes = strip_inactive_edges(system)
     return TraceIndex(system, depth), notes
@@ -382,8 +394,8 @@ def _locality_verdict(
                 if best is None:
                     cand = slice(None)
                 else:
-                    end = best[0][0] + 1
-                    cand = np.flatnonzero(_shares_id(labels[ui], end) & _shares_id(labels[vi], end))
+                    low = slice(best[0][0] + 1)
+                    cand = np.flatnonzero(_shares_id(labels[ui], low) & _shares_id(labels[vi], low))
                 keep = np.zeros(idx.n_nodes if best is None else len(cand), dtype=bool)
                 for (a, b), atom in atoms.items():
                     la, at = labels[a][cand], atom[cand]
@@ -684,15 +696,15 @@ def check_i_security(system: PolicyEnhancedSystem, depth: int) -> Verdict:
     skipped = int(idx.near_frontier[starts].sum())
     details = {"truncated_starts": skipped}
     row = np.zeros(idx.n_nodes, dtype=np.int32)  # the root purges to itself
-    for start in starts[~idx.near_frontier[starts]].tolist():
-        best = None  # (y, x, domain index, common purge node)
-        for ui, levels in enumerate(_purge_nodes(idx, start, advance=False)):
+
+    def purges(start: int) -> Iterator[np.ndarray]:
+        for levels in _purge_nodes(idx, start, advance=False):
             for l, ids in enumerate(levels, 1):
                 row[idx.offs[l] : idx.offs[l + 1]] = ids
-            bound = None if best is None else best[0]
-            pair = _grouped_violation(idx, row, idx.at_nodes(idx.obs_ids[ui], start), bound)
-            if pair is not None and (best is None or (pair[1], pair[0]) < best[:2]):
-                best = (pair[1], pair[0], ui, int(row[pair[1]]))
+            yield row
+
+    for start in starts[~idx.near_frontier[starts]].tolist():
+        best = _least_violation(idx, purges(start), start)
         if best is not None:
             y, x, ui, common = best
             witness = (idx.state_names[start], idx.trace_of(x), idx.trace_of(y))
@@ -744,58 +756,38 @@ def state_unwinding_check(system: PolicyEnhancedSystem, mode: str = "box") -> Ve
         diamond=mode == "diamond",
     )
 
-    # Each class's root is its first state in discovery order; the witness
-    # is the (state, root, domain)-least state that looks different from it.
-    obs = tables.obs_ids[:, order]
-    differs = np.take_along_axis(obs, roots, axis=1) != obs
-    best = min(
-        (
-            (si, int(roots[ui, si]), ui)
-            for ui in range(tables.n_domains)
-            for si in np.nonzero(differs[ui])[0][:1].tolist()
-        ),
-        default=None,
-    )
-    counts = dict(zip(sig.domains, map(_count_ids, roots)))
+    # Each class's root is its first state in discovery order, so it is the
+    # class's exemplar; the witness is the (state, root, domain)-least state
+    # that looks different from its root.
+    clashes = []
+    for ui in range(tables.n_domains):
+        clash = _first_clash(roots[ui], tables.obs_ids[ui, order])
+        if clash is not None:
+            clashes.append((clash[1], clash[0], ui))
     truncated = int(tables.truncated[order].sum())
-    name = f"state-unwinding-{mode}"
     details = {
-        "class_counts": counts,
+        "class_counts": dict(zip(sig.domains, map(_count_ids, roots))),
         "states_checked": n,
         "truncated_states": truncated,
     }
-    if best is not None:
-        si, xi, ui = best
+    if clashes:
+        si, xi, ui = min(clashes)
         root, state = (tables.state_names[i] for i in order[[xi, si]].tolist())
-        return Verdict(
-            property=name,
-            outcome=INCONCLUSIVE,
-            witness=(root, state, sig.domains[ui]),
-            notes=stripped
-            + (
-                "state-level rules are sound but incomplete; "
-                "this failure is not a counterexample",
-            ),
-            details=details,
-        )
-    if truncated:
+        outcome, witness = INCONCLUSIVE, (root, state, sig.domains[ui])
+        note = "state-level rules are sound but incomplete; this failure is not a counterexample"
+    elif truncated:
         # A truncated state's transitions are synthetic self-loops, so rules
         # that hold there say nothing about the runs past the frontier.
-        return Verdict(
-            property=name,
-            outcome=INCONCLUSIVE,
-            notes=stripped
-            + (
-                f"{truncated} of {n} reachable states are truncated; "
-                "the rules hold, but not on a complete state graph",
-            ),
-            details=details,
+        outcome, witness = INCONCLUSIVE, None
+        note = (
+            f"{truncated} of {n} reachable states are truncated; "
+            "the rules hold, but not on a complete state graph"
         )
+    else:
+        outcome, witness = CERTIFIED_SECURE, None
+        note = "holds on all reachable states; certifies every trace depth"
     return Verdict(
-        property=name,
-        outcome=CERTIFIED_SECURE,
-        notes=stripped + ("holds on all reachable states; certifies every trace depth",),
-        details=details,
+        f"state-unwinding-{mode}", outcome, witness, notes=stripped + (note,), details=details
     )
 
 

@@ -13,26 +13,20 @@ distinct parent label pair and actor domain, one id per action of the
 actor, rather than one word per child.  Brute-force oracles in the test
 suite pin the semantics at small scale.
 
-Tree labels and closure roots are int32: labels stay below ``_MAX_LABELS``
-and node ids below ``_MAX_NODES``, both 2**27, so a wider type would only
-hold zeros.  Keys packed from them are uint64: the arena's label words,
-and every key of two ids (``_pair_keys``), such as the closure's signature
-keys and joint label pairs.  numpy indexes by an int32 array through a
-buffered cast, about twice as slow as by an intp one, so int32 ids are
-gathered chunk by chunk: a full-length gather casts ``_CHUNK`` ids at a
-time to intp (``_gather``) and never makes a full-length intp copy.
+Tree labels, closure roots and lex ranks are int32: labels stay below
+``_MAX_LABELS`` and node ids and ranks below ``_MAX_NODES``, both 2**27, so
+a wider type would only hold zeros.  Keys packed from them are uint64:
+the arena's label words, and every key of two ids (``_pair_keys``), such as
+the closure's signature keys and joint label pairs.  numpy indexes by an
+int32 array through a buffered cast, about twice as slow as by an intp one,
+so int32 ids are gathered chunk by chunk: a full-length gather casts
+``_CHUNK`` ids at a time to intp (``_gather``) and never makes a
+full-length intp copy.
 
-The labelling works one observer at a time within each level, with one
-sort and one arena call per observer, so its temporaries hold one
-observer's passing parents.
-
-The unwinding closure keeps one signature table per (observer, actor)
-block and works one block at a time, so its temporaries hold one block's
-nodes; it joins each observer's pairs in runs of at most ``_CHUNK`` and
-compresses its forests in place.  Observation ids take the narrowest
-unsigned dtype that holds the largest (``np.min_scalar_type``): one byte
-per state where no domain has more than 256 observations, so the witness
-search's tables over them take one byte per node.
+Observation ids take the narrowest unsigned dtype that holds the largest
+(``np.min_scalar_type``): one byte per state where no domain has more than
+256 observations, so the witness search's tables over them take one byte
+per node.
 
 On the trace tree about (|A| - 1)/|A| of the nodes are leaves, which
 never step, so the closure's forests, deletion pairs and rounds cover the
@@ -106,6 +100,16 @@ def _count_ids(ids: np.ndarray) -> int:
     for _, chunk in _chunks(ids):
         marked[chunk] = True
     return int(np.count_nonzero(marked))
+
+
+def _shares_id(key: np.ndarray, members) -> np.ndarray:
+    """Which entries of ``key`` share their id with one of ``key[members]``,
+    where ``members`` is a slice, an index array or a bool mask over
+    ``key``: one bool mark per id, gathered once.  Every "class that holds
+    a marked member" goes through here."""
+    marked = np.zeros(int(key.max(initial=-1)) + 1, dtype=bool)
+    marked[key[members]] = True
+    return _gather(marked, key)
 
 
 def _compress(forests: np.ndarray) -> None:
@@ -434,8 +438,8 @@ class TraceIndex:
         parent: offs[k + 1] counts the nodes of a complete subtree of
         height k."""
         if self._lex is None:
-            lex = np.zeros(self.n_nodes, dtype=np.int64)
-            steps = np.arange(self.n_actions, dtype=np.int64)
+            lex = np.zeros(self.n_nodes, dtype=np.int32)
+            steps = np.arange(self.n_actions, dtype=np.int32)
             for l in range(1, self.depth + 1):
                 s, e = self.offs[l], self.offs[l + 1]
                 if s == e:
@@ -470,13 +474,14 @@ class TraceIndex:
         alphabet order, so the child on d's i-th action gets its block's
         first id plus i.
 
-        Each level works one observer at a time: it writes the observer's
-        child rows from its parent labels, groups the words of all actor
-        rows with one ``_sorted_unique`` call, interns the ascending
-        distinct words with one arena call and writes the blocks at most
-        ``_CHUNK`` ids at a time.  Fresh ids rise in (L_u(p), L_d(p), k, i)
-        order, which is (L_u(p), L_d(p), a) order where each domain's
-        actions are contiguous in the alphabet and ascend with the domain.
+        Each level works one observer at a time, so its temporaries hold
+        one observer's passing parents: it writes the observer's child rows
+        from its parent labels, groups the words of all actor rows with one
+        ``_sorted_unique`` call, interns the ascending distinct words with
+        one arena call and writes the blocks at most ``_CHUNK`` ids at a
+        time.  Fresh ids rise in (L_u(p), L_d(p), k, i) order, which is
+        (L_u(p), L_d(p), a) order where each domain's actions are contiguous
+        in the alphabet and ascend with the domain.
 
         The labels are int32: the arena raises ``InputError`` before its
         ids reach ``_MAX_LABELS`` (2**27)."""
@@ -536,8 +541,7 @@ class TraceIndex:
         A joint (d, u) class can deny the edge only if its d-class and its
         u-class each hold a node where the edge fails, so only the nodes of
         such classes are grouped on their joint key; every other node knows
-        the edge.  The classes are marked per id over the int32 roots and
-        gathered through ``_gather``.  Nodes past ``rows`` still count
+        the edge (``_shares_id``).  Nodes past ``rows`` still count
         toward a class's denial; the verdicts ask for the interior rows
         only, which is all the labelling reads."""
         rows = self.n_nodes if rows is None else rows
@@ -549,16 +553,12 @@ class TraceIndex:
                 fails = ~self.at_nodes(self.edge_bool[:, d, u])
                 if not fails.any():
                     continue
-                held = np.ones(len(fails), dtype=bool)
-                for root in (roots[d], roots[u]):
-                    marked = np.zeros(self.n_nodes, dtype=bool)
-                    marked[root[fails]] = True
-                    held &= _gather(marked, root)
-                classes, group = _sorted_unique(_pair_keys(roots[d], roots[u], held))
-                denied = np.zeros(len(classes), dtype=bool)
-                denied[group[fails[held]]] = True
+                held = _shares_id(roots[d], fails)
+                held &= _shares_id(roots[u], fails)
+                group = _sorted_unique(_pair_keys(roots[d], roots[u], held))[1]
+                denied = _shares_id(group, fails[held])
                 inside = held[:rows]
-                known[:, d, u][inside] = ~denied[group[: np.count_nonzero(inside)]]
+                known[:, d, u][inside] = ~denied[: np.count_nonzero(inside)]
         return known
 
     # ---- unwinding closure ---------------------------------------------
@@ -568,7 +568,9 @@ class TraceIndex:
         actions and joint stepping, as root node ids (the root is always the
         shortlex-least member of its class).
 
-        Returns (roots[n_domains, n_nodes], rule application counts).
+        Returns (roots[n_domains, n_nodes], the closure's rule counts):
+        ``dlr`` includes the leaves' deletions, ``wsc`` and ``regrouped``
+        count the interior nodes' work only.
 
         The closure runs over the interior nodes, with the deepest interior
         level as its frontier (``unwinding_closure``); the leaves then get
@@ -603,10 +605,8 @@ class TraceIndex:
             for k, d in enumerate(doms):
                 _, first, group = _sorted_unique(_pair_keys(ru, inner[d]), return_index=True)
                 least = first[group]
-                marked = np.zeros(m, dtype=bool)
-                marked[least[~allowed[:, d, u]]] = True
                 base[:, k] = least[frontier:] * n_actions
-                hidden[:, k] = marked[least[frontier:]]
+                hidden[:, k] = _shares_id(least, ~allowed[:, d, u])[frontier:]
             # each frontier node's row of leaves, filled a chunk of rows at
             # a time
             leaves = roots[u, m : m + (m - frontier) * n_actions].reshape(m - frontier, n_actions)

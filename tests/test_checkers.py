@@ -12,6 +12,7 @@ import nifcheck.checkers
 import nifcheck.traceindex
 import nifcheck.unwinding
 from nifcheck.checkers import (
+    _first_clash,
     _grouped_violation,
     _least_violation,
     _purge_nodes,
@@ -1149,6 +1150,43 @@ class TestBulkPartitions:
             ta_may_partitions(figure1, 3)
 
 
+class TestFirstClash:
+    @staticmethod
+    def oracle(buckets, values):
+        """(exemplar, offender): each bucket's first member is its exemplar,
+        and the offender is the first member that differs from its own."""
+        first = {}
+        for i, b in enumerate(buckets):
+            j = first.setdefault(b.tobytes(), i)
+            if not np.array_equal(values[i], values[j]):
+                return j, i
+        return None
+
+    def test_matches_the_oracle(self):
+        gen = np.random.default_rng(3838)
+        clashed = set()
+        for _ in range(100):
+            n = int(gen.integers(1, 30))
+            ids = gen.integers(0, gen.integers(1, 8), n)
+            rows = gen.integers(0, 2, (n, 3)).astype(np.int64)
+            packed = rows.view(np.dtype((np.void, rows[0].nbytes))).ravel()
+            flat = gen.integers(0, gen.integers(1, 4), n)
+            wide = gen.random((n, int(gen.integers(1, 4)))) < 0.2
+            for buckets in (ids, packed):
+                for values in (flat, wide):
+                    got = _first_clash(buckets, values)
+                    assert got == self.oracle(buckets, values)
+                    clashed.add(got is not None)
+        assert clashed == {False, True}
+
+    def test_a_clash_in_the_first_bucket(self):
+        # bucket 0 sorts first and clashes at 2; bucket 5 clashes later, at 3
+        buckets = np.array([5, 0, 0, 5])
+        assert _first_clash(buckets, np.array([1, 1, 2, 0])) == (1, 2)
+        assert _first_clash(buckets, np.array([[1, 0], [1, 1], [1, 1], [1, 0]])) is None
+        assert _first_clash(buckets, np.array([[1, 0], [1, 1], [0, 1], [1, 0]])) == (1, 2)
+
+
 class TestClassViolations:
     """The array witness rule against the per-group python one."""
 
@@ -1266,7 +1304,10 @@ class TestClassViolations:
                 ).tolist()
             ]
             want = min(rows, default=None)
-            assert _least_violation(idx, labels) == want
+            got = _least_violation(idx, labels)
+            assert (None if got is None else got[:3]) == want
+            # the fourth entry is y's key in the winning domain's row
+            assert got is None or got[3] == labels[got[2]][got[0]]
             # an earlier domain has a pair with the same y but a larger x
             later_wins += any(r[0] == want[0] and r[2] < want[2] for r in rows)
         assert later_wins >= 2

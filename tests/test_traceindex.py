@@ -36,6 +36,7 @@ from nifcheck.traceindex import (
     _gather,
     _intern,
     _pair_keys,
+    _shares_id,
     _sorted_unique,
     unwinding_closure,
 )
@@ -377,6 +378,7 @@ def test_lex_ranks_order_nodes_lexicographically():
             by_rank = [traces[n] for n in np.argsort(lex)]
             assert by_rank == sorted(traces, key=lambda t: lex_key(sig, t))
             assert idx.lex_ranks() is lex
+            assert lex.dtype == np.int32  # ranks stay below _MAX_NODES
 
 
 def test_closure_roots_at_a_larger_shape():
@@ -755,6 +757,23 @@ def test_count_ids_counts_distinct_ids(monkeypatch):
             monkeypatch.setattr(nifcheck.traceindex, "_CHUNK", chunk)
             assert _count_ids(ids) == want
             assert _count_ids(ids.astype(np.intp)) == want
+
+
+def test_shares_id_marks_the_classes_of_the_members(monkeypatch):
+    rng = np.random.default_rng(3737)
+    for n, span in ((0, 1), (1, 1), (40, 6), (2000, 300)):  # n = 0: an empty key
+        for dtype in (np.int32, np.intp):
+            key = rng.integers(0, span, size=n).astype(dtype)
+            mask = rng.random(n) < 0.2
+            end = int(rng.integers(0, n + 1))
+            picks = rng.integers(0, max(n, 1), n // 4)  # repeats, any order
+            for members in (slice(end), mask, np.flatnonzero(mask), picks):
+                marked = set(key[members].tolist())
+                for chunk in (nifcheck.traceindex._CHUNK, 7):
+                    monkeypatch.setattr(nifcheck.traceindex, "_CHUNK", chunk)
+                    got = _shares_id(key, members)
+                    assert got.dtype == bool
+                    assert got.tolist() == [k in marked for k in key.tolist()]
 
 
 def test_gather_by_int32_ids_matches_fancy_indexing():
