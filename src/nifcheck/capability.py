@@ -372,17 +372,20 @@ class CapabilityConfig:
         object.__setattr__(self, "messages", tuple(self.messages))
         object.__setattr__(self, "actions", tuple(self.actions))
         procs = set(self.processes)
-        tags = set(universe.tags)
-        caps = set(universe.caps)
-        names = [a.name for a in self.actions]
-        if len(set(names)) != len(names):
-            raise InputError("duplicate action name")
+        # A non-data action is valid exactly when its constructor, over the
+        # declared processes and tags, builds it under the same name.
+        alphabet = {
+            a.name: a for a in default_actions(self.processes, self.basic_tags, self.messages)
+        }
         for a in self.actions:
             if not isinstance(a, CapAction):
                 raise InputError(f"not a capability action: {a!r}")
             if a.process not in procs:
                 raise InputError(f"action {a.name!r} acts for unknown process {a.process!r}")
-            self._check_payload(a, procs, tags, caps)
+            if a.kind != "data" and alphabet.get(a.name) != a:
+                raise InputError(f"action {a.name!r} is not in the generated alphabet")
+        if len({a.name for a in self.actions}) != len(self.actions):
+            raise InputError("duplicate action name")
         state_names = tuple(n for n, _ in self.initial.procs)
         if state_names != self.processes:
             raise InputError("initial state must list every process in declaration order")
@@ -391,33 +394,6 @@ class CapabilityConfig:
             unknown = set(self.obs) - procs
             if unknown:
                 raise InputError(f"observation override for unknown process {sorted(unknown)!r}")
-
-    def _check_payload(self, a: CapAction, procs, tags, caps) -> None:
-        kind, payload = a.kind, a.payload
-        if kind == "add_cap":
-            signs, name = payload
-            if name not in self.basic_tags:
-                raise InputError(f"action {a.name!r} mints undeclared tag {name!r}")
-            if set(signs) - set(_SIGNS):
-                raise InputError(f"action {a.name!r} has bad capability signs")
-        elif kind == "drop_cap":
-            (cap,) = payload
-            if cap not in caps:
-                raise InputError(f"action {a.name!r} drops unknown capability")
-        elif kind in ("add_tag", "remove_tag"):
-            (tag,) = payload
-            if tag not in tags:
-                raise InputError(f"action {a.name!r} uses unknown tag")
-        elif kind == "send_message_to":
-            (q,) = payload
-            if q not in procs:
-                raise InputError(f"action {a.name!r} targets unknown process {q!r}")
-        elif kind == "send_cap":
-            cap, q = payload
-            if cap not in caps:
-                raise InputError(f"action {a.name!r} sends unknown capability")
-            if q not in procs:
-                raise InputError(f"action {a.name!r} targets unknown process {q!r}")
 
 
 def validate_candidate_initial(state: CapabilityState, basic_tags: Sequence[str]) -> None:
@@ -518,52 +494,18 @@ def standard_config(
 def script_action(config: CapabilityConfig, tokens: Sequence[str]) -> CapAction:
     """Resolve one whitespace-split script line against the configured alphabet.
 
-    Accepted forms mirror the action constructors: "p set_message 1",
-    "p add_cap +- n", "p drop_cap n_p+", "p add_tag n_p", "p remove_tag n",
-    "p send_message_to q", "p send_cap n_p+ q".
+    A line "p verb a b" is the action named "p.verb(a,b)", the name its
+    constructor gives it and ``--replay`` prints: "p set_message 1",
+    "p add_cap +- n", "p drop_cap n_p+", "p send_cap n_p+ q".
     """
     if len(tokens) < 2:
         raise InputError(f"script line too short: {' '.join(tokens)!r}")
-    p, verb, args = tokens[0], tokens[1], tokens[2:]
-    procs, basic = config.processes, config.basic_tags
-
-    def arity(n: int) -> None:
-        if len(args) != n:
-            raise InputError(f"{verb} takes {n} argument(s), got {args!r}")
-
-    if verb == "set_message":
-        arity(1)
-        for v in config.messages:
-            if str(v) == args[0]:
-                want = set_message_action(p, v)
-                break
-        else:
-            raise InputError(f"unknown message value {args[0]!r}")
-    elif verb == "add_cap":
-        arity(2)
-        want = add_cap_action(p, tuple(args[0]), args[1])
-    elif verb == "drop_cap":
-        arity(1)
-        want = drop_cap_action(p, parse_cap(args[0], procs, basic))
-    elif verb == "add_tag":
-        arity(1)
-        want = add_tag_action(p, parse_tag(args[0], procs, basic))
-    elif verb == "remove_tag":
-        arity(1)
-        want = remove_tag_action(p, parse_tag(args[0], procs, basic))
-    elif verb == "send_message_to":
-        arity(1)
-        want = send_message_action(p, args[0])
-    elif verb == "send_cap":
-        arity(2)
-        want = send_cap_action(p, parse_cap(args[0], procs, basic), args[1])
-    else:
-        raise InputError(f"unknown script verb {verb!r}")
-
+    p, verb, *args = tokens
+    name = f"{p}.{verb}({','.join(args)})"
     for a in config.actions:
-        if a == want:
+        if a.name == name:
             return a
-    raise InputError(f"action {want.name!r} is not in the configured alphabet")
+    raise InputError(f"action {name!r} is not in the configured alphabet")
 
 
 def apply_script(

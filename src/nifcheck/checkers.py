@@ -342,7 +342,7 @@ def check_ta_static_security(system: PolicyEnhancedSystem, depth: int) -> Verdic
     idx, notes = _stripped_index(system, depth)
     e0 = idx.edge_bool[idx.start]
     labels = idx.ta_labels(np.broadcast_to(e0, (idx.interior_end,) + e0.shape))
-    if not check_static(idx.system):
+    if (idx.edge_set[idx.reachable(idx.start)[0]] != idx.edge_set[idx.start]).any():
         notes = notes + (
             "policy is state-dependent; the static reading fixes the initial state's edges",
         )
@@ -689,7 +689,10 @@ def check_i_security(system: PolicyEnhancedSystem, depth: int) -> Verdict:
     of purges, searched with the best y so far as bound (``_least_violation``).
     Starts from which ``TraceIndex`` would refuse the depth, since a shorter
     trace ends on a truncated state, are skipped and counted in
-    ``details["truncated_starts"]``."""
+    ``details["truncated_starts"]``; with no violation from the rest, any
+    skipped start makes the verdict ``INCONCLUSIVE``.  Reports print the
+    witness's start with ``str``, which for a capability state is the sorted
+    text ``--replay`` prints, so they do not depend on ``PYTHONHASHSEED``."""
     idx, stripped = _stripped_index(system, depth)
     notes = stripped + ("quantified over every reachable start state",)
     starts = idx.reachable(idx.start)[0]

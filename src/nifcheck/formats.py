@@ -80,9 +80,10 @@ def parse_document(text: str) -> SystemDocument:
     trans: Dict[Tuple[str, str], str] = {}
     trans_line: Dict[Tuple[str, str], int] = {}
     obs: Dict[Tuple[str, str], object] = {}
-    edges: Dict[str, set] = {}
-    variant_edges: Dict[str, List[Tuple[str, str, str]]] = {}
-    variant_lines: Dict[str, int] = {}
+    obs_line: Dict[Tuple[str, str], int] = {}
+    # (line, state, source, target) of each base and each variant edge
+    edges: List[Tuple[int, str, str, str]] = []
+    variant_edges: Dict[str, List[Tuple[int, str, str, str]]] = {}
 
     for no, key, toks in _directives(text):
         if key == "domains":
@@ -123,19 +124,18 @@ def parse_document(text: str) -> SystemDocument:
             if prev is not None and prev != val:
                 raise ParseError(f"conflicting observation for ({s}, {u})", no)
             obs[(u, s)] = val
+            obs_line[(u, s)] = no
         elif key == "edge":
             if len(toks) != 3:
                 raise ParseError("edge takes: state source target", no)
-            s, u, v = toks
-            edges.setdefault(s, set()).add((u, v))
+            edges.append((no, *toks))
         elif key.startswith("variant"):
             name = key[len("variant") :].strip()
             if not name:
                 raise ParseError("variant needs a name: 'variant NAME: edge ...'", no)
             if not toks or toks[0] != "edge" or len(toks) != 4:
                 raise ParseError("variant lines take: edge state source target", no)
-            variant_edges.setdefault(name, []).append((toks[1], toks[2], toks[3]))
-            variant_lines.setdefault(name, no)
+            variant_edges.setdefault(name, []).append((no, *toks[1:]))
         else:
             raise ParseError(f"unknown directive {key!r}", no)
 
@@ -173,11 +173,12 @@ def parse_document(text: str) -> SystemDocument:
         (s, a): trans.get((s, a), s) for s in states for a in sig.actions
     }
 
-    for (u, s) in obs:
+    domain_set = set(domains)
+    for (u, s), no in obs_line.items():
         if s not in state_set:
-            raise ParseError(f"observation for undeclared state {s!r}")
-        if u not in set(domains):
-            raise ParseError(f"observation for undeclared domain {u!r}")
+            raise ParseError(f"observation for undeclared state {s!r}", no)
+        if u not in domain_set:
+            raise ParseError(f"observation for undeclared domain {u!r}", no)
     missing = [
         (s, u) for u in domains for s in states if (u, s) not in obs
     ]
@@ -185,16 +186,14 @@ def parse_document(text: str) -> SystemDocument:
         s, u = missing[0]
         raise ParseError(f"missing observation for state {s!r} and domain {u!r}")
 
-    def build(extra: List[Tuple[str, str, str]]) -> PolicyEnhancedSystem:
-        table = {s: set(pairs) for s, pairs in edges.items()}
-        for s, u, v in extra:
-            table.setdefault(s, set()).add((u, v))
-        for s, pairs in table.items():
+    def build(extra: List[Tuple[int, str, str, str]]) -> PolicyEnhancedSystem:
+        table: Dict[str, set] = {}
+        for no, s, u, v in edges + extra:
             if s not in state_set:
-                raise ParseError(f"policy edge at undeclared state {s!r}")
-            for (u, v) in pairs:
-                if u not in set(domains) or v not in set(domains):
-                    raise ParseError(f"policy edge ({u}, {v}) uses undeclared domain")
+                raise ParseError(f"policy edge at undeclared state {s!r}", no)
+            if u not in domain_set or v not in domain_set:
+                raise ParseError(f"policy edge ({u}, {v}) uses undeclared domain", no)
+            table.setdefault(s, set()).add((u, v))
         try:
             return PolicyEnhancedSystem(
                 signature=sig,
@@ -329,7 +328,7 @@ def parse_cap_config(text: str) -> CapabilityConfig:
 def parse_trace(text: str) -> Tuple[Tuple[str, ...], ...]:
     """Replay scripts: one whitespace-split action per line."""
     out = []
-    for no, raw in enumerate(text.splitlines(), start=1):
+    for raw in text.splitlines():
         line = raw.strip()
         if not line or line.startswith("#"):
             continue

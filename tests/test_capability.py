@@ -310,6 +310,31 @@ class TestConfigValidation:
         with pytest.raises(InputError):
             standard_config(("p",), ("n",), (0,), obs={"r": lambda ps: 0})
 
+    @pytest.mark.parametrize(
+        "action",
+        [
+            add_cap_action("p", ("+",), "z"),
+            drop_cap_action("p", ("z", "+")),
+            drop_cap_action("p", (("n", "r"), "-")),
+            send_cap_action("p", ("z", "+"), "q"),
+            add_tag_action("p", "z"),
+            remove_tag_action("p", ("n", "r")),
+            send_message_action("p", "r"),
+            send_cap_action("p", ("n", "+"), "r"),
+            CapAction("p.raise(n)", "p", "add_tag", ("n",)),
+            CapAction("p.add_tag(n)", "p", "add_tag", (N_P,)),
+            CapAction("p.add_cap(-+,n)", "p", "add_cap", (("-", "+"), "n")),
+        ],
+        ids=lambda a: a.name,
+    )
+    def test_actions_outside_the_generated_alphabet_rejected(self, action):
+        with pytest.raises(InputError, match="generated alphabet"):
+            CapabilityConfig(("p", "q"), ("n",), (0,), (action,), two_state())
+
+    def test_non_actions_rejected(self):
+        with pytest.raises(InputError, match="not a capability action"):
+            CapabilityConfig(("p", "q"), ("n",), (0,), ("p.add_tag(n)",), two_state())
+
     def test_unknown_action_kind_rejected(self):
         assert "teleport" not in ACTION_KINDS
         with pytest.raises(InputError):
@@ -333,6 +358,15 @@ class TestScripts:
         ]:
             assert script_action(twoproc, line).kind == kind
 
+    def test_every_action_resolves_from_its_own_name(self, twoproc):
+        three = standard_config(("p", "q", "r"), ("n", "m"), (0, 1))
+        for config, size in [(twoproc, 62), (three, 273)]:
+            assert len(config.actions) == size
+            for act in config.actions:
+                p, call = act.name.split(".", 1)
+                verb, args = call[:-1].split("(")
+                assert script_action(config, (p, verb, *args.split(","))) is act
+
     def test_bad_script_lines_rejected(self, twoproc):
         for line in [
             ("p",),
@@ -340,6 +374,7 @@ class TestScripts:
             ("p", "set_message", "9"),
             ("p", "add_tag", "zzz"),
             ("p", "send_cap", "n+"),
+            ("p", "add_cap", "-+", "n"),  # sign sets are spelled in canonical order
         ]:
             with pytest.raises(InputError):
                 script_action(twoproc, line)

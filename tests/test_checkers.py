@@ -494,6 +494,17 @@ class TestPolicyShape:
         assert v.witness == (("p", "a"), ("a",), "B")
         assert any("state-dependent" in n for n in v.notes)
 
+    def test_static_reading_notes_what_check_static_finds(self):
+        seen = set()
+        for seed in range(40):
+            rng = random.Random(seed)
+            system = shaped_system(rng, 4, 3, 2, 2, rng.choice([0.0, 0.1, 0.5]))
+            changes = not check_static(system)
+            v = check_ta_static_security(system, 3)
+            assert any("state-dependent" in n for n in v.notes) == changes
+            seen.add(changes)
+        assert seen == {False, True}
+
     def test_globally_known_policy_accepted(self):
         v = check_globally_known(admin_system(), "D", 5)
         assert v.outcome == BOUNDED_SECURE

@@ -97,10 +97,12 @@ class TestParseSystem:
             ("edge: s9 A B\n", "undeclared state"),
             ("edge: s0 A Z\n", "undeclared domain"),
             ("obs: s0 Z 0\n", "undeclared domain"),
+            ("obs: s9 A 0\n", "undeclared state"),
         ]:
             with pytest.raises(ParseError) as err:
                 parse_system(MINIMAL + extra)
             assert fragment in str(err.value)
+            assert err.value.line == 11
 
     def test_structural_omissions(self):
         for cut, fragment in [
@@ -152,6 +154,13 @@ class TestVariants:
             parse_document(MINIMAL + "variant open: edge s1 A\n")
         with pytest.raises(ParseError):
             parse_document(MINIMAL + "variant open: s1 A B\n")
+
+    def test_variant_edge_errors_name_their_line(self):
+        for edge, fragment in [("s9 A B", "undeclared state"), ("s1 A Z", "undeclared domain")]:
+            with pytest.raises(ParseError) as err:
+                parse_document(MINIMAL + f"variant open: edge {edge}\n")
+            assert fragment in str(err.value)
+            assert err.value.line == 11
 
     def test_corpus_variant_counts(self):
         assert set(parse_document(read_corpus("figure2.nif")).variants) == {"dotted"}
